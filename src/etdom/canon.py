@@ -18,12 +18,6 @@ def canonical_form(g: Graph) -> bytes:
     return encode(canonical_graph(g), _allow_long=True).encode("ascii")
 
 
-def canonical_labelling(g: Graph) -> list[int]:
-    """Permutation mapping each vertex to its canonical position."""
-    _, pos, _, _ = _kernel.canon(g.n, g.adj)
-    return pos
-
-
 def automorphism_orbits(g: Graph) -> list[int]:
     """orbit[v] = least vertex in the automorphism orbit of v."""
     _, _, orbit, _ = _kernel.canon(g.n, g.adj)
@@ -48,7 +42,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 __all__ = [
     "canonical_graph",
     "canonical_form",
-    "canonical_labelling",
     "automorphism_orbits",
     "automorphism_generators",
     "are_isomorphic",

@@ -80,22 +80,11 @@ def cmd_filter(args) -> int:
     return EXIT_OK
 
 
-LARGE_ROW_ESTIMATES = {
-    "T1": "n=10 scans 11.7M graphs: expect 1-2 hours on one machine",
-    "T2": "n=13 scans 19.4M triangle-free graphs: expect several hours",
-    "T3": "n=15 generates all triangle-free graphs of order 15: expect a day",
-    "T4": "n=17..20 runs the guard game on dense circulants: expect minutes",
-    "T6": "n=16 walks 4060 cubic graphs: expect minutes",
-    "T7": "n=9,10 recomputes domination for up to 11.7M graphs: expect hours",
-}
-
-
 def cmd_table(args) -> int:
-    table = args.table.upper()
     if args.large:
-        print(f"# --large: {LARGE_ROW_ESTIMATES[table]}", file=sys.stderr)
+        print(f"# --large: {pipeline.TABLES[args.table].large_note}", file=sys.stderr)
     report = pipeline.reproduce_table(
-        table, max_n=args.max_n, large=args.large, workers=args.workers
+        args.table, max_n=args.max_n, large=args.large, workers=args.workers
     )
     sys.stdout.write(report.to_tsv())
     if not report.ok():
@@ -217,16 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_filter)
 
     p = sub.add_parser("table", help="reproduce a reference count table")
-    p.add_argument("table", choices=("T1", "T2", "T3", "T4", "T6", "T7",
-                                     "t1", "t2", "t3", "t4", "t6", "t7"))
+    p.add_argument("table", type=str.upper, choices=pipeline.TABLES)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--large", action="store_true",
                    help="allow the long rows (prints a time warning)")
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("appendix", help="verify a bundled graph catalogue")
-    p.add_argument("list", choices=("T8", "T9", "T10", "T11",
-                                    "t8", "t9", "t10", "t11"))
+    p.add_argument("list", type=str.upper, choices=pipeline.CATALOGUES)
     p.add_argument("--file", default=None, help="override the bundled file")
     p.add_argument("--completeness", action="store_true",
                    help="also regenerate orders up to 10 exhaustively and "

@@ -31,10 +31,14 @@ class ConfigSpace:
         return guards in self.surviving
 
 
-def dominating_sets_of_size(g: Graph, k: int, *, cap: int = DEFAULT_CONFIG_CAP) -> ConfigSpace:
-    """Unpruned configuration space: every dominating k-set, sorted."""
+def _check_guard_count(g: Graph, k: int) -> None:
     if not 1 <= k <= g.n:
         raise GraphError(f"guard count {k} outside 1..{g.n}")
+
+
+def dominating_sets_of_size(g: Graph, k: int, *, cap: int = DEFAULT_CONFIG_CAP) -> ConfigSpace:
+    """Unpruned configuration space: every dominating k-set, sorted."""
+    _check_guard_count(g, k)
     configs = _kernel.dominating_sets(g.n, g.adj, k, cap)
     return ConfigSpace(k=k, configs=tuple(configs), surviving=frozenset(configs))
 
@@ -47,12 +51,13 @@ def prune_to_eternal(g: Graph, space: ConfigSpace) -> ConfigSpace:
 
 def can_defend(g: Graph, k: int, *, cap: int = DEFAULT_CONFIG_CAP) -> bool:
     """True when k guards suffice forever (the surviving set is nonempty)."""
-    space = dominating_sets_of_size(g, k, cap=cap)
-    if not space.configs:
+    _check_guard_count(g, k)
+    configs = _kernel.dominating_sets(g.n, g.adj, k, cap)
+    if not configs:
         return False
     if k >= g.n:
         return True
-    return bool(_kernel.eternal_fixpoint(g.n, g.adj, k, list(space.configs)))
+    return bool(_kernel.eternal_fixpoint(g.n, g.adj, k, configs))
 
 
 def eternal_domination_number(

@@ -42,7 +42,6 @@ _MODE = {
     "all": _kernel.MODE_ALL,
     "triangle_free": _kernel.MODE_TRIANGLE_FREE,
     "maximal_triangle_free": _kernel.MODE_TRIANGLE_FREE,
-    "max_degree_3": _kernel.MODE_MAX_DEGREE_3,
 }
 
 
@@ -364,7 +363,3 @@ def enumerate_circulants(n: int) -> list[CirculantSpec]:
             seen.add(key)
             specs.append(spec)
     return specs
-
-
-def connected_count(n: int, constraint: str = "all", **kwargs) -> int:
-    return sum(1 for _ in generate_connected(n, constraint, **kwargs))

@@ -38,10 +38,11 @@ def _decode_size(line: str) -> tuple[int, int]:
         return c0 - 63, 1
     # long form: '~' then 3 chars, or '~~' then 6 chars
     if len(line) > 1 and ord(line[1]) == 126:
-        chars, start = line[2:8], 8
+        start, width = 2, 6
     else:
-        chars, start = line[1:4], 4
-    if len(chars) < (start - 1) - 1:
+        start, width = 1, 3
+    chars = line[start:start + width]
+    if len(chars) != width:
         raise Graph6Error("truncated long-form size")
     n = 0
     for ch in chars:
@@ -49,7 +50,7 @@ def _decode_size(line: str) -> tuple[int, int]:
         if not 63 <= c <= 126:
             raise Graph6Error(f"size byte {c} outside 63..126")
         n = n << 6 | (c - 63)
-    return n, start
+    return n, start + width
 
 
 def decode(line: str) -> Graph:

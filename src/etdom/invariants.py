@@ -12,12 +12,8 @@ from .graphs import (
     GraphError,
     add_edge,
     bits,
-    complement,
     delete_vertex,
-    is_claw_free,
-    is_cubic,
     is_triangle_free,
-    is_two_connected,
 )
 
 CHROMATIC_BUDGET = 20
@@ -51,8 +47,9 @@ def clique_number(g: Graph) -> int:
 
 
 def independence_number(g: Graph) -> int:
-    c = complement(g)
-    return _kernel.max_clique(c.n, c.adj)
+    full = g.vertex_mask
+    co_adj = [full & ~row & ~(1 << i) for i, row in enumerate(g.adj)]
+    return _kernel.max_clique(g.n, co_adj)
 
 
 def clique_cover_number(g: Graph, *, lower_bound: int = 0) -> int:
@@ -168,23 +165,3 @@ def is_edge_critical(g: Graph) -> bool:
 
 def is_critical(g: Graph) -> bool:
     return is_vertex_critical(g) and is_edge_critical(g)
-
-
-def compute_record(g: Graph, *, with_criticality: bool = False) -> InvariantRecord:
-    """Base invariant record; gamma_inf stays unset (the game module fills it)."""
-    alpha = independence_number(g)
-    theta = clique_cover_number(g, lower_bound=alpha)
-    rec = InvariantRecord(
-        n=g.n,
-        alpha=alpha,
-        gamma=domination_number(g),
-        theta=theta,
-        triangle_free=is_triangle_free(g),
-        claw_free=is_claw_free(g),
-        cubic=is_cubic(g),
-        two_connected=is_two_connected(g),
-    )
-    if with_criticality:
-        rec.vertex_critical = is_vertex_critical(g)
-        rec.edge_critical = is_edge_critical(g)
-    return rec

@@ -1,5 +1,13 @@
-"""Batch engine: filter chains over graph streams, reproduction of the
-reference count tables, and verification of the bundled catalogues.
+"""Batch engine: ordered filter chains over graph streams.
+
+Every reference table and every bundled catalogue is defined once, as
+data: a graph source and an ordered chain of ``FILTERS`` names.  One
+streaming evaluator reports, for each source graph, how many leading
+filters of the chain it passes.  A table row is the source total plus
+the survivors of each stage (the circulant table lists the labels of
+its full matches instead); a catalogue line fails with the name of its
+first failing filter; ``run_filter`` adds the cost sort of the chain
+and the canonical sort of the matches.
 
 Reports are deterministic: workers only shard per-graph evaluation and
 results are merged in input order, so identical inputs and settings
@@ -12,10 +20,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain as chained, islice
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import _kernel
 from ._kernel import BudgetExceeded
 from .canon import canonical_form
 from .constructions import CirculantSpec, circulant
@@ -36,7 +44,6 @@ from .invariants import (
     clique_cover_number,
     domination_number,
     independence_number,
-    is_critical,
     is_edge_critical,
     is_vertex_critical,
 )
@@ -110,7 +117,8 @@ class Analysis:
         return rec
 
 
-# name -> (cost rank, predicate); chains evaluate cheapest-first
+# name -> (cost rank, predicate); run_filter orders its chain cheapest-first,
+# tables and catalogues keep the order they are defined in
 FILTERS: dict[str, tuple[int, Callable[[Analysis], bool]]] = {
     "connected": (0, lambda a: is_connected(a.g)),
     "triangle_free": (1, lambda a: is_triangle_free(a.g)),
@@ -119,6 +127,9 @@ FILTERS: dict[str, tuple[int, Callable[[Analysis], bool]]] = {
     "maximal_triangle_free": (2, lambda a: is_maximal_triangle_free(a.g)),
     "two_connected": (2, lambda a: is_two_connected(a.g)),
     "alpha_lt_theta": (5, lambda a: a.alpha < a.theta),
+    "alpha_half": (5, lambda a: a.alpha == a.g.n // 2),
+    "theta_half": (5, lambda a: a.theta == (a.g.n + 1) // 2),
+    "gamma_eq_alpha": (5, lambda a: a.gamma == a.alpha),
     "gamma_eq_theta": (5, lambda a: a.gamma == a.theta),
     "half_alpha": (
         5,
@@ -126,11 +137,18 @@ FILTERS: dict[str, tuple[int, Callable[[Analysis], bool]]] = {
         and a.alpha == (a.g.n - 1) // 2
         and a.theta == (a.g.n + 1) // 2,
     ),
-    "gamma_eq_gamma_inf": (6, lambda a: a.gamma == a.gamma_inf),
+    # gamma <= alpha <= gamma_inf, so gamma = gamma_inf exactly when
+    # gamma = alpha and gamma guards defend; no larger guard count is tried
+    "gamma_eq_gamma_inf": (
+        6,
+        lambda a: a.gamma == a.alpha
+        and (a.g.n == 0 or can_defend(a.g, a.gamma, cap=a.cap)),
+    ),
     "vertex_critical": (7, lambda a: is_vertex_critical(a.g)),
     "edge_critical": (8, lambda a: is_edge_critical(a.g)),
     "critical": (8, lambda a: is_vertex_critical(a.g) and is_edge_critical(a.g)),
     "gamma_inf_lt_theta": (9, lambda a: a.gamma_inf < a.theta),
+    "gamma_inf_eq_alpha": (9, lambda a: a.gamma_inf == a.alpha),
 }
 
 
@@ -160,21 +178,85 @@ def order_filters(names: Sequence[str]) -> list[str]:
     return sorted(names, key=lambda nm: (FILTERS[nm][0], names.index(nm)))
 
 
-def _eval_batch(args: tuple[list[str], tuple[str, ...], int]) -> list[int]:
-    lines, chain, cap = args
+def _reach(g: Graph, chain: Sequence[str], cap: int) -> int:
+    """How many leading filters of chain g passes."""
+    a = Analysis(g, cap=cap)
+    for passed, name in enumerate(chain):
+        if not FILTERS[name][1](a):
+            return passed
+    return len(chain)
+
+
+def _reach_batch(args: tuple[list[Graph], Sequence[str], int]) -> list[int]:
+    """_reach of each graph, -1 where the configuration budget was hit."""
+    graphs, chain, cap = args
     out = []
-    for line in lines:
-        a = Analysis(decode(line), cap=cap)
-        reached = 0
+    for g in graphs:
         try:
-            for name in chain:
-                if not FILTERS[name][1](a):
-                    break
-                reached += 1
+            out.append(_reach(g, chain, cap))
         except BudgetExceeded:
-            reached = -1
-        out.append(reached)
+            out.append(-1)
     return out
+
+
+def _batches(items: Iterable, size: int) -> Iterator[list]:
+    it = iter(items)
+    while batch := list(islice(it, size)):
+        yield batch
+
+
+def _pooled(chunks: Iterator[list[Graph]], chain: Sequence[str], cap: int,
+            workers: int) -> Iterator[tuple[list[Graph], list[int]]]:
+    # a bounded window of chunks in flight keeps memory flat on long sources
+    with Pool(workers) as pool:
+        for window in _batches(chunks, 4 * workers):
+            results = pool.map(_reach_batch, [(c, chain, cap) for c in window])
+            yield from zip(window, results)
+
+
+def _evaluate(
+    source: Iterable[Graph], chain: Sequence[str], *, workers: int = 1,
+    chunk: int = 1024, cap: int = 1 << 26, count_aborts: bool = False,
+) -> Iterator[tuple[Graph, int]]:
+    """Yield (graph, reached) per source graph, in source order, where
+    reached is how many leading filters of chain the graph passes.
+
+    The source is read chunk by chunk; a pool of workers shares the
+    chunks once the source holds more than two of them.  A graph that
+    hits the configuration budget yields reached = -1 with count_aborts,
+    and raises BudgetExceeded otherwise.
+    """
+    chunks = _batches(source, chunk)
+    head = list(islice(chunks, 3)) if workers > 1 else []
+    chunks = chained(head, chunks)
+    if len(head) == 3:
+        results = _pooled(chunks, chain, cap, workers)
+    else:
+        results = ((c, _reach_batch((c, chain, cap))) for c in chunks)
+    for graphs, reached in results:
+        for g, r in zip(graphs, reached):
+            if r < 0 and not count_aborts:
+                _reach(g, chain, cap)  # budget hits repeat: this raises it here
+            yield g, r
+
+
+@dataclass
+class _Tally:
+    """Per-stage survivor counts of one evaluation."""
+
+    counts: list[int]
+    total: int = 0
+    aborted: int = 0
+
+    def add(self, reached: int) -> bool:
+        """Count one graph; True when it passed the whole chain."""
+        self.total += 1
+        if reached < 0:
+            self.aborted += 1
+            return False
+        for stage in range(reached):
+            self.counts[stage] += 1
+        return reached == len(self.counts)
 
 
 def run_filter(
@@ -186,40 +268,25 @@ def run_filter(
     chunk: int = 1024,
     cap: int = 1 << 26,
 ) -> ReportRow:
-    """Apply an ordered predicate chain; survivors of the whole chain are
-    returned as graph6 lines sorted by canonical form."""
-    chain = tuple(order_filters(filter_names))
+    """Apply an ordered predicate chain, cheapest filter first; survivors
+    of the whole chain are returned as graph6 lines sorted by canonical
+    form."""
+    chain = order_filters(filter_names)
     t0 = time.monotonic()
-    lines = [encode(g) for g in source]
-    total = len(lines)
-    if workers > 1 and total > 2 * chunk:
-        batches = [
-            (lines[i:i + chunk], chain, cap) for i in range(0, total, chunk)
-        ]
-        with Pool(workers) as pool:
-            results = pool.map(_eval_batch, batches)
-        reached = [r for batch in results for r in batch]
-    else:
-        reached = _eval_batch((lines, chain, cap))
-    counts = [0] * len(chain)
-    matches = []
-    aborted = 0
-    for line, r in zip(lines, reached):
-        if r < 0:
-            aborted += 1
-            continue
-        for i in range(r):
-            counts[i] += 1
-        if r == len(chain):
-            matches.append(line)
-    matches.sort(key=lambda line: canonical_form(decode(line)))
+    tally = _Tally([0] * len(chain))
+    matches = [
+        g for g, r in _evaluate(source, chain, workers=workers, chunk=chunk,
+                                cap=cap, count_aborts=True)
+        if tally.add(r)
+    ]
+    matches.sort(key=canonical_form)
     return ReportRow(
         n=n,
-        total=total,
-        stages=list(zip(chain, counts)),
-        matches=matches,
+        total=tally.total,
+        stages=list(zip(chain, tally.counts)),
+        matches=[encode(g) for g in matches],
         elapsed=time.monotonic() - t0,
-        aborted=aborted,
+        aborted=tally.aborted,
     )
 
 
@@ -285,14 +352,71 @@ EXPECTED_T7 = {
     10: (11716571, 73515, 23394, 23394),
 }
 
-# default / --large row ceilings per table
-TABLE_SCOPE = {
-    "T1": (9, 10),
-    "T2": (11, 13),
-    "T3": (13, 15),
-    "T4": (16, 20),
-    "T6": (14, 16),
-    "T7": (8, 10),
+
+@dataclass(frozen=True)
+class Table:
+    """A reference table with one row per order n in ``ns``.
+
+    A row counts the ``source`` graphs of order n (a ``generate_connected``
+    constraint, or "circulant" for the circulant enumeration) that pass
+    each successive filter of ``chain``; the circulant table lists the
+    labels of its full matches instead.
+    """
+
+    ns: range
+    scope: tuple[int, int]  # row ceilings by default and with --large
+    header: tuple[str, ...]
+    expected: dict
+    source: str
+    chain: tuple[str, ...]
+    large_note: str  # what the --large rows cost
+
+
+TABLES = {
+    "T1": Table(
+        range(5, 11), (9, 10),
+        ("n", "total", "alpha_lt_theta", "vertex_critical", "critical",
+         "critical_eternal_lt_cover"),
+        EXPECTED_T1, "all",
+        ("alpha_lt_theta", "vertex_critical", "edge_critical", "gamma_inf_lt_theta"),
+        "n=10 scans 11.7M graphs: expect 1-2 hours on one machine",
+    ),
+    "T2": Table(
+        range(5, 14, 2), (11, 13),
+        ("n", "total", "alpha_half", "alpha_half_theta", "eternal_eq_alpha"),
+        EXPECTED_T2, "triangle_free",
+        ("alpha_half", "theta_half", "gamma_inf_eq_alpha"),
+        "n=13 scans 19.4M triangle-free graphs: expect several hours",
+    ),
+    "T3": Table(
+        range(5, 16, 2), (13, 15),
+        ("n", "total", "alpha_half", "alpha_half_theta", "eternal_eq_alpha"),
+        EXPECTED_T3, "maximal_triangle_free",
+        ("alpha_half", "theta_half", "gamma_inf_eq_alpha"),
+        "n=15 generates all triangle-free graphs of order 15: expect a day",
+    ),
+    "T4": Table(
+        range(3, 21), (16, 20),
+        ("n", "eternal_lt_cover_circulants"),
+        EXPECTED_T4, "circulant",
+        ("alpha_lt_theta", "gamma_inf_lt_theta"),
+        "n=17..20 runs the guard game on dense circulants: expect minutes",
+    ),
+    "T6": Table(
+        range(4, 17, 2), (14, 16),
+        ("n", "total", "alpha_lt_theta", "eternal_lt_cover"),
+        EXPECTED_T6, "cubic",
+        ("alpha_lt_theta", "gamma_inf_lt_theta"),
+        "n=16 walks 4060 cubic graphs: expect minutes",
+    ),
+    "T7": Table(
+        range(5, 11), (8, 10),
+        ("n", "total", "gamma_eq_alpha", "gamma_eq_eternal",
+         "gamma_eq_eternal_eq_cover"),
+        EXPECTED_T7, "all",
+        ("gamma_eq_alpha", "gamma_eq_gamma_inf", "gamma_eq_theta"),
+        "n=9,10 recomputes domination for up to 11.7M graphs: expect hours",
+    ),
 }
 
 
@@ -319,86 +443,6 @@ class TableReport:
         return "\n".join(out) + "\n"
 
 
-def _t1_row(n: int, workers: int) -> tuple[int, int, int, int, int]:
-    total = alpha_lt = vc = crit = witness = 0
-    for g in generate_connected(n, "all", allow_large=True, workers=workers):
-        total += 1
-        a = Analysis(g)
-        if a.alpha >= a.theta:
-            continue
-        alpha_lt += 1
-        if not is_vertex_critical(g):
-            continue
-        vc += 1
-        if not is_edge_critical(g):
-            continue
-        crit += 1
-        if a.gamma_inf < a.theta:
-            witness += 1
-    return (total, alpha_lt, vc, crit, witness)
-
-
-def _t2_row(n: int, workers: int, constraint: str) -> tuple[int, int, int, int]:
-    half_down, half_up = n // 2, (n + 1) // 2
-    total = a_half = at_half = witness = 0
-    for g in generate_connected(n, constraint, allow_large=True, workers=workers):
-        total += 1
-        alpha = _kernel.max_clique(g.n, [g.vertex_mask & ~row & ~(1 << i)
-                                         for i, row in enumerate(g.adj)])
-        if alpha != half_down:
-            continue
-        a_half += 1
-        # triangle-free cover number via the matching route
-        theta = g.n - _kernel.max_matching(g.n, g.adj)
-        if theta != half_up:
-            continue
-        at_half += 1
-        if eternal_domination_number(g, alpha=alpha, theta=theta) == alpha:
-            witness += 1
-    return (total, a_half, at_half, witness)
-
-
-def _t4_row(n: int) -> list[str]:
-    found = []
-    for spec in enumerate_circulants(n):
-        a = Analysis(circulant(spec))
-        if a.alpha == a.theta:
-            continue
-        if a.gamma_inf < a.theta:
-            found.append(spec.label())
-    return found
-
-
-def _t6_row(n: int) -> tuple[int, int, int]:
-    total = alpha_lt = witness = 0
-    for g in generate_connected(n, "cubic", allow_large=True):
-        total += 1
-        a = Analysis(g)
-        if a.alpha >= a.theta:
-            continue
-        alpha_lt += 1
-        if a.gamma_inf < a.theta:
-            witness += 1
-    return (total, alpha_lt, witness)
-
-
-def _t7_row(n: int, workers: int) -> tuple[int, int, int, int]:
-    total = g_eq_a = g_eq_gi = g_eq_all = 0
-    for g in generate_connected(n, "all", allow_large=True, workers=workers):
-        total += 1
-        a = Analysis(g)
-        # gamma <= alpha <= gamma_inf, so gamma = gamma_inf forces gamma = alpha
-        if a.gamma != a.alpha:
-            continue
-        g_eq_a += 1
-        if not can_defend(g, a.gamma):
-            continue
-        g_eq_gi += 1
-        if a.gamma == a.theta:
-            g_eq_all += 1
-    return (total, g_eq_a, g_eq_gi, g_eq_all)
-
-
 def reproduce_table(
     table: str, *, max_n: Optional[int] = None, large: bool = False,
     workers: Optional[int] = None,
@@ -406,70 +450,44 @@ def reproduce_table(
     """Recompute one reference table up to max_n and diff it against the
     published cells.  Rows beyond the scope ceiling are marked skipped,
     never fabricated."""
-    table = table.upper()
-    if table not in TABLE_SCOPE:
-        raise ValueError(f"unknown table {table!r} (T1, T2, T3, T4, T6, T7)")
+    name = table.upper()
+    if name not in TABLES:
+        raise ValueError(f"unknown table {table!r} ({', '.join(TABLES)})")
+    t = TABLES[name]
     workers = workers or default_workers()
-    default_cap, large_cap = TABLE_SCOPE[table]
-    cap = large_cap if large else default_cap
+    cap = t.scope[1] if large else t.scope[0]
     if max_n is None:
         max_n = cap
 
-    headers = {
-        "T1": ["n", "total", "alpha_lt_theta", "vertex_critical", "critical",
-               "critical_eternal_lt_cover"],
-        "T2": ["n", "total", "alpha_half", "alpha_half_theta", "eternal_eq_alpha"],
-        "T3": ["n", "total", "alpha_half", "alpha_half_theta", "eternal_eq_alpha"],
-        "T4": ["n", "eternal_lt_cover_circulants"],
-        "T6": ["n", "total", "alpha_lt_theta", "eternal_lt_cover"],
-        "T7": ["n", "total", "gamma_eq_alpha", "gamma_eq_eternal",
-               "gamma_eq_eternal_eq_cover"],
-    }
-    expected = {
-        "T1": EXPECTED_T1, "T2": EXPECTED_T2, "T3": EXPECTED_T3,
-        "T4": EXPECTED_T4, "T6": EXPECTED_T6, "T7": EXPECTED_T7,
-    }[table]
-    all_ns = {
-        "T1": range(5, 11),
-        "T2": range(5, 14, 2),
-        "T3": range(5, 16, 2),
-        "T4": range(3, 21),
-        "T6": range(4, 17, 2),
-        "T7": range(5, 11),
-    }[table]
-
-    report = TableReport(table=table, header=headers[table], rows=[], expected=expected)
-    for n in all_ns:
+    report = TableReport(table=name, header=list(t.header), rows=[], expected=t.expected)
+    for n in t.ns:
         if n > max_n:
             break
         if n > cap:
             report.skipped.append(n)
             continue
-        if table == "T1":
-            cells: tuple = _t1_row(n, workers)
-        elif table == "T2":
-            cells = _t2_row(n, workers, "triangle_free")
-        elif table == "T3":
-            cells = _t2_row(n, workers, "maximal_triangle_free")
-        elif table == "T4":
-            cells = (_t4_row(n),)
-        elif table == "T6":
-            cells = _t6_row(n)
-        else:
-            cells = _t7_row(n, workers)
-        if table == "T4":
-            report.rows.append([n, ";".join(cells[0]) or "-"])
-            want = expected.get(n)
-            got_canon = {canonical_form(circulant(_parse_label(s))) for s in cells[0]}
-            want_canon = {canonical_form(circulant(_parse_label(s))) for s in want}
-            if got_canon != want_canon:
-                report.divergent.append((n, cells[0], want))
-        else:
-            report.rows.append([n, *cells])
-            want = expected.get(n)
-            if want is not None and tuple(cells) != tuple(want):
-                report.divergent.append((n, cells, want))
+        want = t.expected.get(n)
+        if t.source == "circulant":
+            specs = enumerate_circulants(n)
+            results = _evaluate((circulant(s) for s in specs), t.chain, workers=workers)
+            labels = [s.label() for s, (_, r) in zip(specs, results) if r == len(t.chain)]
+            report.rows.append([n, ";".join(labels) or "-"])
+            if _circulant_classes(labels) != _circulant_classes(want):
+                report.divergent.append((n, labels, want))
+            continue
+        tally = _Tally([0] * len(t.chain))
+        source = generate_connected(n, t.source, allow_large=True, workers=workers)
+        for _, r in _evaluate(source, t.chain, workers=workers):
+            tally.add(r)
+        cells = (tally.total, *tally.counts)
+        report.rows.append([n, *cells])
+        if want is not None and cells != tuple(want):
+            report.divergent.append((n, cells, want))
     return report
+
+
+def _circulant_classes(labels: Iterable[str]) -> set[bytes]:
+    return {canonical_form(circulant(_parse_label(s))) for s in labels}
 
 
 def _parse_label(label: str) -> CirculantSpec:
@@ -484,17 +502,44 @@ def _parse_label(label: str) -> CirculantSpec:
 # Catalogue (appendix fixture) verification.
 # ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class Catalogue:
+    """A bundled graph list: every line passes ``chain``, and a complete
+    list holds every connected ``source`` graph of its orders that does."""
+
+    filename: str
+    source: str
+    chain: tuple[str, ...]
+
+
 CATALOGUES = {
-    "T8": "t8_critical_alpha_lt_theta.g6",
-    "T9": "t9_eternal_lt_cover.g6",
-    "T10": "t10_triangle_free_eternal_lt_cover.g6",
-    "T11": "t11_maximal_triangle_free_eternal_lt_cover.g6",
+    "T8": Catalogue(
+        "t8_critical_alpha_lt_theta.g6", "all",
+        ("connected", "alpha_lt_theta", "critical"),
+    ),
+    "T9": Catalogue(
+        "t9_eternal_lt_cover.g6", "all",
+        ("connected", "alpha_lt_theta", "gamma_inf_lt_theta"),
+    ),
+    "T10": Catalogue(
+        "t10_triangle_free_eternal_lt_cover.g6", "triangle_free",
+        ("connected", "triangle_free", "alpha_lt_theta", "gamma_inf_lt_theta"),
+    ),
+    "T11": Catalogue(
+        "t11_maximal_triangle_free_eternal_lt_cover.g6", "maximal_triangle_free",
+        ("connected", "maximal_triangle_free", "alpha_lt_theta", "gamma_inf_lt_theta"),
+    ),
 }
 
 
 def catalogue_path(list_id: str):
-    name = CATALOGUES[list_id.upper()]
-    return resources.files("etdom.data") / name
+    return resources.files("etdom.data") / CATALOGUES[list_id.upper()].filename
+
+
+def _read_lines(path) -> list[str]:
+    with open(path, "r", encoding="ascii") as fh:
+        return [ln.strip() for ln in fh if ln.strip()]
 
 
 @dataclass
@@ -509,92 +554,39 @@ class CatalogueReport:
         return not self.failures
 
 
-def _catalogue_property(list_id: str, g: Graph) -> Optional[str]:
-    """None when the defining property holds, else a failure description."""
-    a = Analysis(g)
-    if list_id == "T8":
-        if not is_connected(g):
-            return "not connected"
-        if not (a.alpha < a.theta):
-            return f"alpha={a.alpha} not below theta={a.theta}"
-        if not is_critical(g):
-            return "not critical"
-        return None
-    if list_id == "T9":
-        if not is_connected(g):
-            return "not connected"
-        if not a.gamma_inf < a.theta:
-            return f"gamma_inf={a.gamma_inf} not below theta={a.theta}"
-        return None
-    if list_id == "T10":
-        if not is_triangle_free(g):
-            return "not triangle-free"
-        if not a.gamma_inf < a.theta:
-            return f"gamma_inf={a.gamma_inf} not below theta={a.theta}"
-        return None
-    if list_id == "T11":
-        if not is_maximal_triangle_free(g):
-            return "not maximal triangle-free"
-        if not a.gamma_inf < a.theta:
-            return f"gamma_inf={a.gamma_inf} not below theta={a.theta}"
-        return None
-    raise ValueError(f"unknown catalogue {list_id!r}")
-
-
-# filter chains that define each catalogue, for the completeness check
-_CATALOGUE_CHAIN = {
-    "T8": ("all", ["connected", "alpha_lt_theta", "critical"]),
-    "T9": ("all", ["connected", "alpha_lt_theta", "gamma_inf_lt_theta"]),
-    "T10": ("triangle_free", ["connected", "alpha_lt_theta", "gamma_inf_lt_theta"]),
-    "T11": (
-        "maximal_triangle_free",
-        ["connected", "alpha_lt_theta", "gamma_inf_lt_theta"],
-    ),
-}
-
-
 def check_catalogue(
     list_id: str, path=None, *, completeness: bool = False, large: bool = False,
     workers: int = 1,
 ) -> CatalogueReport:
-    """Recompute the defining property of every line in a shipped list.
+    """Recompute the defining chain on every line of a shipped list; a
+    failing line names the first filter it fails.
 
     With completeness=True, additionally regenerate each order up to 10
     exhaustively and require the list to contain exactly the graphs the
-    defining filter finds; order 10 (an hour-scale search) needs large=True.
+    defining chain accepts; order 10 (an hour-scale search) needs large=True.
     """
-    list_id = list_id.upper()
-    if list_id not in CATALOGUES:
-        raise ValueError(f"unknown catalogue {list_id!r} (T8, T9, T10, T11)")
-    if path is None:
-        path = catalogue_path(list_id)
-    failures = []
-    checked = 0
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    by_order: dict[int, list[str]] = {}
-    for i, line in enumerate(lines):
-        g = decode(line)
-        by_order.setdefault(g.n, []).append(line)
-        why = _catalogue_property(list_id, g)
-        checked += 1
-        if why is not None:
-            failures.append((i, line, why))
-    report = CatalogueReport(list_id=list_id, checked=checked, failures=failures)
+    name = list_id.upper()
+    if name not in CATALOGUES:
+        raise ValueError(f"unknown catalogue {list_id!r} ({', '.join(CATALOGUES)})")
+    cat = CATALOGUES[name]
+    lines = _read_lines(catalogue_path(name) if path is None else path)
+    graphs = [decode(line) for line in lines]
+    report = CatalogueReport(list_id=name, checked=len(lines), failures=[])
+    for i, (_, r) in enumerate(_evaluate(graphs, cat.chain, workers=workers)):
+        if r < len(cat.chain):
+            report.failures.append((i, lines[i], f"fails {cat.chain[r]}"))
     if completeness:
-        constraint, chain = _CATALOGUE_CHAIN[list_id]
-        for n in sorted(by_order):
+        for n in sorted({g.n for g in graphs}):
             if n > 10 or (n == 10 and not large):
                 report.completeness_skipped.append(n)
                 continue
-            row = run_filter(
-                generate_connected(n, constraint, allow_large=large, workers=workers),
-                chain,
-                n=n,
-                workers=workers,
-            )
-            found = {canonical_form(decode(line)) for line in row.matches}
-            listed = {canonical_form(decode(line)) for line in by_order[n]}
+            source = generate_connected(n, cat.source, allow_large=large, workers=workers)
+            found = {
+                canonical_form(g)
+                for g, r in _evaluate(source, cat.chain, workers=workers)
+                if r == len(cat.chain)
+            }
+            listed = {canonical_form(g) for g in graphs if g.n == n}
             if found != listed:
                 report.failures.append(
                     (-1, f"order {n}", f"list has {len(listed)} classes, "
@@ -605,9 +597,7 @@ def check_catalogue(
 
 
 def catalogue_lines(list_id: str, *, order: Optional[int] = None) -> list[str]:
-    path = catalogue_path(list_id)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _read_lines(catalogue_path(list_id))
     if order is not None:
         lines = [ln for ln in lines if decode(ln).n == order]
     return lines

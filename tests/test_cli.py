@@ -49,6 +49,12 @@ def test_table_t4(capsys):
     assert "13\tC13[1,2,3,5];C13[1,3,4]" in out
 
 
+def test_table_name_case_insensitive(capsys):
+    rc, out, _ = run_cli(["table", "t4", "--max-n", "5"], capsys=capsys)
+    assert rc == 0
+    assert out.splitlines()[-1] == "5\t-"
+
+
 def test_table_t3_small(capsys):
     rc, out, _ = run_cli(["table", "T3", "--max-n", "9"], capsys=capsys)
     assert rc == 0

@@ -104,6 +104,8 @@ def test_malformed_inputs_rejected():
         decode("D" + chr(200) + "UW"[1:])  # byte out of range
     with pytest.raises(Graph6Error):
         decode(chr(70 + 63) + "?")  # order above the engine cap (n=70)
+    with pytest.raises(Graph6Error):
+        decode("~??")  # long-form size needs three bytes after '~'
 
 
 def test_read_stream_basics():

@@ -27,7 +27,7 @@ from etdom import (
 )
 from etdom.graphs import Graph, bits, complete_graph, empty_graph, mask_of
 from etdom.generate import generate_connected
-from etdom.invariants import compute_record
+from etdom.pipeline import Analysis
 from etdom import GraphError
 
 from conftest import rand_graph, subsets_of_size
@@ -280,8 +280,8 @@ def test_vertex_critical_recheck(rng):
 
 
 def test_compute_record(c5):
-    rec = compute_record(c5, with_criticality=True)
+    rec = Analysis(c5).to_record(criticality=True)
     assert (rec.n, rec.alpha, rec.gamma, rec.theta) == (5, 2, 2, 3)
     assert rec.triangle_free and rec.two_connected
     assert rec.vertex_critical and rec.edge_critical
-    assert rec.gamma_inf is None
+    assert rec.gamma_inf == 3

@@ -2,7 +2,9 @@ import pytest
 
 from etdom import decode, generate_connected
 from etdom.canon import canonical_form
+from etdom.graphs import empty_graph
 from etdom.pipeline import (
+    FILTERS,
     Analysis,
     CATALOGUES,
     analyze_stream,
@@ -22,6 +24,15 @@ def test_order_filters_cheapest_first():
     ]
     with pytest.raises(ValueError):
         order_filters(["nope"])
+
+
+def test_gamma_eq_gamma_inf_filter_matches_definition():
+    # the filter never computes gamma_inf; check it against the definition,
+    # the empty and a disconnected graph included
+    gamma_eq_gamma_inf = FILTERS["gamma_eq_gamma_inf"][1]
+    for g in [empty_graph(0), empty_graph(3), *generate_connected(6)]:
+        a = Analysis(g)
+        assert gamma_eq_gamma_inf(a) == (a.gamma == a.gamma_inf)
 
 
 def test_run_filter_counts_n5():
@@ -107,6 +118,12 @@ def test_reproduce_t7_small():
     assert report.rows[1] == [6, 112, 24, 22, 22]
 
 
+def test_table_identical_across_worker_counts():
+    # order 8 has 11,117 graphs, enough to send the chunks to a pool
+    tsv = [reproduce_table("T7", max_n=8, workers=w).to_tsv() for w in (1, 2)]
+    assert tsv[0] == tsv[1]
+
+
 def test_table_rows_beyond_cap_marked_skipped():
     report = reproduce_table("T7", max_n=10, large=False)
     assert report.skipped == [9, 10]
@@ -141,6 +158,7 @@ def test_catalogue_failure_reported(tmp_path):
     report = check_catalogue("T9", path=bad)
     assert not report.ok()
     assert report.failures[0][1] == "DUW"
+    assert "gamma_inf_lt_theta" in report.failures[0][2]
 
 
 def test_catalogue_completeness_small_orders(tmp_path):
