@@ -1,7 +1,12 @@
-"""Build script: compiles the optional Cython kernel.
+"""Build script: compiles the optional kernel from the shipped C source.
 
-If Cython or a C compiler is missing the install still succeeds; the
-package then runs on the pure-Python kernel selected at import time.
+`src/etdom/_kernel/_fastcore.c` is Cython's output for `_fastcore.pyx`
+and is tracked in git, so building needs only a C compiler:
+
+    python setup.py build_ext --inplace
+
+If the compiler is missing or fails, the build still succeeds and the
+package runs on the pure-Python kernel selected at import time.
 Set ETDOM_NO_EXT=1 to skip the extension on purpose.
 """
 
@@ -31,20 +36,12 @@ class OptionalBuildExt(build_ext):
 
 ext_modules = []
 if not os.environ.get("ETDOM_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "etdom._kernel._fastcore",
-                    ["src/etdom/_kernel/_fastcore.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+    ext_modules = [
+        Extension(
+            "etdom._kernel._fastcore",
+            ["src/etdom/_kernel/_fastcore.c"],
+            extra_compile_args=["-O2"],
         )
+    ]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})

@@ -17,6 +17,10 @@ class BudgetExceeded(RuntimeError):
         super().__init__(message)
         self.count = count
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, which lacks count
+        return type(self), (self.args[0], self.count)
+
 
 def _bits(mask):
     while mask:
@@ -361,6 +365,8 @@ def dominating_sets(n, adj, k, cap=1 << 26):
 
 
 def count_dominating_sets(n, adj, k):
+    if n == 0:
+        return 0  # as len(dominating_sets(0, [], k))
     full = (1 << n) - 1
     closed = [adj[i] | (1 << i) for i in range(n)]
     suffix = [0] * (n + 1)

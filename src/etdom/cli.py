@@ -29,6 +29,9 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# batch commands name the kernel and pool size on stderr; stdout is unchanged
+_ANNOUNCED = ("gen", "filter", "table", "appendix")
+
 
 def _graph_source(args):
     if args.input == "-":
@@ -249,6 +252,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.workers is None:
         args.workers = pipeline.default_workers()
+    if args.command in _ANNOUNCED:
+        print(f"# backend: {_kernel.BACKEND}, workers: {args.workers}", file=sys.stderr)
     try:
         return args.fn(args)
     except (GenerationBudgetError, BudgetExceeded) as exc:

@@ -117,6 +117,14 @@ class Analysis:
         return rec
 
 
+def _alpha_half(a: Analysis) -> bool:
+    return a.alpha == a.g.n // 2
+
+
+def _theta_half(a: Analysis) -> bool:
+    return a.theta == (a.g.n + 1) // 2
+
+
 # name -> (cost rank, predicate); run_filter orders its chain cheapest-first,
 # tables and catalogues keep the order they are defined in
 FILTERS: dict[str, tuple[int, Callable[[Analysis], bool]]] = {
@@ -127,16 +135,11 @@ FILTERS: dict[str, tuple[int, Callable[[Analysis], bool]]] = {
     "maximal_triangle_free": (2, lambda a: is_maximal_triangle_free(a.g)),
     "two_connected": (2, lambda a: is_two_connected(a.g)),
     "alpha_lt_theta": (5, lambda a: a.alpha < a.theta),
-    "alpha_half": (5, lambda a: a.alpha == a.g.n // 2),
-    "theta_half": (5, lambda a: a.theta == (a.g.n + 1) // 2),
+    "alpha_half": (5, _alpha_half),
+    "theta_half": (5, _theta_half),
     "gamma_eq_alpha": (5, lambda a: a.gamma == a.alpha),
     "gamma_eq_theta": (5, lambda a: a.gamma == a.theta),
-    "half_alpha": (
-        5,
-        lambda a: a.g.n % 2 == 1
-        and a.alpha == (a.g.n - 1) // 2
-        and a.theta == (a.g.n + 1) // 2,
-    ),
+    "half_alpha": (5, lambda a: a.g.n % 2 == 1 and _alpha_half(a) and _theta_half(a)),
     # gamma <= alpha <= gamma_inf, so gamma = gamma_inf exactly when
     # gamma = alpha and gamma guards defend; no larger guard count is tried
     "gamma_eq_gamma_inf": (

@@ -1,12 +1,10 @@
-"""Canonical labelling: invariance, orbit correctness, backend parity."""
+"""Canonical labelling: invariance and orbit correctness.  Backend
+parity of the kernel's canon lives in test_kernel_parity.py."""
 
 import random
 from itertools import permutations
 
-import pytest
-
 from etdom import decode, from_edges
-from etdom._kernel import _purecore
 from etdom.canon import (
     are_isomorphic,
     automorphism_orbits,
@@ -17,13 +15,6 @@ from etdom.canon import (
 from etdom.graphs import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 
 from conftest import rand_graph
-
-try:
-    from etdom._kernel import _fastcore
-except ImportError:
-    _fastcore = None
-
-BACKENDS = [p for p in (_purecore, _fastcore) if p is not None]
 
 
 def brute_orbits(g: Graph):
@@ -94,24 +85,6 @@ def test_canonical_graph_is_isomorphic_relabelling(rng):
         cg = canonical_graph(g)
         assert cg.degree_sequence() == g.degree_sequence()
         assert are_isomorphic(cg, g)
-
-
-@pytest.mark.skipif(_fastcore is None, reason="compiled kernel not built")
-def test_backend_parity(rng):
-    for _ in range(500):
-        n = rng.randint(0, 11)
-        g = rand_graph(rng, n, rng.choice((0.0, 0.15, 0.5, 0.85, 1.0)))
-        adj = list(g.adj)
-        assert _purecore.canon(n, adj) == _fastcore.canon(n, adj)
-
-
-@pytest.mark.skipif(_fastcore is None, reason="compiled kernel not built")
-def test_backend_parity_symmetric_families():
-    for n in (1, 2, 6, 16, 24, 40):
-        kn = complete_graph(n)
-        en = empty_graph(n)
-        for g in (kn, en):
-            assert _purecore.canon(g.n, list(g.adj)) == _fastcore.canon(g.n, list(g.adj))
 
 
 def test_large_symmetric_graphs_fast():

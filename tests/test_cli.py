@@ -28,6 +28,29 @@ def test_gen_counts(capsys):
     assert "# 21 graphs" in err
 
 
+def test_batch_commands_name_backend_on_stderr_only(tmp_path, capsys):
+    from etdom import BACKEND, encode, generate_connected
+    from etdom.pipeline import reproduce_table
+
+    banner = f"# backend: {BACKEND}, workers: 1\n"
+    c5 = tmp_path / "c5.g6"
+    c5.write_text("DUW\n")
+    expected_stdout = {
+        ("table", "T7", "--max-n", "6"): reproduce_table("T7", max_n=6, workers=1).to_tsv(),
+        ("gen", "5"): "".join(encode(g) + "\n" for g in generate_connected(5)),
+        ("filter", "alpha_lt_theta", "--gen", "5"): None,
+        ("appendix", "T9", "--file", str(c5)): None,
+    }
+    for args, want in expected_stdout.items():
+        rc, out, err = run_cli(["--workers", "1", *args], capsys=capsys)
+        assert err.startswith(banner) and err.count("# backend:") == 1
+        assert "backend" not in out
+        if want is not None:
+            assert rc == 0 and out == want
+    rc, _, err = run_cli(["eternal", "DUW"], capsys=capsys)
+    assert rc == 0 and "backend" not in err
+
+
 def test_gen_budget_exit_code(capsys):
     rc, _, err = run_cli(["gen", "11"], capsys=capsys)
     assert rc == 3

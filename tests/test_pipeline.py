@@ -35,6 +35,17 @@ def test_gamma_eq_gamma_inf_filter_matches_definition():
         assert gamma_eq_gamma_inf(a) == (a.gamma == a.gamma_inf)
 
 
+def test_half_alpha_filter_matches_old_definition():
+    # half_alpha is odd order plus alpha_half and theta_half; before that it
+    # spelled the two bounds out, and both forms must agree
+    half_alpha = FILTERS["half_alpha"][1]
+    for n in range(1, 8):
+        for g in generate_connected(n):
+            a = Analysis(g)
+            old = n % 2 == 1 and a.alpha == (n - 1) // 2 and a.theta == (n + 1) // 2
+            assert half_alpha(a) == old
+
+
 def test_run_filter_counts_n5():
     row = run_filter(generate_connected(5), ["connected"], n=5)
     assert row.total == 21
