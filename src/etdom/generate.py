@@ -5,7 +5,10 @@ augmentation: a child is kept exactly when its new vertex sits in the
 orbit of the canonical deletion vertex, so no seen-set is needed and
 layers can be sharded across workers.  Connectivity is filtered at
 emission; the layer itself keeps disconnected graphs because deleting
-the canonical vertex of a connected graph may disconnect it.
+the canonical vertex of a connected graph may disconnect it.  Layers
+hold each graph as one packed int (graph6.pack), in RAM, in spill files
+and through the worker pool; each parent is validated once as it is
+unpacked for the kernel.  graph6 text is made only for output.
 
 Cubic graphs use a different ladder: subdivide two distinct edges of a
 (possibly disconnected) cubic graph two orders down and join the new
@@ -25,7 +28,7 @@ from typing import Iterator
 from . import _kernel
 from .canon import canonical_form
 from .constructions import CirculantSpec, circulant
-from .graph6 import decode, encode
+from .graph6 import pack, unpack
 from .graphs import Graph, GraphError, is_connected, is_cubic
 
 CONSTRAINTS = ("all", "triangle_free", "maximal_triangle_free", "cubic")
@@ -61,34 +64,37 @@ def _check_budget(n: int, constraint: str, allow_large: bool) -> None:
         )
 
 
-# layers beyond this many lines spill to a temp file instead of RAM
+# layers beyond this many graphs spill to a temp file instead of RAM
 SPILL_LINES = 8_000_000
 
 
 class Layer:
-    """One generation layer: graph6 lines held in memory or on disk."""
+    """One generation layer: the graphs of order n as packed ints
+    (graph6.pack), held in a list or, past SPILL_LINES, in a temp file
+    of one hex int per line."""
 
-    def __init__(self, lines: list[str] | None = None, path: str | None = None,
-                 count: int = 0):
-        self.lines = lines
+    def __init__(self, n: int, packed: list[int] | None = None,
+                 path: str | None = None, count: int = 0):
+        self.n = n
+        self.packed = packed
         self.path = path
-        self.count = len(lines) if lines is not None else count
+        self.count = len(packed) if packed is not None else count
 
     def __len__(self) -> int:
         return self.count
 
-    def __iter__(self) -> Iterator[str]:
-        if self.lines is not None:
-            yield from self.lines
-        else:
+    def __iter__(self) -> Iterator[int]:
+        if self.packed is not None:
+            yield from self.packed
+        elif self.path is not None:
             with open(self.path, "r", encoding="ascii") as fh:
                 for raw in fh:
-                    yield raw.rstrip("\n")
+                    yield int(raw, 16)
 
-    def batches(self, size: int) -> Iterator[list[str]]:
+    def batches(self, size: int) -> Iterator[list[int]]:
         batch = []
-        for line in self:
-            batch.append(line)
+        for p in self:
+            batch.append(p)
             if len(batch) >= size:
                 yield batch
                 batch = []
@@ -96,72 +102,71 @@ class Layer:
             yield batch
 
     def discard(self) -> None:
+        """Release the graphs, in RAM or on disk; the layer is then empty."""
         if self.path is not None:
             try:
                 os.unlink(self.path)
             except OSError:
                 pass
-            self.path = None
-            self.lines = []
+        self.path = None
+        self.packed = None
+        self.count = 0
 
     def __del__(self):
         self.discard()
 
 
-def _augment_batch(args: tuple[list[str], int, bool, bool]) -> list[str]:
-    parents, mode, emit_connected, emit_mtf = args
+def _augment_batch(args: tuple[list[int], int, int, bool, bool]) -> list[int]:
+    parents, n, mode, emit_connected, emit_mtf = args
     out = []
-    for line in parents:
-        g = decode(line)
+    for p in parents:
+        g = Graph(n, unpack(n, p))
         for cert in _kernel.augment(
-            g.n, list(g.adj), mode,
-            emit_connected=emit_connected, emit_mtf=emit_mtf,
+            n, g.adj, mode, emit_connected=emit_connected, emit_mtf=emit_mtf,
         ):
-            out.append(encode(Graph(g.n + 1, tuple(cert))))
+            out.append(pack(n + 1, cert))
     return out
 
 
 class _LayerWriter:
-    """Accumulates child lines, spilling to disk past the threshold."""
+    """Accumulates the packed children of order n, spilling to disk past
+    the threshold."""
 
-    def __init__(self):
-        self.lines: list[str] | None = []
+    def __init__(self, n: int):
+        self.n = n
+        self.packed: list[int] | None = []
         self.fh = None
         self.path = None
         self.count = 0
 
-    def extend(self, lines: list[str]) -> None:
-        self.count += len(lines)
-        if self.lines is not None:
-            self.lines.extend(lines)
-            if len(self.lines) > SPILL_LINES:
-                fd, self.path = tempfile.mkstemp(suffix=".g6", prefix="etdom-layer-")
-                self.fh = os.fdopen(fd, "w", encoding="ascii")
-                self.fh.write("\n".join(self.lines))
-                if self.lines:
-                    self.fh.write("\n")
-                self.lines = None
-        else:
-            self.fh.write("\n".join(lines))
-            if lines:
-                self.fh.write("\n")
+    def extend(self, packed: list[int]) -> None:
+        self.count += len(packed)
+        if self.fh is None:
+            self.packed.extend(packed)
+            if len(self.packed) <= SPILL_LINES:
+                return
+            fd, self.path = tempfile.mkstemp(suffix=".hex", prefix="etdom-layer-")
+            self.fh = os.fdopen(fd, "w", encoding="ascii")
+            packed, self.packed = self.packed, None
+        self.fh.write("".join([f"{p:x}\n" for p in packed]))
 
     def finish(self) -> Layer:
-        if self.lines is not None:
-            return Layer(lines=self.lines)
+        if self.fh is None:
+            return Layer(self.n, packed=self.packed)
         self.fh.close()
-        return Layer(path=self.path, count=self.count)
+        return Layer(self.n, path=self.path, count=self.count)
 
 
 def _extend_layer(
     layer: Layer, mode: int, workers: int,
     emit_connected: bool = False, emit_mtf: bool = False,
 ) -> Layer:
-    writer = _LayerWriter()
+    n = layer.n
+    writer = _LayerWriter(n + 1)
     if workers > 1 and len(layer) >= 4 * workers:
         chunk = min(4096, max(1, (len(layer) + 8 * workers - 1) // (8 * workers)))
         batches = (
-            (batch, mode, emit_connected, emit_mtf)
+            (batch, n, mode, emit_connected, emit_mtf)
             for batch in layer.batches(chunk)
         )
         with Pool(workers) as pool:
@@ -169,16 +174,17 @@ def _extend_layer(
                 writer.extend(result)
     else:
         for batch in layer.batches(65536):
-            writer.extend(_augment_batch((batch, mode, emit_connected, emit_mtf)))
+            writer.extend(_augment_batch((batch, n, mode, emit_connected, emit_mtf)))
     return writer.finish()
 
 
 def graph_layers(max_n: int, mode_name: str, *, workers: int = 1) -> Iterator[Layer]:
     """Yield, for n = 1..max_n, all graphs of order n under the hereditary
-    constraint (connected or not) as canonical graph6 lines (a Layer is
-    iterable and sized; huge layers live in temp files)."""
+    constraint (connected or not) as a Layer of packed canonical graphs
+    (iterable and sized; huge layers live in temp files).  A layer holds
+    no graph6 text: graph6.unpack(layer.n, p) gives a graph's rows."""
     mode = _MODE[mode_name]
-    layer = Layer(lines=[encode(Graph(1, (0,)))])
+    layer = Layer(1, packed=[pack(1, (0,))])
     yield layer
     for _ in range(1, max_n):
         parent = layer
@@ -191,10 +197,12 @@ def generate_connected(
     n: int, constraint: str = "all", *, allow_large: bool = False, workers: int = 1
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs of
-    order n meeting the constraint, in deterministic (canonical) order.
+    order n meeting the constraint, in sorted canonical graph6 order.
 
     The last layer filters inside the kernel, so large final layers
     never materialise graphs that the constraint is about to drop.
+    Packed int order is graph6 line order, so the final layer is sorted
+    as ints and each graph is validated once, as it is yielded.
     """
     _check_budget(n, constraint, allow_large)
     if constraint == "cubic":
@@ -214,17 +222,13 @@ def generate_connected(
         emit_connected=True, emit_mtf=constraint == "maximal_triangle_free",
     )
     layer.discard()
-    lines = sorted(final)
+    packed = sorted(final)
     final.discard()
-    for line in lines:
-        yield decode(line)
+    for p in packed:
+        yield Graph(n, unpack(n, p))
 
 
 # -- cubic ladder -----------------------------------------------------------
-
-
-def _edge_list(g: Graph) -> list[tuple[int, int]]:
-    return list(g.edges())
 
 
 def _insert_on_edges(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
@@ -291,7 +295,7 @@ def _cubic_all(n: int, cache: dict) -> dict[bytes, Graph]:
         return cache[4]
     found: dict[bytes, Graph] = {}
     for parent in _cubic_all(n - 2, cache).values():
-        edges = _edge_list(parent)
+        edges = list(parent.edges())
         for i in range(len(edges)):
             for j in range(i + 1, len(edges)):
                 child = _insert_on_edges(parent, edges[i], edges[j])
@@ -299,7 +303,7 @@ def _cubic_all(n: int, cache: dict) -> dict[bytes, Graph]:
                 if key not in found:
                     found[key] = child
     for parent in _cubic_all(n - 4, cache).values():
-        for e in _edge_list(parent):
+        for e in parent.edges():
             child = _insert_diamond(parent, e)
             key = canonical_form(child)
             if key not in found:

@@ -5,6 +5,10 @@ The text format packs the upper adjacency triangle, column by column
 Decoding is strict: bad byte ranges, truncated payloads and nonzero
 padding bits are all rejected so corrupted catalogue lines surface
 immediately instead of round-tripping into wrong graphs.
+
+pack() and unpack() hold the one bit layout: the payload bits of a graph
+as one int.  encode() and decode() wrap them with the size prefix and the
+6-bit text chunks, and generation carries its layers in the int form.
 """
 
 from __future__ import annotations
@@ -25,6 +29,53 @@ class Graph6Error(ValueError):
 
 def _payload_len(n: int) -> int:
     return (n * (n - 1) // 2 + 5) // 6
+
+
+# every byte value with its eight bits in reverse order
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reverse(x: int, width: int) -> int:
+    """x (below 2**width) with its low `width` bits in reverse order."""
+    size = (width + 7) // 8
+    flipped = int.from_bytes(x.to_bytes(size, "little").translate(_REV8), "big")
+    return flipped >> (8 * size - width)
+
+
+def pack(n: int, adj) -> int:
+    """The graph6 payload bits of an order-n graph as one int.
+
+    Bit t of the payload (x(0,1); x(0,2), x(1,2); ...) sits at position
+    n(n-1)/2 - 1 - t, so x(0,1) is most significant and, for a fixed
+    order, int order is graph6 line order.  Only the upper triangle is
+    read (row i < j of each adj[j]), so adj must be symmetric.
+    """
+    q = 0
+    shift = 0
+    for j in range(1, n):
+        q |= (adj[j] & ((1 << j) - 1)) << shift
+        shift += j
+    return _reverse(q, shift)
+
+
+def unpack(n: int, p: int) -> tuple[int, ...]:
+    """The adjacency rows of the order-n graph that pack() gave p for
+    (symmetric by construction; Graph() still validates them)."""
+    nbits = n * (n - 1) // 2
+    if p < 0 or p >> nbits:
+        raise Graph6Error(f"packed graph {p} has more than {nbits} bits for n={n}")
+    q = _reverse(p, nbits)
+    adj = [0] * n
+    for j in range(1, n):
+        col = q & ((1 << j) - 1)
+        q >>= j
+        adj[j] = col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
+    return tuple(adj)
 
 
 def _decode_size(line: str) -> tuple[int, int]:
@@ -62,30 +113,16 @@ def decode(line: str) -> Graph:
     payload = line[start:]
     if len(payload) != want:
         raise Graph6Error(f"payload length {len(payload)}, expected {want} for n={n}")
-    adj = [0] * n
-    bit_index = 0
-    nbits = n * (n - 1) // 2
-    # column-major upper triangle: column j lists x(0,j)..x(j-1,j)
-    col, row = 1, 0
+    p = 0
     for ch in payload:
         c = ord(ch)
         if not 63 <= c <= 126:
             raise Graph6Error(f"payload byte {c} outside 63..126")
-        group = c - 63
-        for k in range(5, -1, -1):
-            bit = group >> k & 1
-            if bit_index >= nbits:
-                if bit:
-                    raise Graph6Error("nonzero padding bits")
-            elif bit:
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-            bit_index += 1
-            row += 1
-            if row == col:
-                col += 1
-                row = 0
-    return Graph(n, tuple(adj))
+        p = p << 6 | (c - 63)
+    pad = 6 * want - n * (n - 1) // 2
+    if p & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits")
+    return Graph(n, unpack(n, p >> pad))
 
 
 def encode(g: Graph, *, _allow_long: bool = False) -> str:
@@ -94,22 +131,12 @@ def encode(g: Graph, *, _allow_long: bool = False) -> str:
     if n > 62 and not _allow_long:
         raise Graph6Error(f"short-form graph6 supports n <= 62, got {n}")
     if n <= 62:
-        out = [chr(n + 63)]
+        head = chr(n + 63)
     else:
-        out = ["~", chr((n >> 12 & 63) + 63), chr((n >> 6 & 63) + 63), chr((n & 63) + 63)]
-    group = 0
-    filled = 0
-    for col in range(1, n):
-        for row in range(col):
-            group = group << 1 | (g.adj[row] >> col & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr((group << (6 - filled)) + 63))
-    return "".join(out)
+        head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
+    want = _payload_len(n)
+    p = pack(n, g.adj) << (6 * want - n * (n - 1) // 2)
+    return head + "".join([chr((p >> 6 * k & 63) + 63) for k in range(want - 1, -1, -1)])
 
 
 def read_stream(

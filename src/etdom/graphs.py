@@ -56,10 +56,14 @@ class Graph:
                 raise GraphError(f"neighbour of {i} out of range")
             if row >> i & 1:
                 raise GraphError(f"self-loop at {i}")
-        for i, row in enumerate(self.adj):
-            for j in bits(row):
-                if not self.adj[j] >> i & 1:
+        adj = self.adj
+        for i, row in enumerate(adj):
+            while row:
+                low = row & -row
+                j = low.bit_length() - 1
+                if not adj[j] >> i & 1:
                     raise GraphError(f"asymmetric adjacency at ({i},{j})")
+                row ^= low
 
     @property
     def vertex_mask(self) -> int:

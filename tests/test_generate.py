@@ -1,13 +1,22 @@
 """Generation: known counts pin isomorph-freeness and completeness."""
 
+import os
+import tempfile
+
 import pytest
 
-from etdom import GraphError, enumerate_circulants, generate_connected
+from etdom import GraphError, enumerate_circulants, generate, generate_connected
 from etdom._kernel import BACKEND
-from etdom.canon import canonical_form
-from etdom.generate import GenerationBudgetError, graph_layers
-from etdom.graph6 import decode
-from etdom.graphs import is_connected, is_cubic, is_maximal_triangle_free, is_triangle_free
+from etdom.canon import canonical_form, canonical_graph
+from etdom.generate import GenerationBudgetError, Layer, _LayerWriter, graph_layers
+from etdom.graph6 import encode, unpack
+from etdom.graphs import (
+    Graph,
+    is_connected,
+    is_cubic,
+    is_maximal_triangle_free,
+    is_triangle_free,
+)
 
 # unlabelled graph counts, connected and all, per order
 CONNECTED_ALL = [1, 1, 2, 6, 21, 112, 853, 11117, 261080]
@@ -35,9 +44,10 @@ def test_layer_totals_include_disconnected():
 def test_triangle_free_layer_totals():
     for n, layer in enumerate(graph_layers(min(SLOW_N_TF, 10), "triangle_free"), start=1):
         assert len(layer) == TOTAL_TRIANGLE_FREE[n - 1]
+        assert layer.n == n
         if n <= 7:
-            for line in layer:
-                assert is_triangle_free(decode(line))
+            for p in layer:
+                assert is_triangle_free(Graph(n, unpack(n, p)))
 
 
 def test_triangle_free_connected_counts():
@@ -85,6 +95,56 @@ def test_generation_parallel_matches_serial():
     serial = [canonical_form(g) for g in generate_connected(7, workers=1)]
     parallel = [canonical_form(g) for g in generate_connected(7, workers=4)]
     assert serial == parallel
+
+
+def test_generation_order_is_sorted_canonical_graph6():
+    for constraint, top in (("all", 8), ("triangle_free", 9),
+                            ("maximal_triangle_free", min(11, SLOW_N_TF))):
+        for n in range(1, top + 1):
+            lines = []
+            for g in generate_connected(n, constraint):
+                line = encode(g)
+                assert encode(canonical_graph(g)) == line
+                lines.append(line)
+            assert all(a < b for a, b in zip(lines, lines[1:])), (constraint, n)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_spilled_layers_match_unspilled(monkeypatch, tmp_path, workers):
+    cases = ((8, "all"), (9, "triangle_free"))
+    want = {case: [encode(g) for g in generate_connected(*case)] for case in cases}
+    monkeypatch.setattr(generate, "SPILL_LINES", 50)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    for case in cases:
+        assert [encode(g) for g in generate_connected(*case, workers=workers)] == want[case]
+    assert list(tmp_path.glob("etdom-layer-*")) == []
+    spilled = 0
+    for n, layer in enumerate(graph_layers(8, "all", workers=workers), start=1):
+        assert len(layer) == TOTAL_ALL[n - 1]
+        assert sum(1 for _ in layer) == len(layer)
+        if len(layer) > 50:
+            assert layer.packed is None and os.path.exists(layer.path)
+            spilled += 1
+    assert spilled == 3  # orders 6, 7 and 8
+    del layer
+    assert list(tmp_path.glob("etdom-layer-*")) == []
+
+
+def test_layer_discard_empties_both_kinds(monkeypatch, tmp_path):
+    in_ram = Layer(3, packed=[0, 1, 3])
+    in_ram.discard()
+    assert (len(in_ram), list(in_ram), in_ram.packed) == (0, [], None)
+    monkeypatch.setattr(generate, "SPILL_LINES", 2)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    writer = _LayerWriter(3)
+    writer.extend([0, 1, 3])
+    writer.extend([7])
+    spilled = writer.finish()
+    assert spilled.packed is None and os.path.exists(spilled.path)
+    assert (len(spilled), list(spilled)) == (4, [0, 1, 3, 7])
+    spilled.discard()
+    assert (len(spilled), list(spilled)) == (0, [])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_refused():

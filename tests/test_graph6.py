@@ -4,19 +4,31 @@ import pytest
 
 from etdom import Graph6Error, decode, encode, from_edges, read_stream
 from etdom.canon import are_isomorphic
+from etdom.graph6 import pack, unpack
 from etdom.graphs import complete_graph, cycle_graph
 
 from conftest import rand_graph
 
 
+def payload_bits_oracle(line: str):
+    """The order and the n(n-1)/2 payload bits of a graph6 line, in line order."""
+    if line[0] == "~":
+        n = (ord(line[1]) - 63) << 12 | (ord(line[2]) - 63) << 6 | (ord(line[3]) - 63)
+        payload = line[4:]
+    else:
+        n = ord(line[0]) - 63
+        payload = line[1:]
+    bits = []
+    for ch in payload:
+        val = ord(ch) - 63
+        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
+    return n, bits[:n * (n - 1) // 2]
+
+
 def decode_bits_oracle(line: str):
     """Independently decode via flat bit indexing: bit t of the payload
     is the upper-triangle entry with column-major rank t."""
-    n = ord(line[0]) - 63
-    bits = []
-    for ch in line[1:]:
-        val = ord(ch) - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
+    n, bits = payload_bits_oracle(line)
     edges = []
     t = 0
     for col in range(1, n):
@@ -78,6 +90,32 @@ def test_decode_against_bit_oracle():
         n, edges = decode_bits_oracle(line)
         assert n == g.n
         assert set(edges) == set(g.edges())
+
+
+def test_pack_property_0_to_64():
+    rng = random.Random(4099)
+    for n in range(0, 65):
+        graphs = [rand_graph(rng, n, rng.random()) for _ in range(6)]
+        packed = [pack(n, g.adj) for g in graphs]
+        lines = [encode(g, _allow_long=True) for g in graphs]
+        for g, p, line in zip(graphs, packed, lines):
+            assert unpack(n, p) == g.adj
+            m, bits = payload_bits_oracle(line)
+            assert m == n
+            assert p == int("".join(map(str, bits)) or "0", 2)
+            _, edges = decode_bits_oracle(line)
+            assert sorted(edges) == sorted(g.edges())
+        order = range(len(graphs))
+        assert sorted(order, key=lambda i: (packed[i], i)) == sorted(
+            order, key=lambda i: (lines[i], i))
+
+
+def test_unpack_rejects_extra_bits():
+    assert unpack(3, 0b111) == complete_graph(3).adj
+    with pytest.raises(Graph6Error):
+        unpack(3, 0b1000)
+    with pytest.raises(Graph6Error):
+        unpack(2, -1)
 
 
 def test_long_form_size_parses():

@@ -21,7 +21,7 @@ from etdom import (
     is_two_connected,
 )
 from etdom.canon import are_isomorphic, relabel
-from etdom.graphs import complete_graph, cycle_graph, empty_graph, mask_of, path_graph
+from etdom.graphs import Graph, complete_graph, cycle_graph, empty_graph, mask_of, path_graph
 
 from conftest import rand_graph
 
@@ -50,6 +50,26 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(1, 1)])
     with pytest.raises(TooManyVerticesError):
         from_edges(65, [])
+
+
+def test_graph_constructor_rejects_bad_rows():
+    with pytest.raises(TooManyVerticesError, match="n=65 outside 0..64"):
+        Graph(65, (0,) * 65)
+    with pytest.raises(GraphError, match="adjacency length does not match n"):
+        Graph(3, (0, 0))
+    with pytest.raises(GraphError, match="neighbour of 1 out of range"):
+        Graph(3, (0, 0b1000, 0))
+    with pytest.raises(GraphError, match="self-loop at 2"):
+        Graph(3, (0, 0, 0b100))
+    # rows 0-1 and 2-3 are one-sided; the first pair in row order is reported
+    with pytest.raises(GraphError, match=r"asymmetric adjacency at \(0,1\)"):
+        Graph(4, (0b10, 0, 0b1000, 0))
+    with pytest.raises(GraphError, match=r"asymmetric adjacency at \(2,0\)"):
+        Graph(3, (0b10, 0b1, 0b1))
+    # range and self-loop checks run over every row before any symmetry check
+    with pytest.raises(GraphError, match="self-loop at 3"):
+        Graph(4, (0b10, 0, 0, 0b1000))
+    assert Graph(3, (0b110, 0b101, 0b011)) == complete_graph(3)
 
 
 def test_complement_k5_and_involution(c5):
