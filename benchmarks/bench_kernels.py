@@ -10,6 +10,7 @@ import random
 import time
 
 from etdom._kernel import _purecore
+from etdom.eternal import DEFAULT_CONFIG_CAP
 
 try:
     from etdom._kernel import _fastcore
@@ -72,7 +73,7 @@ def main():
         for adj in batch:
             n = len(adj)
             k = max(2, n // 3)
-            configs = mod.dominating_sets(n, adj, k)
+            configs = mod.dominating_sets(n, adj, k, DEFAULT_CONFIG_CAP)
             mod.eternal_fixpoint(n, adj, k, configs)
 
     def run_augment(mod):

@@ -1,7 +1,7 @@
 """Build script: compiles the optional kernel from the shipped C source.
 
-`src/etdom/_kernel/_fastcore.c` is Cython's output for `_fastcore.pyx`
-and is tracked in git, so building needs only a C compiler:
+`src/etdom/_kernel/_fastcore.c` is a hand-written CPython extension
+(no Cython, no generated code), so building needs only a C compiler:
 
     python setup.py build_ext --inplace
 

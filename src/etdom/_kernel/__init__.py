@@ -29,12 +29,9 @@ max_clique = _impl.max_clique
 maximal_cliques = _impl.maximal_cliques
 clique_cover = _impl.clique_cover
 dominating_sets = _impl.dominating_sets
-count_dominating_sets = _impl.count_dominating_sets
-exists_dominating_set = _impl.exists_dominating_set
 domination_number = _impl.domination_number
 eternal_fixpoint = _impl.eternal_fixpoint
 max_matching = _impl.max_matching
 augment = _impl.augment
 MODE_ALL = _impl.MODE_ALL
 MODE_TRIANGLE_FREE = _impl.MODE_TRIANGLE_FREE
-MODE_MAX_DEGREE_3 = _impl.MODE_MAX_DEGREE_3

@@ -1,25706 +1,1431 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O2"
-        ],
-        "name": "etdom._kernel._fastcore",
-        "sources": [
-            "src/etdom/_kernel/_fastcore.pyx"
-        ]
-    },
-    "module_name": "etdom._kernel._fastcore"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__etdom___kernel___fastcore
-#define __PYX_HAVE_API__etdom___kernel___fastcore
-/* Early includes */
-#include <string.h>
-#include <stdlib.h>
-
-    #include <stdint.h>
-    static inline int popcnt64(uint64_t x) { return __builtin_popcountll(x); }
-    static inline int ctz64(uint64_t x) { return __builtin_ctzll(x); }
-    
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/etdom/_kernel/_fastcore.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* NoFastGil.proto */
-#define __Pyx_PyGILState_Ensure PyGILState_Ensure
-#define __Pyx_PyGILState_Release PyGILState_Release
-#define __Pyx_FastGIL_Remember()
-#define __Pyx_FastGIL_Forget()
-#define __Pyx_FastGilFuncInit()
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* ForceInitThreads.proto */
-#ifndef __PYX_FORCE_INIT_THREADS
-  #define __PYX_FORCE_INIT_THREADS 0
-#endif
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon;
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr;
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment;
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr;
-struct __pyx_t_5etdom_7_kernel_9_fastcore_CState;
-struct __pyx_t_5etdom_7_kernel_9_fastcore_CliqueCtx;
-struct __pyx_t_5etdom_7_kernel_9_fastcore_BKCtx;
-struct __pyx_t_5etdom_7_kernel_9_fastcore_CoverCtx;
-struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx;
-
-/* "etdom/_kernel/_fastcore.pyx":45
- * # ---------------------------------------------------------------------------
- * 
- * cdef struct CState:             # <<<<<<<<<<<<<<
- *     int n
- *     unsigned long long *adj
-*/
-struct __pyx_t_5etdom_7_kernel_9_fastcore_CState {
-  int n;
-  unsigned PY_LONG_LONG *adj;
-  unsigned PY_LONG_LONG best_cert[64];
-  int best_pos[64];
-  int has_best;
-  unsigned PY_LONG_LONG first_cert[64];
-  int first_pos[64];
-  int has_first;
-  int *gens;
-  int ngens;
-  int gens_cap;
-  int overflow;
-  int fixed[64];
-  int nfixed;
-  int first_seq[64];
-  int first_len;
-};
-
-/* "etdom/_kernel/_fastcore.pyx":360
- * # ---------------------------------------------------------------------------
- * 
- * cdef struct CliqueCtx:             # <<<<<<<<<<<<<<
- *     unsigned long long adj[CMAXN]
- *     int best
-*/
-struct __pyx_t_5etdom_7_kernel_9_fastcore_CliqueCtx {
-  unsigned PY_LONG_LONG adj[64];
-  int best;
-};
-
-/* "etdom/_kernel/_fastcore.pyx":405
- * 
- * 
- * cdef struct BKCtx:             # <<<<<<<<<<<<<<
- *     unsigned long long adj[CMAXN]
- *     unsigned long long *out
-*/
-struct __pyx_t_5etdom_7_kernel_9_fastcore_BKCtx {
-  unsigned PY_LONG_LONG adj[64];
-  unsigned PY_LONG_LONG *out;
-  int nout;
-  int cap;
-};
-
-/* "etdom/_kernel/_fastcore.pyx":474
- * 
- * 
- * cdef struct CoverCtx:             # <<<<<<<<<<<<<<
- *     unsigned long long adj[CMAXN]
- *     unsigned long long full
-*/
-struct __pyx_t_5etdom_7_kernel_9_fastcore_CoverCtx {
-  unsigned PY_LONG_LONG adj[64];
-  unsigned PY_LONG_LONG full;
-  unsigned PY_LONG_LONG *cliques;
-  int ncl;
-  int *member;
-  int member_off[(64 + 1)];
-  int best;
-  int lb;
-};
-
-/* "etdom/_kernel/_fastcore.pyx":581
- * # ---------------------------------------------------------------------------
- * 
- * cdef struct DomCtx:             # <<<<<<<<<<<<<<
- *     unsigned long long closed[CMAXN]
- *     unsigned long long suffix[CMAXN + 1]
-*/
-struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx {
-  unsigned PY_LONG_LONG closed[64];
-  unsigned PY_LONG_LONG suffix[(64 + 1)];
-  unsigned PY_LONG_LONG full;
-  int n;
-};
-
-/* "etdom/_kernel/_fastcore.pyx":334
- * 
- * 
- * def canon(int n, adj):             # <<<<<<<<<<<<<<
- *     """(cert, pos, orbit, gens) exactly as the pure backend returns them."""
- *     if n == 0:
-*/
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon {
-  PyObject_HEAD
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_CState __pyx_v_st;
-};
-
-
-/* "etdom/_kernel/_fastcore.pyx":346
- *     cdef int rep[CMAXN]
- *     _orbit_reps_all(&st, rep)
- *     cert = tuple(st.best_cert[i] for i in range(n))             # <<<<<<<<<<<<<<
- *     pos = [st.best_pos[i] for i in range(n)]
- *     orbit = [rep[i] for i in range(n)]
-*/
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr {
-  PyObject_HEAD
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon *__pyx_outer_scope;
-  int __pyx_genexpr_arg_0;
-  int __pyx_v_i;
-  int __pyx_t_0;
-  int __pyx_t_1;
-  int __pyx_t_2;
-};
-
-
-/* "etdom/_kernel/_fastcore.pyx":979
- * 
- * 
- * def augment(int n, adj, int mode, emit_connected=False, emit_mtf=False):             # <<<<<<<<<<<<<<
- *     """Isomorph-free children of one parent (see the pure backend docs)."""
- *     cdef int want_conn = 1 if emit_connected else 0
-*/
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment {
-  PyObject_HEAD
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_CState __pyx_v_cst;
-};
-
-
-/* "etdom/_kernel/_fastcore.pyx":1114
- *                         vstar = v
- *             if crep[n] == crep[vstar]:
- *                 out.append(tuple(cst.best_cert[i] for i in range(nc)))             # <<<<<<<<<<<<<<
- *             free(cst.gens)
- *         return out
-*/
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr {
-  PyObject_HEAD
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment *__pyx_outer_scope;
-  int __pyx_genexpr_arg_0;
-  int __pyx_v_i;
-  int __pyx_t_0;
-  int __pyx_t_1;
-  int __pyx_t_2;
-};
-
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyThreadStateGet.proto (used by GetException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* GetException.proto (used by pep479) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* pep479.proto */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* PyErrFetchRestore.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* BuildPyUnicode.proto (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char);
-
-/* COrdinalToPyUnicode.proto (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value);
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t width, char padding_char);
-
-/* GCCDiagnostics.proto (used by CIntToPyUnicode) */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* IncludeStdlibH.proto (used by CIntToPyUnicode) */
-#include <stdlib.h>
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_PY_LONG_LONG(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_PY_LONG_LONG(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_PY_LONG_LONG(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_PY_LONG_LONG(PY_LONG_LONG value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_PY_LONG_LONG(PY_LONG_LONG value, Py_ssize_t width, char padding_char, char format_char);
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_int(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_int(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_int(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char);
-
-/* JoinPyUnicode.export */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char);
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* CheckTypeForFreelists.proto */
-#if CYTHON_USE_FREELISTS
-#if CYTHON_USE_TYPE_SPECS
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t) == (expected_tp)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  Py_TPFLAGS_IS_ABSTRACT
-#else
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t)->tp_basicsize == (expected_size)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  (Py_TPFLAGS_IS_ABSTRACT | Py_TPFLAGS_HEAPTYPE)
-#endif
-#define __PYX_CHECK_TYPE_FOR_FREELISTS(t, expected_tp, expected_size)\
-    (__PYX_CHECK_FINAL_TYPE_FOR_FREELISTS((t), (expected_tp), (expected_size)) &\
-     (int) (!__Pyx_PyType_HasFeature((t), __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS)))
-#endif
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* CallTypeTraverse.proto */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* ImportFrom.proto */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE unsigned PY_LONG_LONG __Pyx_PyLong_As_unsigned_PY_LONG_LONG(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_PY_LONG_LONG(unsigned PY_LONG_LONG value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_char(char value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* IterNextPlain.proto (used by CoroutineBase) */
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator);
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void);
-#endif
-
-/* PyObjectCall2Args.proto (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2);
-
-/* PyObjectCallMethod1.proto (used by CoroutineBase) */
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg);
-
-/* ReturnWithStopIteration.proto (used by CoroutineBase) */
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext);
-
-/* CoroutineBase.proto (used by Generator) */
-struct __pyx_CoroutineObject;
-typedef PyObject *(*__pyx_coroutine_body_t)(struct __pyx_CoroutineObject *, PyThreadState *, PyObject *);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_ExcInfoStruct  _PyErr_StackItem
-#else
-typedef struct {
-    PyObject *exc_type;
-    PyObject *exc_value;
-    PyObject *exc_traceback;
-} __Pyx_ExcInfoStruct;
-#endif
-typedef struct __pyx_CoroutineObject {
-    PyObject_HEAD
-    __pyx_coroutine_body_t body;
-    PyObject *closure;
-    __Pyx_ExcInfoStruct gi_exc_state;
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *gi_weakreflist;
-#endif
-    PyObject *classobj;
-    PyObject *yieldfrom;
-    __Pyx_pyiter_sendfunc yieldfrom_am_send;
-    PyObject *gi_name;
-    PyObject *gi_qualname;
-    PyObject *gi_modulename;
-    PyObject *gi_code;
-    PyObject *gi_frame;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    PyMonitoringState __pyx_pymonitoring_state[__Pyx_MonitoringEventTypes_CyGen_count];
-    uint64_t __pyx_pymonitoring_version;
-#endif
-    int resume_label;
-    char is_running;
-} __pyx_CoroutineObject;
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-    PyTypeObject *type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-    PyObject *name, PyObject *qualname, PyObject *module_name);
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name);
-static CYTHON_INLINE void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *self);
-static int __Pyx_Coroutine_clear(PyObject *self);
-static __Pyx_PySendResult __Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value);
-static __Pyx_PySendResult __Pyx_Coroutine_Close(PyObject *self, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Throw(PyObject *gen, PyObject *args);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_Coroutine_SwapException(self)
-#define __Pyx_Coroutine_ResetAndClearException(self)  __Pyx_Coroutine_ExceptionClear(&(self)->gi_exc_state)
-#else
-#define __Pyx_Coroutine_SwapException(self) {\
-    __Pyx_ExceptionSwap(&(self)->gi_exc_state.exc_type, &(self)->gi_exc_state.exc_value, &(self)->gi_exc_state.exc_traceback);\
-    __Pyx_Coroutine_ResetFrameBackpointer(&(self)->gi_exc_state);\
-    }
-#define __Pyx_Coroutine_ResetAndClearException(self) {\
-    __Pyx_ExceptionReset((self)->gi_exc_state.exc_type, (self)->gi_exc_state.exc_value, (self)->gi_exc_state.exc_traceback);\
-    (self)->gi_exc_state.exc_type = (self)->gi_exc_state.exc_value = (self)->gi_exc_state.exc_traceback = NULL;\
-    }
-#endif
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__pyx_tstate, pvalue)
-#else
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, pvalue)
-#endif
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *tstate, PyObject **pvalue);
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state);
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen);
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen);
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen);
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure);
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send);
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg);
-
-/* Generator.proto */
-#define __Pyx_Generator_USED
-#define __Pyx_Generator_CheckExact(obj) __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_GeneratorType)
-#define __Pyx_Generator_New(body, code, closure, name, qualname, module_name)\
-    __Pyx__Coroutine_New(__pyx_mstate_global->__pyx_GeneratorType, body, code, closure, name, qualname, module_name)
-static PyObject *__Pyx_Generator_Next(PyObject *self);
-static int __pyx_Generator_init(PyObject *module);
-static CYTHON_INLINE PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "etdom._kernel._fastcore" */
-static unsigned PY_LONG_LONG __pyx_v_5etdom_7_kernel_9_fastcore_ONE;
-static int __pyx_v_5etdom_7_kernel_9_fastcore_MAXN;
-static CYTHON_INLINE unsigned PY_LONG_LONG __pyx_f_5etdom_7_kernel_9_fastcore__full_mask(int); /*proto*/
-static void __pyx_f_5etdom_7_kernel_9_fastcore__refine(int, unsigned PY_LONG_LONG *, unsigned PY_LONG_LONG *, int *, unsigned PY_LONG_LONG *, int); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__leaf(struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *, unsigned PY_LONG_LONG *, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_5etdom_7_kernel_9_fastcore__uf_find(int *, int); /*proto*/
-static void __pyx_f_5etdom_7_kernel_9_fastcore__orbit_reps_fixing(struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *, int *); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__search(struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *, unsigned PY_LONG_LONG *, int); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__canon_core(int, unsigned PY_LONG_LONG *, struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__canon_retry(int, unsigned PY_LONG_LONG *, struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *); /*proto*/
-static void __pyx_f_5etdom_7_kernel_9_fastcore__orbit_reps_all(struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *, int *); /*proto*/
-static void __pyx_f_5etdom_7_kernel_9_fastcore__mc_expand(struct __pyx_t_5etdom_7_kernel_9_fastcore_CliqueCtx *, int, unsigned PY_LONG_LONG); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__bk(struct __pyx_t_5etdom_7_kernel_9_fastcore_BKCtx *, unsigned PY_LONG_LONG, unsigned PY_LONG_LONG, unsigned PY_LONG_LONG); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__greedy_indep(unsigned PY_LONG_LONG *, unsigned PY_LONG_LONG); /*proto*/
-static void __pyx_f_5etdom_7_kernel_9_fastcore__cover_search(struct __pyx_t_5etdom_7_kernel_9_fastcore_CoverCtx *, unsigned PY_LONG_LONG, int); /*proto*/
-static void __pyx_f_5etdom_7_kernel_9_fastcore__dom_init(struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx *, int, PyObject *); /*proto*/
-static PY_LONG_LONG __pyx_f_5etdom_7_kernel_9_fastcore__dom_enum(struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx *, int, int, unsigned PY_LONG_LONG, unsigned PY_LONG_LONG, PyObject *, PY_LONG_LONG, PY_LONG_LONG); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__dom_exists(struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx *, int, int, unsigned PY_LONG_LONG); /*proto*/
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_5etdom_7_kernel_9_fastcore__ht_lookup(unsigned PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG, unsigned PY_LONG_LONG); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__key_cmp(unsigned PY_LONG_LONG *, int *, int, int); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__is_connected_masks(int, unsigned PY_LONG_LONG *); /*proto*/
-static int __pyx_f_5etdom_7_kernel_9_fastcore__is_mtf_masks(int, unsigned PY_LONG_LONG *); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "etdom._kernel._fastcore"
-extern int __pyx_module_is_main_etdom___kernel___fastcore;
-int __pyx_module_is_main_etdom___kernel___fastcore = 0;
-
-/* Implementation of "etdom._kernel._fastcore" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_kernel_same_contract_as[] = "Compiled kernel: same contract as _purecore, word-at-a-time loops.\n\nThe two backends are cross-checked by the test suite; any semantic\ndifference (certificate order, acceptance decisions, survivors) is a\nbug here, not a tolerance.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_5canon_genexpr(PyObject *__pyx_self, int __pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_canon(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_2max_clique(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_lb); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_4maximal_cliques(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_6clique_cover(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_lb); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_8dominating_sets(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_k, PY_LONG_LONG __pyx_v_cap); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_10count_dominating_sets(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_k); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_12exists_dominating_set(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_k); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_14domination_number(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_16eternal_fixpoint(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_k, PyObject *__pyx_v_configs); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_18max_matching(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_7augment_genexpr(PyObject *__pyx_self, int __pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_20augment(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_mode, PyObject *__pyx_v_emit_connected, PyObject *__pyx_v_emit_mtf); /* proto */
-static PyObject *__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyObject *__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon;
-  PyObject *__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr;
-  PyObject *__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment;
-  PyObject *__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr;
-  PyTypeObject *__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon;
-  PyTypeObject *__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr;
-  PyTypeObject *__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment;
-  PyTypeObject *__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[13];
-  PyObject *__pyx_string_tab[168];
-  PyObject *__pyx_number_tab[3];
-/* #### Code section: module_state_contents ### */
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon *__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon[8];
-int __pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr[8];
-int __pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment *__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment[8];
-int __pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr[8];
-int __pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr;
-#endif
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* IterNextPlain.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-PyObject *__Pyx_GetBuiltinNext_LimitedAPI_cache;
-#endif
-
-/* Generator.module_state_decls */
-PyTypeObject *__pyx_GeneratorType;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u__2 __pyx_string_tab[1]
-#define __pyx_kp_u_augmentation_over_2 __pyx_string_tab[2]
-#define __pyx_kp_u_disable __pyx_string_tab[3]
-#define __pyx_kp_u_dominating __pyx_string_tab[4]
-#define __pyx_kp_u_enable __pyx_string_tab[5]
-#define __pyx_kp_u_etdom__kernel__purecore __pyx_string_tab[6]
-#define __pyx_kp_u_gc __pyx_string_tab[7]
-#define __pyx_kp_u_isenabled __pyx_string_tab[8]
-#define __pyx_kp_u_sets_exceed_the_configured_cap __pyx_string_tab[9]
-#define __pyx_kp_u_src_etdom__kernel__fastcore_pyx __pyx_string_tab[10]
-#define __pyx_kp_u_subsets_refused __pyx_string_tab[11]
-#define __pyx_n_u_BACKEND_NAME __pyx_string_tab[12]
-#define __pyx_n_u_BudgetExceeded __pyx_string_tab[13]
-#define __pyx_n_u_MODE_ALL __pyx_string_tab[14]
-#define __pyx_n_u_MODE_MAX_DEGREE_3 __pyx_string_tab[15]
-#define __pyx_n_u_MODE_TRIANGLE_FREE __pyx_string_tab[16]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[17]
-#define __pyx_n_u_a_2 __pyx_string_tab[18]
-#define __pyx_n_u_aa __pyx_string_tab[19]
-#define __pyx_n_u_adj __pyx_string_tab[20]
-#define __pyx_n_u_alive __pyx_string_tab[21]
-#define __pyx_n_u_am __pyx_string_tab[22]
-#define __pyx_n_u_anchor __pyx_string_tab[23]
-#define __pyx_n_u_annotate __pyx_string_tab[24]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[25]
-#define __pyx_n_u_attacks __pyx_string_tab[26]
-#define __pyx_n_u_augment __pyx_string_tab[27]
-#define __pyx_n_u_augment_locals_genexpr __pyx_string_tab[28]
-#define __pyx_n_u_augmented __pyx_string_tab[29]
-#define __pyx_n_u_b __pyx_string_tab[30]
-#define __pyx_n_u_base __pyx_string_tab[31]
-#define __pyx_n_u_bb __pyx_string_tab[32]
-#define __pyx_n_u_bestc __pyx_string_tab[33]
-#define __pyx_n_u_bk __pyx_string_tab[34]
-#define __pyx_n_u_c __pyx_string_tab[35]
-#define __pyx_n_u_cadj __pyx_string_tab[36]
-#define __pyx_n_u_canon __pyx_string_tab[37]
-#define __pyx_n_u_canon_locals_genexpr __pyx_string_tab[38]
-#define __pyx_n_u_cap __pyx_string_tab[39]
-#define __pyx_n_u_cc __pyx_string_tab[40]
-#define __pyx_n_u_cert __pyx_string_tab[41]
-#define __pyx_n_u_child __pyx_string_tab[42]
-#define __pyx_n_u_ci __pyx_string_tab[43]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[44]
-#define __pyx_n_u_clique_cover __pyx_string_tab[45]
-#define __pyx_n_u_cliques_py __pyx_string_tab[46]
-#define __pyx_n_u_close __pyx_string_tab[47]
-#define __pyx_n_u_configs __pyx_string_tab[48]
-#define __pyx_n_u_count __pyx_string_tab[49]
-#define __pyx_n_u_count_dominating_sets __pyx_string_tab[50]
-#define __pyx_n_u_counts __pyx_string_tab[51]
-#define __pyx_n_u_covered __pyx_string_tab[52]
-#define __pyx_n_u_crep __pyx_string_tab[53]
-#define __pyx_n_u_cst __pyx_string_tab[54]
-#define __pyx_n_u_ct __pyx_string_tab[55]
-#define __pyx_n_u_dc __pyx_string_tab[56]
-#define __pyx_n_u_dead __pyx_string_tab[57]
-#define __pyx_n_u_degs __pyx_string_tab[58]
-#define __pyx_n_u_dmin __pyx_string_tab[59]
-#define __pyx_n_u_dominating_sets __pyx_string_tab[60]
-#define __pyx_n_u_domination_number __pyx_string_tab[61]
-#define __pyx_n_u_emit_connected __pyx_string_tab[62]
-#define __pyx_n_u_emit_mtf __pyx_string_tab[63]
-#define __pyx_n_u_etdom__kernel__fastcore __pyx_string_tab[64]
-#define __pyx_n_u_eternal_fixpoint __pyx_string_tab[65]
-#define __pyx_n_u_exists_dominating_set __pyx_string_tab[66]
-#define __pyx_n_u_fast __pyx_string_tab[67]
-#define __pyx_n_u_flag __pyx_string_tab[68]
-#define __pyx_n_u_full __pyx_string_tab[69]
-#define __pyx_n_u_func __pyx_string_tab[70]
-#define __pyx_n_u_genexpr __pyx_string_tab[71]
-#define __pyx_n_u_gens __pyx_string_tab[72]
-#define __pyx_n_u_gi __pyx_string_tab[73]
-#define __pyx_n_u_gi_lb __pyx_string_tab[74]
-#define __pyx_n_u_hx __pyx_string_tab[75]
-#define __pyx_n_u_i __pyx_string_tab[76]
-#define __pyx_n_u_img __pyx_string_tab[77]
-#define __pyx_n_u_in_s __pyx_string_tab[78]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[79]
-#define __pyx_n_u_items __pyx_string_tab[80]
-#define __pyx_n_u_k __pyx_string_tab[81]
-#define __pyx_n_u_keys __pyx_string_tab[82]
-#define __pyx_n_u_lb __pyx_string_tab[83]
-#define __pyx_n_u_m __pyx_string_tab[84]
-#define __pyx_n_u_main __pyx_string_tab[85]
-#define __pyx_n_u_match __pyx_string_tab[86]
-#define __pyx_n_u_max_clique __pyx_string_tab[87]
-#define __pyx_n_u_max_matching __pyx_string_tab[88]
-#define __pyx_n_u_maxc __pyx_string_tab[89]
-#define __pyx_n_u_maximal_cliques __pyx_string_tab[90]
-#define __pyx_n_u_mm __pyx_string_tab[91]
-#define __pyx_n_u_mode __pyx_string_tab[92]
-#define __pyx_n_u_module __pyx_string_tab[93]
-#define __pyx_n_u_n __pyx_string_tab[94]
-#define __pyx_n_u_name __pyx_string_tab[95]
-#define __pyx_n_u_nbit __pyx_string_tab[96]
-#define __pyx_n_u_nc __pyx_string_tab[97]
-#define __pyx_n_u_ndead __pyx_string_tab[98]
-#define __pyx_n_u_next __pyx_string_tab[99]
-#define __pyx_n_u_ok __pyx_string_tab[100]
-#define __pyx_n_u_orbit __pyx_string_tab[101]
-#define __pyx_n_u_out __pyx_string_tab[102]
-#define __pyx_n_u_padj __pyx_string_tab[103]
-#define __pyx_n_u_parent __pyx_string_tab[104]
-#define __pyx_n_u_parent_degs __pyx_string_tab[105]
-#define __pyx_n_u_pgens __pyx_string_tab[106]
-#define __pyx_n_u_pngens __pyx_string_tab[107]
-#define __pyx_n_u_pop __pyx_string_tab[108]
-#define __pyx_n_u_pos __pyx_string_tab[109]
-#define __pyx_n_u_ppv __pyx_string_tab[110]
-#define __pyx_n_u_pst __pyx_string_tab[111]
-#define __pyx_n_u_purecore __pyx_string_tab[112]
-#define __pyx_n_u_pv __pyx_string_tab[113]
-#define __pyx_n_u_qh __pyx_string_tab[114]
-#define __pyx_n_u_qt __pyx_string_tab[115]
-#define __pyx_n_u_qualname __pyx_string_tab[116]
-#define __pyx_n_u_queue __pyx_string_tab[117]
-#define __pyx_n_u_reject __pyx_string_tab[118]
-#define __pyx_n_u_rep __pyx_string_tab[119]
-#define __pyx_n_u_rest __pyx_string_tab[120]
-#define __pyx_n_u_root __pyx_string_tab[121]
-#define __pyx_n_u_s __pyx_string_tab[122]
-#define __pyx_n_u_seen __pyx_string_tab[123]
-#define __pyx_n_u_send __pyx_string_tab[124]
-#define __pyx_n_u_set_name __pyx_string_tab[125]
-#define __pyx_n_u_setdefault __pyx_string_tab[126]
-#define __pyx_n_u_si __pyx_string_tab[127]
-#define __pyx_n_u_size __pyx_string_tab[128]
-#define __pyx_n_u_slot __pyx_string_tab[129]
-#define __pyx_n_u_srep __pyx_string_tab[130]
-#define __pyx_n_u_st __pyx_string_tab[131]
-#define __pyx_n_u_table __pyx_string_tab[132]
-#define __pyx_n_u_test __pyx_string_tab[133]
-#define __pyx_n_u_throw __pyx_string_tab[134]
-#define __pyx_n_u_tmask __pyx_string_tab[135]
-#define __pyx_n_u_to __pyx_string_tab[136]
-#define __pyx_n_u_total __pyx_string_tab[137]
-#define __pyx_n_u_tsize __pyx_string_tab[138]
-#define __pyx_n_u_u __pyx_string_tab[139]
-#define __pyx_n_u_ub __pyx_string_tab[140]
-#define __pyx_n_u_used __pyx_string_tab[141]
-#define __pyx_n_u_v __pyx_string_tab[142]
-#define __pyx_n_u_value __pyx_string_tab[143]
-#define __pyx_n_u_values __pyx_string_tab[144]
-#define __pyx_n_u_vstar __pyx_string_tab[145]
-#define __pyx_n_u_vstar_pos __pyx_string_tab[146]
-#define __pyx_n_u_w __pyx_string_tab[147]
-#define __pyx_n_u_want_conn __pyx_string_tab[148]
-#define __pyx_n_u_want_mtf __pyx_string_tab[149]
-#define __pyx_n_u_wm __pyx_string_tab[150]
-#define __pyx_n_u_x __pyx_string_tab[151]
-#define __pyx_n_u_xi __pyx_string_tab[152]
-#define __pyx_n_u_xmask __pyx_string_tab[153]
-#define __pyx_n_u_ymask __pyx_string_tab[154]
-#define __pyx_kp_b_iso88591_1_r_A_q_U_1_auCq_ha_aq_Cz_2Q __pyx_string_tab[155]
-#define __pyx_kp_b_iso88591_8_2_1_r_A_nA_314I_3a_A_4s_D_1_U __pyx_string_tab[156]
-#define __pyx_kp_b_iso88591_Q __pyx_string_tab[157]
-#define __pyx_kp_b_iso88591_Q_r_A_q_A_j_k_U_1_auCq_hj_gS_k __pyx_string_tab[158]
-#define __pyx_kp_b_iso88591_a __pyx_string_tab[159]
-#define __pyx_kp_b_iso88591_q_r_A_q_Qat3a_9AQd_S_3e3a_vRq_n __pyx_string_tab[160]
-#define __pyx_kp_b_iso88591_r_A_q_Qat3a_4q_1AT_Cq __pyx_string_tab[161]
-#define __pyx_kp_b_iso88591_r_A_q_Qat3a_9AQd_S_3fCq __pyx_string_tab[162]
-#define __pyx_kp_b_iso88591_r_A_q_Qat3a_A_U_1_81BgQd_A_81Bg __pyx_string_tab[163]
-#define __pyx_kp_b_iso88591_r_A_q_U_1_AU_Qa_QfA_U_1_5_D_AQ __pyx_string_tab[164]
-#define __pyx_kp_b_iso88591_r_A_q_U_1_auCq_gQ_ha_g_F_2U_A_r __pyx_string_tab[165]
-#define __pyx_kp_b_iso88591_r_A_t4t1_U_1_AU_Qa_F_1_1AT_5_Q __pyx_string_tab[166]
-#define __pyx_kp_b_iso88591_s_1_r_A_q_r_A_t1A_Qa_U_1_AU_Qa __pyx_string_tab[167]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-#define __pyx_int_2 __pyx_number_tab[2]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon);
-  Py_CLEAR(clear_module_state->__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment);
-  Py_CLEAR(clear_module_state->__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr);
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<13; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<168; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<3; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon);
-  Py_VISIT(traverse_module_state->__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment);
-  Py_VISIT(traverse_module_state->__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<13; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<168; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<3; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "etdom/_kernel/_fastcore.pyx":35
- * 
- * 
- * cdef inline unsigned long long _full_mask(int n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     if n == 64:
- *         return <unsigned long long> 0xFFFFFFFFFFFFFFFF
-*/
-
-static CYTHON_INLINE unsigned PY_LONG_LONG __pyx_f_5etdom_7_kernel_9_fastcore__full_mask(int __pyx_v_n) {
-  unsigned PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":36
- * 
- * cdef inline unsigned long long _full_mask(int n) noexcept nogil:
- *     if n == 64:             # <<<<<<<<<<<<<<
- *         return <unsigned long long> 0xFFFFFFFFFFFFFFFF
- *     return (ONE << n) - 1
-*/
-  __pyx_t_1 = (__pyx_v_n == 64);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":37
- * cdef inline unsigned long long _full_mask(int n) noexcept nogil:
- *     if n == 64:
- *         return <unsigned long long> 0xFFFFFFFFFFFFFFFF             # <<<<<<<<<<<<<<
- *     return (ONE << n) - 1
- * 
-*/
-    __pyx_r = ((unsigned PY_LONG_LONG)0xFFFFFFFFFFFFFFFF);
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":36
- * 
- * cdef inline unsigned long long _full_mask(int n) noexcept nogil:
- *     if n == 64:             # <<<<<<<<<<<<<<
- *         return <unsigned long long> 0xFFFFFFFFFFFFFFFF
- *     return (ONE << n) - 1
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":38
- *     if n == 64:
- *         return <unsigned long long> 0xFFFFFFFFFFFFFFFF
- *     return (ONE << n) - 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_n) - 1);
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":35
- * 
- * 
- * cdef inline unsigned long long _full_mask(int n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     if n == 64:
- *         return <unsigned long long> 0xFFFFFFFFFFFFFFFF
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":64
- * 
- * 
- * cdef void _refine(int n, unsigned long long *adj,             # <<<<<<<<<<<<<<
- *                   unsigned long long *cells, int *pncells,
- *                   unsigned long long *queue, int qlen) noexcept nogil:
-*/
-
-static void __pyx_f_5etdom_7_kernel_9_fastcore__refine(CYTHON_UNUSED int __pyx_v_n, unsigned PY_LONG_LONG *__pyx_v_adj, unsigned PY_LONG_LONG *__pyx_v_cells, int *__pyx_v_pncells, unsigned PY_LONG_LONG *__pyx_v_queue, int __pyx_v_qlen) {
-  int __pyx_v_qi;
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_v;
-  int __pyx_v_d;
-  int __pyx_v_dmin;
-  int __pyx_v_dmax;
-  int __pyx_v_nfrag;
-  int __pyx_v_ncells;
-  unsigned PY_LONG_LONG __pyx_v_splitter;
-  unsigned PY_LONG_LONG __pyx_v_cell;
-  unsigned PY_LONG_LONG __pyx_v_m;
-  unsigned PY_LONG_LONG __pyx_v_bucket[(64 + 1)];
-  int __pyx_t_1;
-  long __pyx_t_2;
-  long __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-
-  /* "etdom/_kernel/_fastcore.pyx":67
- *                   unsigned long long *cells, int *pncells,
- *                   unsigned long long *queue, int qlen) noexcept nogil:
- *     cdef int qi = 0, i, j, v, d, dmin, dmax, nfrag             # <<<<<<<<<<<<<<
- *     cdef int ncells = pncells[0]
- *     cdef unsigned long long splitter, cell, m
-*/
-  __pyx_v_qi = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":68
- *                   unsigned long long *queue, int qlen) noexcept nogil:
- *     cdef int qi = 0, i, j, v, d, dmin, dmax, nfrag
- *     cdef int ncells = pncells[0]             # <<<<<<<<<<<<<<
- *     cdef unsigned long long splitter, cell, m
- *     cdef unsigned long long bucket[CMAXN + 1]
-*/
-  __pyx_v_ncells = (__pyx_v_pncells[0]);
-
-  /* "etdom/_kernel/_fastcore.pyx":71
- *     cdef unsigned long long splitter, cell, m
- *     cdef unsigned long long bucket[CMAXN + 1]
- *     while qi < qlen:             # <<<<<<<<<<<<<<
- *         splitter = queue[qi]
- *         qi += 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_qi < __pyx_v_qlen);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":72
- *     cdef unsigned long long bucket[CMAXN + 1]
- *     while qi < qlen:
- *         splitter = queue[qi]             # <<<<<<<<<<<<<<
- *         qi += 1
- *         i = 0
-*/
-    __pyx_v_splitter = (__pyx_v_queue[__pyx_v_qi]);
-
-    /* "etdom/_kernel/_fastcore.pyx":73
- *     while qi < qlen:
- *         splitter = queue[qi]
- *         qi += 1             # <<<<<<<<<<<<<<
- *         i = 0
- *         while i < ncells:
-*/
-    __pyx_v_qi = (__pyx_v_qi + 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":74
- *         splitter = queue[qi]
- *         qi += 1
- *         i = 0             # <<<<<<<<<<<<<<
- *         while i < ncells:
- *             cell = cells[i]
-*/
-    __pyx_v_i = 0;
-
-    /* "etdom/_kernel/_fastcore.pyx":75
- *         qi += 1
- *         i = 0
- *         while i < ncells:             # <<<<<<<<<<<<<<
- *             cell = cells[i]
- *             if popcnt64(cell) > 1:
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_i < __pyx_v_ncells);
-      if (!__pyx_t_1) break;
-
-      /* "etdom/_kernel/_fastcore.pyx":76
- *         i = 0
- *         while i < ncells:
- *             cell = cells[i]             # <<<<<<<<<<<<<<
- *             if popcnt64(cell) > 1:
- *                 dmin = CMAXN + 1
-*/
-      __pyx_v_cell = (__pyx_v_cells[__pyx_v_i]);
-
-      /* "etdom/_kernel/_fastcore.pyx":77
- *         while i < ncells:
- *             cell = cells[i]
- *             if popcnt64(cell) > 1:             # <<<<<<<<<<<<<<
- *                 dmin = CMAXN + 1
- *                 dmax = -1
-*/
-      __pyx_t_1 = (popcnt64(__pyx_v_cell) > 1);
-      if (__pyx_t_1) {
-
-        /* "etdom/_kernel/_fastcore.pyx":78
- *             cell = cells[i]
- *             if popcnt64(cell) > 1:
- *                 dmin = CMAXN + 1             # <<<<<<<<<<<<<<
- *                 dmax = -1
- *                 m = cell
-*/
-        __pyx_v_dmin = 0x41;
-
-        /* "etdom/_kernel/_fastcore.pyx":79
- *             if popcnt64(cell) > 1:
- *                 dmin = CMAXN + 1
- *                 dmax = -1             # <<<<<<<<<<<<<<
- *                 m = cell
- *                 while m:
-*/
-        __pyx_v_dmax = -1;
-
-        /* "etdom/_kernel/_fastcore.pyx":80
- *                 dmin = CMAXN + 1
- *                 dmax = -1
- *                 m = cell             # <<<<<<<<<<<<<<
- *                 while m:
- *                     v = ctz64(m)
-*/
-        __pyx_v_m = __pyx_v_cell;
-
-        /* "etdom/_kernel/_fastcore.pyx":81
- *                 dmax = -1
- *                 m = cell
- *                 while m:             # <<<<<<<<<<<<<<
- *                     v = ctz64(m)
- *                     m &= m - 1
-*/
-        while (1) {
-          __pyx_t_1 = (__pyx_v_m != 0);
-          if (!__pyx_t_1) break;
-
-          /* "etdom/_kernel/_fastcore.pyx":82
- *                 m = cell
- *                 while m:
- *                     v = ctz64(m)             # <<<<<<<<<<<<<<
- *                     m &= m - 1
- *                     d = popcnt64(adj[v] & splitter)
-*/
-          __pyx_v_v = ctz64(__pyx_v_m);
-
-          /* "etdom/_kernel/_fastcore.pyx":83
- *                 while m:
- *                     v = ctz64(m)
- *                     m &= m - 1             # <<<<<<<<<<<<<<
- *                     d = popcnt64(adj[v] & splitter)
- *                     if d < dmin:
-*/
-          __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-          /* "etdom/_kernel/_fastcore.pyx":84
- *                     v = ctz64(m)
- *                     m &= m - 1
- *                     d = popcnt64(adj[v] & splitter)             # <<<<<<<<<<<<<<
- *                     if d < dmin:
- *                         dmin = d
-*/
-          __pyx_v_d = popcnt64(((__pyx_v_adj[__pyx_v_v]) & __pyx_v_splitter));
-
-          /* "etdom/_kernel/_fastcore.pyx":85
- *                     m &= m - 1
- *                     d = popcnt64(adj[v] & splitter)
- *                     if d < dmin:             # <<<<<<<<<<<<<<
- *                         dmin = d
- *                     if d > dmax:
-*/
-          __pyx_t_1 = (__pyx_v_d < __pyx_v_dmin);
-          if (__pyx_t_1) {
-
-            /* "etdom/_kernel/_fastcore.pyx":86
- *                     d = popcnt64(adj[v] & splitter)
- *                     if d < dmin:
- *                         dmin = d             # <<<<<<<<<<<<<<
- *                     if d > dmax:
- *                         dmax = d
-*/
-            __pyx_v_dmin = __pyx_v_d;
-
-            /* "etdom/_kernel/_fastcore.pyx":85
- *                     m &= m - 1
- *                     d = popcnt64(adj[v] & splitter)
- *                     if d < dmin:             # <<<<<<<<<<<<<<
- *                         dmin = d
- *                     if d > dmax:
-*/
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":87
- *                     if d < dmin:
- *                         dmin = d
- *                     if d > dmax:             # <<<<<<<<<<<<<<
- *                         dmax = d
- *                 if dmax > dmin:
-*/
-          __pyx_t_1 = (__pyx_v_d > __pyx_v_dmax);
-          if (__pyx_t_1) {
-
-            /* "etdom/_kernel/_fastcore.pyx":88
- *                         dmin = d
- *                     if d > dmax:
- *                         dmax = d             # <<<<<<<<<<<<<<
- *                 if dmax > dmin:
- *                     for d in range(dmin, dmax + 1):
-*/
-            __pyx_v_dmax = __pyx_v_d;
-
-            /* "etdom/_kernel/_fastcore.pyx":87
- *                     if d < dmin:
- *                         dmin = d
- *                     if d > dmax:             # <<<<<<<<<<<<<<
- *                         dmax = d
- *                 if dmax > dmin:
-*/
-          }
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":89
- *                     if d > dmax:
- *                         dmax = d
- *                 if dmax > dmin:             # <<<<<<<<<<<<<<
- *                     for d in range(dmin, dmax + 1):
- *                         bucket[d] = 0
-*/
-        __pyx_t_1 = (__pyx_v_dmax > __pyx_v_dmin);
-        if (__pyx_t_1) {
-
-          /* "etdom/_kernel/_fastcore.pyx":90
- *                         dmax = d
- *                 if dmax > dmin:
- *                     for d in range(dmin, dmax + 1):             # <<<<<<<<<<<<<<
- *                         bucket[d] = 0
- *                     m = cell
-*/
-          __pyx_t_2 = (__pyx_v_dmax + 1);
-          __pyx_t_3 = __pyx_t_2;
-          for (__pyx_t_4 = __pyx_v_dmin; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-            __pyx_v_d = __pyx_t_4;
-
-            /* "etdom/_kernel/_fastcore.pyx":91
- *                 if dmax > dmin:
- *                     for d in range(dmin, dmax + 1):
- *                         bucket[d] = 0             # <<<<<<<<<<<<<<
- *                     m = cell
- *                     while m:
-*/
-            (__pyx_v_bucket[__pyx_v_d]) = 0;
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":92
- *                     for d in range(dmin, dmax + 1):
- *                         bucket[d] = 0
- *                     m = cell             # <<<<<<<<<<<<<<
- *                     while m:
- *                         v = ctz64(m)
-*/
-          __pyx_v_m = __pyx_v_cell;
-
-          /* "etdom/_kernel/_fastcore.pyx":93
- *                         bucket[d] = 0
- *                     m = cell
- *                     while m:             # <<<<<<<<<<<<<<
- *                         v = ctz64(m)
- *                         m &= m - 1
-*/
-          while (1) {
-            __pyx_t_1 = (__pyx_v_m != 0);
-            if (!__pyx_t_1) break;
-
-            /* "etdom/_kernel/_fastcore.pyx":94
- *                     m = cell
- *                     while m:
- *                         v = ctz64(m)             # <<<<<<<<<<<<<<
- *                         m &= m - 1
- *                         bucket[popcnt64(adj[v] & splitter)] |= ONE << v
-*/
-            __pyx_v_v = ctz64(__pyx_v_m);
-
-            /* "etdom/_kernel/_fastcore.pyx":95
- *                     while m:
- *                         v = ctz64(m)
- *                         m &= m - 1             # <<<<<<<<<<<<<<
- *                         bucket[popcnt64(adj[v] & splitter)] |= ONE << v
- *                     nfrag = 0
-*/
-            __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-            /* "etdom/_kernel/_fastcore.pyx":96
- *                         v = ctz64(m)
- *                         m &= m - 1
- *                         bucket[popcnt64(adj[v] & splitter)] |= ONE << v             # <<<<<<<<<<<<<<
- *                     nfrag = 0
- *                     for d in range(dmin, dmax + 1):
-*/
-            __pyx_t_4 = popcnt64(((__pyx_v_adj[__pyx_v_v]) & __pyx_v_splitter));
-            (__pyx_v_bucket[__pyx_t_4]) = ((__pyx_v_bucket[__pyx_t_4]) | (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_v));
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":97
- *                         m &= m - 1
- *                         bucket[popcnt64(adj[v] & splitter)] |= ONE << v
- *                     nfrag = 0             # <<<<<<<<<<<<<<
- *                     for d in range(dmin, dmax + 1):
- *                         if bucket[d]:
-*/
-          __pyx_v_nfrag = 0;
-
-          /* "etdom/_kernel/_fastcore.pyx":98
- *                         bucket[popcnt64(adj[v] & splitter)] |= ONE << v
- *                     nfrag = 0
- *                     for d in range(dmin, dmax + 1):             # <<<<<<<<<<<<<<
- *                         if bucket[d]:
- *                             nfrag += 1
-*/
-          __pyx_t_2 = (__pyx_v_dmax + 1);
-          __pyx_t_3 = __pyx_t_2;
-          for (__pyx_t_4 = __pyx_v_dmin; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-            __pyx_v_d = __pyx_t_4;
-
-            /* "etdom/_kernel/_fastcore.pyx":99
- *                     nfrag = 0
- *                     for d in range(dmin, dmax + 1):
- *                         if bucket[d]:             # <<<<<<<<<<<<<<
- *                             nfrag += 1
- *                     for j in range(ncells - 1, i, -1):
-*/
-            __pyx_t_1 = ((__pyx_v_bucket[__pyx_v_d]) != 0);
-            if (__pyx_t_1) {
-
-              /* "etdom/_kernel/_fastcore.pyx":100
- *                     for d in range(dmin, dmax + 1):
- *                         if bucket[d]:
- *                             nfrag += 1             # <<<<<<<<<<<<<<
- *                     for j in range(ncells - 1, i, -1):
- *                         cells[j + nfrag - 1] = cells[j]
-*/
-              __pyx_v_nfrag = (__pyx_v_nfrag + 1);
-
-              /* "etdom/_kernel/_fastcore.pyx":99
- *                     nfrag = 0
- *                     for d in range(dmin, dmax + 1):
- *                         if bucket[d]:             # <<<<<<<<<<<<<<
- *                             nfrag += 1
- *                     for j in range(ncells - 1, i, -1):
-*/
-            }
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":101
- *                         if bucket[d]:
- *                             nfrag += 1
- *                     for j in range(ncells - 1, i, -1):             # <<<<<<<<<<<<<<
- *                         cells[j + nfrag - 1] = cells[j]
- *                     j = i
-*/
-          __pyx_t_4 = __pyx_v_i;
-          __pyx_t_5 = __pyx_t_4;
-          for (__pyx_t_6 = (__pyx_v_ncells - 1); __pyx_t_6 > __pyx_t_5; __pyx_t_6-=1) {
-            __pyx_v_j = __pyx_t_6;
-
-            /* "etdom/_kernel/_fastcore.pyx":102
- *                             nfrag += 1
- *                     for j in range(ncells - 1, i, -1):
- *                         cells[j + nfrag - 1] = cells[j]             # <<<<<<<<<<<<<<
- *                     j = i
- *                     for d in range(dmin, dmax + 1):
-*/
-            (__pyx_v_cells[((__pyx_v_j + __pyx_v_nfrag) - 1)]) = (__pyx_v_cells[__pyx_v_j]);
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":103
- *                     for j in range(ncells - 1, i, -1):
- *                         cells[j + nfrag - 1] = cells[j]
- *                     j = i             # <<<<<<<<<<<<<<
- *                     for d in range(dmin, dmax + 1):
- *                         if bucket[d]:
-*/
-          __pyx_v_j = __pyx_v_i;
-
-          /* "etdom/_kernel/_fastcore.pyx":104
- *                         cells[j + nfrag - 1] = cells[j]
- *                     j = i
- *                     for d in range(dmin, dmax + 1):             # <<<<<<<<<<<<<<
- *                         if bucket[d]:
- *                             cells[j] = bucket[d]
-*/
-          __pyx_t_2 = (__pyx_v_dmax + 1);
-          __pyx_t_3 = __pyx_t_2;
-          for (__pyx_t_4 = __pyx_v_dmin; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-            __pyx_v_d = __pyx_t_4;
-
-            /* "etdom/_kernel/_fastcore.pyx":105
- *                     j = i
- *                     for d in range(dmin, dmax + 1):
- *                         if bucket[d]:             # <<<<<<<<<<<<<<
- *                             cells[j] = bucket[d]
- *                             queue[qlen] = bucket[d]
-*/
-            __pyx_t_1 = ((__pyx_v_bucket[__pyx_v_d]) != 0);
-            if (__pyx_t_1) {
-
-              /* "etdom/_kernel/_fastcore.pyx":106
- *                     for d in range(dmin, dmax + 1):
- *                         if bucket[d]:
- *                             cells[j] = bucket[d]             # <<<<<<<<<<<<<<
- *                             queue[qlen] = bucket[d]
- *                             qlen += 1
-*/
-              (__pyx_v_cells[__pyx_v_j]) = (__pyx_v_bucket[__pyx_v_d]);
-
-              /* "etdom/_kernel/_fastcore.pyx":107
- *                         if bucket[d]:
- *                             cells[j] = bucket[d]
- *                             queue[qlen] = bucket[d]             # <<<<<<<<<<<<<<
- *                             qlen += 1
- *                             j += 1
-*/
-              (__pyx_v_queue[__pyx_v_qlen]) = (__pyx_v_bucket[__pyx_v_d]);
-
-              /* "etdom/_kernel/_fastcore.pyx":108
- *                             cells[j] = bucket[d]
- *                             queue[qlen] = bucket[d]
- *                             qlen += 1             # <<<<<<<<<<<<<<
- *                             j += 1
- *                     ncells += nfrag - 1
-*/
-              __pyx_v_qlen = (__pyx_v_qlen + 1);
-
-              /* "etdom/_kernel/_fastcore.pyx":109
- *                             queue[qlen] = bucket[d]
- *                             qlen += 1
- *                             j += 1             # <<<<<<<<<<<<<<
- *                     ncells += nfrag - 1
- *                     i += nfrag - 1
-*/
-              __pyx_v_j = (__pyx_v_j + 1);
-
-              /* "etdom/_kernel/_fastcore.pyx":105
- *                     j = i
- *                     for d in range(dmin, dmax + 1):
- *                         if bucket[d]:             # <<<<<<<<<<<<<<
- *                             cells[j] = bucket[d]
- *                             queue[qlen] = bucket[d]
-*/
-            }
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":110
- *                             qlen += 1
- *                             j += 1
- *                     ncells += nfrag - 1             # <<<<<<<<<<<<<<
- *                     i += nfrag - 1
- *             i += 1
-*/
-          __pyx_v_ncells = (__pyx_v_ncells + (__pyx_v_nfrag - 1));
-
-          /* "etdom/_kernel/_fastcore.pyx":111
- *                             j += 1
- *                     ncells += nfrag - 1
- *                     i += nfrag - 1             # <<<<<<<<<<<<<<
- *             i += 1
- *     pncells[0] = ncells
-*/
-          __pyx_v_i = (__pyx_v_i + (__pyx_v_nfrag - 1));
-
-          /* "etdom/_kernel/_fastcore.pyx":89
- *                     if d > dmax:
- *                         dmax = d
- *                 if dmax > dmin:             # <<<<<<<<<<<<<<
- *                     for d in range(dmin, dmax + 1):
- *                         bucket[d] = 0
-*/
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":77
- *         while i < ncells:
- *             cell = cells[i]
- *             if popcnt64(cell) > 1:             # <<<<<<<<<<<<<<
- *                 dmin = CMAXN + 1
- *                 dmax = -1
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":112
- *                     ncells += nfrag - 1
- *                     i += nfrag - 1
- *             i += 1             # <<<<<<<<<<<<<<
- *     pncells[0] = ncells
- * 
-*/
-      __pyx_v_i = (__pyx_v_i + 1);
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":113
- *                     i += nfrag - 1
- *             i += 1
- *     pncells[0] = ncells             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  (__pyx_v_pncells[0]) = __pyx_v_ncells;
-
-  /* "etdom/_kernel/_fastcore.pyx":64
- * 
- * 
- * cdef void _refine(int n, unsigned long long *adj,             # <<<<<<<<<<<<<<
- *                   unsigned long long *cells, int *pncells,
- *                   unsigned long long *queue, int qlen) noexcept nogil:
-*/
-
-  /* function exit code */
-}
-
-/* "etdom/_kernel/_fastcore.pyx":116
- * 
- * 
- * cdef int _leaf(CState *st, unsigned long long *cells, int ncells) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # Returns an unwind depth, or n+1 for none.  A leaf matching the
- *     # first leaf's certificate yields an automorphism mapping this
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__leaf(struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *__pyx_v_st, unsigned PY_LONG_LONG *__pyx_v_cells, int __pyx_v_ncells) {
-  int __pyx_v_n;
-  int __pyx_v_unwind;
-  int __pyx_v_pos[64];
-  int __pyx_v_inv_first[64];
-  int __pyx_v_perm[64];
-  unsigned PY_LONG_LONG __pyx_v_cert[64];
-  unsigned PY_LONG_LONG __pyx_v_m;
-  unsigned PY_LONG_LONG __pyx_v_row;
-  int __pyx_v_p;
-  int __pyx_v_v;
-  int __pyx_v_w;
-  int __pyx_v_is_id;
-  int __pyx_v_differs;
-  int __pyx_v_cmp_best;
-  int __pyx_v_i;
-  int __pyx_v_d;
-  int __pyx_v_okj;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "etdom/_kernel/_fastcore.pyx":121
- *     # branch onto the first path at their first divergence; the jump
- *     # target is verified explicitly before use, never assumed.
- *     cdef int n = st.n             # <<<<<<<<<<<<<<
- *     cdef int unwind = n + 1
- *     cdef int pos[CMAXN]
-*/
-  __pyx_t_1 = __pyx_v_st->n;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":122
- *     # target is verified explicitly before use, never assumed.
- *     cdef int n = st.n
- *     cdef int unwind = n + 1             # <<<<<<<<<<<<<<
- *     cdef int pos[CMAXN]
- *     cdef int inv_first[CMAXN]
-*/
-  __pyx_v_unwind = (__pyx_v_n + 1);
-
-  /* "etdom/_kernel/_fastcore.pyx":129
- *     cdef unsigned long long m, row
- *     cdef int p, v, w, is_id, differs, cmp_best, i, d, okj
- *     for p in range(ncells):             # <<<<<<<<<<<<<<
- *         pos[ctz64(cells[p])] = p
- *     for v in range(n):
-*/
-  __pyx_t_1 = __pyx_v_ncells;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_p = __pyx_t_3;
-
-    /* "etdom/_kernel/_fastcore.pyx":130
- *     cdef int p, v, w, is_id, differs, cmp_best, i, d, okj
- *     for p in range(ncells):
- *         pos[ctz64(cells[p])] = p             # <<<<<<<<<<<<<<
- *     for v in range(n):
- *         row = 0
-*/
-    (__pyx_v_pos[ctz64((__pyx_v_cells[__pyx_v_p]))]) = __pyx_v_p;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":131
- *     for p in range(ncells):
- *         pos[ctz64(cells[p])] = p
- *     for v in range(n):             # <<<<<<<<<<<<<<
- *         row = 0
- *         m = st.adj[v]
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_v = __pyx_t_3;
-
-    /* "etdom/_kernel/_fastcore.pyx":132
- *         pos[ctz64(cells[p])] = p
- *     for v in range(n):
- *         row = 0             # <<<<<<<<<<<<<<
- *         m = st.adj[v]
- *         while m:
-*/
-    __pyx_v_row = 0;
-
-    /* "etdom/_kernel/_fastcore.pyx":133
- *     for v in range(n):
- *         row = 0
- *         m = st.adj[v]             # <<<<<<<<<<<<<<
- *         while m:
- *             w = ctz64(m)
-*/
-    __pyx_v_m = (__pyx_v_st->adj[__pyx_v_v]);
-
-    /* "etdom/_kernel/_fastcore.pyx":134
- *         row = 0
- *         m = st.adj[v]
- *         while m:             # <<<<<<<<<<<<<<
- *             w = ctz64(m)
- *             m &= m - 1
-*/
-    while (1) {
-      __pyx_t_4 = (__pyx_v_m != 0);
-      if (!__pyx_t_4) break;
-
-      /* "etdom/_kernel/_fastcore.pyx":135
- *         m = st.adj[v]
- *         while m:
- *             w = ctz64(m)             # <<<<<<<<<<<<<<
- *             m &= m - 1
- *             row |= ONE << pos[w]
-*/
-      __pyx_v_w = ctz64(__pyx_v_m);
-
-      /* "etdom/_kernel/_fastcore.pyx":136
- *         while m:
- *             w = ctz64(m)
- *             m &= m - 1             # <<<<<<<<<<<<<<
- *             row |= ONE << pos[w]
- *         cert[pos[v]] = row
-*/
-      __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-      /* "etdom/_kernel/_fastcore.pyx":137
- *             w = ctz64(m)
- *             m &= m - 1
- *             row |= ONE << pos[w]             # <<<<<<<<<<<<<<
- *         cert[pos[v]] = row
- *     if not st.has_first:
-*/
-      __pyx_v_row = (__pyx_v_row | (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << (__pyx_v_pos[__pyx_v_w])));
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":138
- *             m &= m - 1
- *             row |= ONE << pos[w]
- *         cert[pos[v]] = row             # <<<<<<<<<<<<<<
- *     if not st.has_first:
- *         st.has_first = 1
-*/
-    (__pyx_v_cert[(__pyx_v_pos[__pyx_v_v])]) = __pyx_v_row;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":139
- *             row |= ONE << pos[w]
- *         cert[pos[v]] = row
- *     if not st.has_first:             # <<<<<<<<<<<<<<
- *         st.has_first = 1
- *         memcpy(st.first_cert, cert, n * sizeof(unsigned long long))
-*/
-  __pyx_t_4 = (!(__pyx_v_st->has_first != 0));
-  if (__pyx_t_4) {
-
-    /* "etdom/_kernel/_fastcore.pyx":140
- *         cert[pos[v]] = row
- *     if not st.has_first:
- *         st.has_first = 1             # <<<<<<<<<<<<<<
- *         memcpy(st.first_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.first_pos, pos, n * sizeof(int))
-*/
-    __pyx_v_st->has_first = 1;
-
-    /* "etdom/_kernel/_fastcore.pyx":141
- *     if not st.has_first:
- *         st.has_first = 1
- *         memcpy(st.first_cert, cert, n * sizeof(unsigned long long))             # <<<<<<<<<<<<<<
- *         memcpy(st.first_pos, pos, n * sizeof(int))
- *         memcpy(st.first_seq, st.fixed, st.nfixed * sizeof(int))
-*/
-    (void)(memcpy(__pyx_v_st->first_cert, __pyx_v_cert, (__pyx_v_n * (sizeof(unsigned PY_LONG_LONG)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":142
- *         st.has_first = 1
- *         memcpy(st.first_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.first_pos, pos, n * sizeof(int))             # <<<<<<<<<<<<<<
- *         memcpy(st.first_seq, st.fixed, st.nfixed * sizeof(int))
- *         st.first_len = st.nfixed
-*/
-    (void)(memcpy(__pyx_v_st->first_pos, __pyx_v_pos, (__pyx_v_n * (sizeof(int)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":143
- *         memcpy(st.first_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.first_pos, pos, n * sizeof(int))
- *         memcpy(st.first_seq, st.fixed, st.nfixed * sizeof(int))             # <<<<<<<<<<<<<<
- *         st.first_len = st.nfixed
- *     else:
-*/
-    (void)(memcpy(__pyx_v_st->first_seq, __pyx_v_st->fixed, (__pyx_v_st->nfixed * (sizeof(int)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":144
- *         memcpy(st.first_pos, pos, n * sizeof(int))
- *         memcpy(st.first_seq, st.fixed, st.nfixed * sizeof(int))
- *         st.first_len = st.nfixed             # <<<<<<<<<<<<<<
- *     else:
- *         differs = 0
-*/
-    __pyx_t_1 = __pyx_v_st->nfixed;
-    __pyx_v_st->first_len = __pyx_t_1;
-
-    /* "etdom/_kernel/_fastcore.pyx":139
- *             row |= ONE << pos[w]
- *         cert[pos[v]] = row
- *     if not st.has_first:             # <<<<<<<<<<<<<<
- *         st.has_first = 1
- *         memcpy(st.first_cert, cert, n * sizeof(unsigned long long))
-*/
-    goto __pyx_L9;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":146
- *         st.first_len = st.nfixed
- *     else:
- *         differs = 0             # <<<<<<<<<<<<<<
- *         for i in range(n):
- *             if cert[i] != st.first_cert[i]:
-*/
-  /*else*/ {
-    __pyx_v_differs = 0;
-
-    /* "etdom/_kernel/_fastcore.pyx":147
- *     else:
- *         differs = 0
- *         for i in range(n):             # <<<<<<<<<<<<<<
- *             if cert[i] != st.first_cert[i]:
- *                 differs = 1
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_2 = __pyx_t_1;
-    for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-      __pyx_v_i = __pyx_t_3;
-
-      /* "etdom/_kernel/_fastcore.pyx":148
- *         differs = 0
- *         for i in range(n):
- *             if cert[i] != st.first_cert[i]:             # <<<<<<<<<<<<<<
- *                 differs = 1
- *                 break
-*/
-      __pyx_t_4 = ((__pyx_v_cert[__pyx_v_i]) != (__pyx_v_st->first_cert[__pyx_v_i]));
-      if (__pyx_t_4) {
-
-        /* "etdom/_kernel/_fastcore.pyx":149
- *         for i in range(n):
- *             if cert[i] != st.first_cert[i]:
- *                 differs = 1             # <<<<<<<<<<<<<<
- *                 break
- *         if differs == 0:
-*/
-        __pyx_v_differs = 1;
-
-        /* "etdom/_kernel/_fastcore.pyx":150
- *             if cert[i] != st.first_cert[i]:
- *                 differs = 1
- *                 break             # <<<<<<<<<<<<<<
- *         if differs == 0:
- *             for v in range(n):
-*/
-        goto __pyx_L11_break;
-
-        /* "etdom/_kernel/_fastcore.pyx":148
- *         differs = 0
- *         for i in range(n):
- *             if cert[i] != st.first_cert[i]:             # <<<<<<<<<<<<<<
- *                 differs = 1
- *                 break
-*/
-      }
-    }
-    __pyx_L11_break:;
-
-    /* "etdom/_kernel/_fastcore.pyx":151
- *                 differs = 1
- *                 break
- *         if differs == 0:             # <<<<<<<<<<<<<<
- *             for v in range(n):
- *                 inv_first[st.first_pos[v]] = v
-*/
-    __pyx_t_4 = (__pyx_v_differs == 0);
-    if (__pyx_t_4) {
-
-      /* "etdom/_kernel/_fastcore.pyx":152
- *                 break
- *         if differs == 0:
- *             for v in range(n):             # <<<<<<<<<<<<<<
- *                 inv_first[st.first_pos[v]] = v
- *             is_id = 1
-*/
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_2 = __pyx_t_1;
-      for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-        __pyx_v_v = __pyx_t_3;
-
-        /* "etdom/_kernel/_fastcore.pyx":153
- *         if differs == 0:
- *             for v in range(n):
- *                 inv_first[st.first_pos[v]] = v             # <<<<<<<<<<<<<<
- *             is_id = 1
- *             for v in range(n):
-*/
-        (__pyx_v_inv_first[(__pyx_v_st->first_pos[__pyx_v_v])]) = __pyx_v_v;
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":154
- *             for v in range(n):
- *                 inv_first[st.first_pos[v]] = v
- *             is_id = 1             # <<<<<<<<<<<<<<
- *             for v in range(n):
- *                 perm[v] = inv_first[pos[v]]
-*/
-      __pyx_v_is_id = 1;
-
-      /* "etdom/_kernel/_fastcore.pyx":155
- *                 inv_first[st.first_pos[v]] = v
- *             is_id = 1
- *             for v in range(n):             # <<<<<<<<<<<<<<
- *                 perm[v] = inv_first[pos[v]]
- *                 if perm[v] != v:
-*/
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_2 = __pyx_t_1;
-      for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-        __pyx_v_v = __pyx_t_3;
-
-        /* "etdom/_kernel/_fastcore.pyx":156
- *             is_id = 1
- *             for v in range(n):
- *                 perm[v] = inv_first[pos[v]]             # <<<<<<<<<<<<<<
- *                 if perm[v] != v:
- *                     is_id = 0
-*/
-        (__pyx_v_perm[__pyx_v_v]) = (__pyx_v_inv_first[(__pyx_v_pos[__pyx_v_v])]);
-
-        /* "etdom/_kernel/_fastcore.pyx":157
- *             for v in range(n):
- *                 perm[v] = inv_first[pos[v]]
- *                 if perm[v] != v:             # <<<<<<<<<<<<<<
- *                     is_id = 0
- *             if not is_id:
-*/
-        __pyx_t_4 = ((__pyx_v_perm[__pyx_v_v]) != __pyx_v_v);
-        if (__pyx_t_4) {
-
-          /* "etdom/_kernel/_fastcore.pyx":158
- *                 perm[v] = inv_first[pos[v]]
- *                 if perm[v] != v:
- *                     is_id = 0             # <<<<<<<<<<<<<<
- *             if not is_id:
- *                 if st.ngens >= st.gens_cap:
-*/
-          __pyx_v_is_id = 0;
-
-          /* "etdom/_kernel/_fastcore.pyx":157
- *             for v in range(n):
- *                 perm[v] = inv_first[pos[v]]
- *                 if perm[v] != v:             # <<<<<<<<<<<<<<
- *                     is_id = 0
- *             if not is_id:
-*/
-        }
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":159
- *                 if perm[v] != v:
- *                     is_id = 0
- *             if not is_id:             # <<<<<<<<<<<<<<
- *                 if st.ngens >= st.gens_cap:
- *                     st.overflow = 1
-*/
-      __pyx_t_4 = (!(__pyx_v_is_id != 0));
-      if (__pyx_t_4) {
-
-        /* "etdom/_kernel/_fastcore.pyx":160
- *                     is_id = 0
- *             if not is_id:
- *                 if st.ngens >= st.gens_cap:             # <<<<<<<<<<<<<<
- *                     st.overflow = 1
- *                 else:
-*/
-        __pyx_t_4 = (__pyx_v_st->ngens >= __pyx_v_st->gens_cap);
-        if (__pyx_t_4) {
-
-          /* "etdom/_kernel/_fastcore.pyx":161
- *             if not is_id:
- *                 if st.ngens >= st.gens_cap:
- *                     st.overflow = 1             # <<<<<<<<<<<<<<
- *                 else:
- *                     memcpy(st.gens + st.ngens * CMAXN, perm, n * sizeof(int))
-*/
-          __pyx_v_st->overflow = 1;
-
-          /* "etdom/_kernel/_fastcore.pyx":160
- *                     is_id = 0
- *             if not is_id:
- *                 if st.ngens >= st.gens_cap:             # <<<<<<<<<<<<<<
- *                     st.overflow = 1
- *                 else:
-*/
-          goto __pyx_L20;
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":163
- *                     st.overflow = 1
- *                 else:
- *                     memcpy(st.gens + st.ngens * CMAXN, perm, n * sizeof(int))             # <<<<<<<<<<<<<<
- *                     st.ngens += 1
- *                 if st.nfixed == st.first_len:
-*/
-        /*else*/ {
-          (void)(memcpy((__pyx_v_st->gens + (__pyx_v_st->ngens * 64)), __pyx_v_perm, (__pyx_v_n * (sizeof(int)))));
-
-          /* "etdom/_kernel/_fastcore.pyx":164
- *                 else:
- *                     memcpy(st.gens + st.ngens * CMAXN, perm, n * sizeof(int))
- *                     st.ngens += 1             # <<<<<<<<<<<<<<
- *                 if st.nfixed == st.first_len:
- *                     d = -1
-*/
-          __pyx_v_st->ngens = (__pyx_v_st->ngens + 1);
-        }
-        __pyx_L20:;
-
-        /* "etdom/_kernel/_fastcore.pyx":165
- *                     memcpy(st.gens + st.ngens * CMAXN, perm, n * sizeof(int))
- *                     st.ngens += 1
- *                 if st.nfixed == st.first_len:             # <<<<<<<<<<<<<<
- *                     d = -1
- *                     for i in range(st.nfixed):
-*/
-        __pyx_t_4 = (__pyx_v_st->nfixed == __pyx_v_st->first_len);
-        if (__pyx_t_4) {
-
-          /* "etdom/_kernel/_fastcore.pyx":166
- *                     st.ngens += 1
- *                 if st.nfixed == st.first_len:
- *                     d = -1             # <<<<<<<<<<<<<<
- *                     for i in range(st.nfixed):
- *                         if st.fixed[i] != st.first_seq[i]:
-*/
-          __pyx_v_d = -1;
-
-          /* "etdom/_kernel/_fastcore.pyx":167
- *                 if st.nfixed == st.first_len:
- *                     d = -1
- *                     for i in range(st.nfixed):             # <<<<<<<<<<<<<<
- *                         if st.fixed[i] != st.first_seq[i]:
- *                             d = i
-*/
-          __pyx_t_1 = __pyx_v_st->nfixed;
-          __pyx_t_2 = __pyx_t_1;
-          for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-            __pyx_v_i = __pyx_t_3;
-
-            /* "etdom/_kernel/_fastcore.pyx":168
- *                     d = -1
- *                     for i in range(st.nfixed):
- *                         if st.fixed[i] != st.first_seq[i]:             # <<<<<<<<<<<<<<
- *                             d = i
- *                             break
-*/
-            __pyx_t_4 = ((__pyx_v_st->fixed[__pyx_v_i]) != (__pyx_v_st->first_seq[__pyx_v_i]));
-            if (__pyx_t_4) {
-
-              /* "etdom/_kernel/_fastcore.pyx":169
- *                     for i in range(st.nfixed):
- *                         if st.fixed[i] != st.first_seq[i]:
- *                             d = i             # <<<<<<<<<<<<<<
- *                             break
- *                     if d >= 0 and perm[st.fixed[d]] == st.first_seq[d]:
-*/
-              __pyx_v_d = __pyx_v_i;
-
-              /* "etdom/_kernel/_fastcore.pyx":170
- *                         if st.fixed[i] != st.first_seq[i]:
- *                             d = i
- *                             break             # <<<<<<<<<<<<<<
- *                     if d >= 0 and perm[st.fixed[d]] == st.first_seq[d]:
- *                         okj = 1
-*/
-              goto __pyx_L23_break;
-
-              /* "etdom/_kernel/_fastcore.pyx":168
- *                     d = -1
- *                     for i in range(st.nfixed):
- *                         if st.fixed[i] != st.first_seq[i]:             # <<<<<<<<<<<<<<
- *                             d = i
- *                             break
-*/
-            }
-          }
-          __pyx_L23_break:;
-
-          /* "etdom/_kernel/_fastcore.pyx":171
- *                             d = i
- *                             break
- *                     if d >= 0 and perm[st.fixed[d]] == st.first_seq[d]:             # <<<<<<<<<<<<<<
- *                         okj = 1
- *                         for i in range(d):
-*/
-          __pyx_t_5 = (__pyx_v_d >= 0);
-          if (__pyx_t_5) {
-          } else {
-            __pyx_t_4 = __pyx_t_5;
-            goto __pyx_L26_bool_binop_done;
-          }
-          __pyx_t_5 = ((__pyx_v_perm[(__pyx_v_st->fixed[__pyx_v_d])]) == (__pyx_v_st->first_seq[__pyx_v_d]));
-          __pyx_t_4 = __pyx_t_5;
-          __pyx_L26_bool_binop_done:;
-          if (__pyx_t_4) {
-
-            /* "etdom/_kernel/_fastcore.pyx":172
- *                             break
- *                     if d >= 0 and perm[st.fixed[d]] == st.first_seq[d]:
- *                         okj = 1             # <<<<<<<<<<<<<<
- *                         for i in range(d):
- *                             if perm[st.fixed[i]] != st.fixed[i]:
-*/
-            __pyx_v_okj = 1;
-
-            /* "etdom/_kernel/_fastcore.pyx":173
- *                     if d >= 0 and perm[st.fixed[d]] == st.first_seq[d]:
- *                         okj = 1
- *                         for i in range(d):             # <<<<<<<<<<<<<<
- *                             if perm[st.fixed[i]] != st.fixed[i]:
- *                                 okj = 0
-*/
-            __pyx_t_1 = __pyx_v_d;
-            __pyx_t_2 = __pyx_t_1;
-            for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-              __pyx_v_i = __pyx_t_3;
-
-              /* "etdom/_kernel/_fastcore.pyx":174
- *                         okj = 1
- *                         for i in range(d):
- *                             if perm[st.fixed[i]] != st.fixed[i]:             # <<<<<<<<<<<<<<
- *                                 okj = 0
- *                                 break
-*/
-              __pyx_t_4 = ((__pyx_v_perm[(__pyx_v_st->fixed[__pyx_v_i])]) != (__pyx_v_st->fixed[__pyx_v_i]));
-              if (__pyx_t_4) {
-
-                /* "etdom/_kernel/_fastcore.pyx":175
- *                         for i in range(d):
- *                             if perm[st.fixed[i]] != st.fixed[i]:
- *                                 okj = 0             # <<<<<<<<<<<<<<
- *                                 break
- *                         if okj:
-*/
-                __pyx_v_okj = 0;
-
-                /* "etdom/_kernel/_fastcore.pyx":176
- *                             if perm[st.fixed[i]] != st.fixed[i]:
- *                                 okj = 0
- *                                 break             # <<<<<<<<<<<<<<
- *                         if okj:
- *                             unwind = d
-*/
-                goto __pyx_L29_break;
-
-                /* "etdom/_kernel/_fastcore.pyx":174
- *                         okj = 1
- *                         for i in range(d):
- *                             if perm[st.fixed[i]] != st.fixed[i]:             # <<<<<<<<<<<<<<
- *                                 okj = 0
- *                                 break
-*/
-              }
-            }
-            __pyx_L29_break:;
-
-            /* "etdom/_kernel/_fastcore.pyx":177
- *                                 okj = 0
- *                                 break
- *                         if okj:             # <<<<<<<<<<<<<<
- *                             unwind = d
- *     if not st.has_best:
-*/
-            __pyx_t_4 = (__pyx_v_okj != 0);
-            if (__pyx_t_4) {
-
-              /* "etdom/_kernel/_fastcore.pyx":178
- *                                 break
- *                         if okj:
- *                             unwind = d             # <<<<<<<<<<<<<<
- *     if not st.has_best:
- *         st.has_best = 1
-*/
-              __pyx_v_unwind = __pyx_v_d;
-
-              /* "etdom/_kernel/_fastcore.pyx":177
- *                                 okj = 0
- *                                 break
- *                         if okj:             # <<<<<<<<<<<<<<
- *                             unwind = d
- *     if not st.has_best:
-*/
-            }
-
-            /* "etdom/_kernel/_fastcore.pyx":171
- *                             d = i
- *                             break
- *                     if d >= 0 and perm[st.fixed[d]] == st.first_seq[d]:             # <<<<<<<<<<<<<<
- *                         okj = 1
- *                         for i in range(d):
-*/
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":165
- *                     memcpy(st.gens + st.ngens * CMAXN, perm, n * sizeof(int))
- *                     st.ngens += 1
- *                 if st.nfixed == st.first_len:             # <<<<<<<<<<<<<<
- *                     d = -1
- *                     for i in range(st.nfixed):
-*/
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":159
- *                 if perm[v] != v:
- *                     is_id = 0
- *             if not is_id:             # <<<<<<<<<<<<<<
- *                 if st.ngens >= st.gens_cap:
- *                     st.overflow = 1
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":151
- *                 differs = 1
- *                 break
- *         if differs == 0:             # <<<<<<<<<<<<<<
- *             for v in range(n):
- *                 inv_first[st.first_pos[v]] = v
-*/
-    }
-  }
-  __pyx_L9:;
-
-  /* "etdom/_kernel/_fastcore.pyx":179
- *                         if okj:
- *                             unwind = d
- *     if not st.has_best:             # <<<<<<<<<<<<<<
- *         st.has_best = 1
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
-*/
-  __pyx_t_4 = (!(__pyx_v_st->has_best != 0));
-  if (__pyx_t_4) {
-
-    /* "etdom/_kernel/_fastcore.pyx":180
- *                             unwind = d
- *     if not st.has_best:
- *         st.has_best = 1             # <<<<<<<<<<<<<<
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.best_pos, pos, n * sizeof(int))
-*/
-    __pyx_v_st->has_best = 1;
-
-    /* "etdom/_kernel/_fastcore.pyx":181
- *     if not st.has_best:
- *         st.has_best = 1
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))             # <<<<<<<<<<<<<<
- *         memcpy(st.best_pos, pos, n * sizeof(int))
- *         return unwind
-*/
-    (void)(memcpy(__pyx_v_st->best_cert, __pyx_v_cert, (__pyx_v_n * (sizeof(unsigned PY_LONG_LONG)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":182
- *         st.has_best = 1
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.best_pos, pos, n * sizeof(int))             # <<<<<<<<<<<<<<
- *         return unwind
- *     cmp_best = 0
-*/
-    (void)(memcpy(__pyx_v_st->best_pos, __pyx_v_pos, (__pyx_v_n * (sizeof(int)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":183
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.best_pos, pos, n * sizeof(int))
- *         return unwind             # <<<<<<<<<<<<<<
- *     cmp_best = 0
- *     for i in range(n):
-*/
-    __pyx_r = __pyx_v_unwind;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":179
- *                         if okj:
- *                             unwind = d
- *     if not st.has_best:             # <<<<<<<<<<<<<<
- *         st.has_best = 1
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":184
- *         memcpy(st.best_pos, pos, n * sizeof(int))
- *         return unwind
- *     cmp_best = 0             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         if cert[i] < st.best_cert[i]:
-*/
-  __pyx_v_cmp_best = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":185
- *         return unwind
- *     cmp_best = 0
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         if cert[i] < st.best_cert[i]:
- *             cmp_best = -1
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "etdom/_kernel/_fastcore.pyx":186
- *     cmp_best = 0
- *     for i in range(n):
- *         if cert[i] < st.best_cert[i]:             # <<<<<<<<<<<<<<
- *             cmp_best = -1
- *             break
-*/
-    __pyx_t_4 = ((__pyx_v_cert[__pyx_v_i]) < (__pyx_v_st->best_cert[__pyx_v_i]));
-    if (__pyx_t_4) {
-
-      /* "etdom/_kernel/_fastcore.pyx":187
- *     for i in range(n):
- *         if cert[i] < st.best_cert[i]:
- *             cmp_best = -1             # <<<<<<<<<<<<<<
- *             break
- *         if cert[i] > st.best_cert[i]:
-*/
-      __pyx_v_cmp_best = -1;
-
-      /* "etdom/_kernel/_fastcore.pyx":188
- *         if cert[i] < st.best_cert[i]:
- *             cmp_best = -1
- *             break             # <<<<<<<<<<<<<<
- *         if cert[i] > st.best_cert[i]:
- *             cmp_best = 1
-*/
-      goto __pyx_L34_break;
-
-      /* "etdom/_kernel/_fastcore.pyx":186
- *     cmp_best = 0
- *     for i in range(n):
- *         if cert[i] < st.best_cert[i]:             # <<<<<<<<<<<<<<
- *             cmp_best = -1
- *             break
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":189
- *             cmp_best = -1
- *             break
- *         if cert[i] > st.best_cert[i]:             # <<<<<<<<<<<<<<
- *             cmp_best = 1
- *             break
-*/
-    __pyx_t_4 = ((__pyx_v_cert[__pyx_v_i]) > (__pyx_v_st->best_cert[__pyx_v_i]));
-    if (__pyx_t_4) {
-
-      /* "etdom/_kernel/_fastcore.pyx":190
- *             break
- *         if cert[i] > st.best_cert[i]:
- *             cmp_best = 1             # <<<<<<<<<<<<<<
- *             break
- *     if cmp_best < 0:
-*/
-      __pyx_v_cmp_best = 1;
-
-      /* "etdom/_kernel/_fastcore.pyx":191
- *         if cert[i] > st.best_cert[i]:
- *             cmp_best = 1
- *             break             # <<<<<<<<<<<<<<
- *     if cmp_best < 0:
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
-*/
-      goto __pyx_L34_break;
-
-      /* "etdom/_kernel/_fastcore.pyx":189
- *             cmp_best = -1
- *             break
- *         if cert[i] > st.best_cert[i]:             # <<<<<<<<<<<<<<
- *             cmp_best = 1
- *             break
-*/
-    }
-  }
-  __pyx_L34_break:;
-
-  /* "etdom/_kernel/_fastcore.pyx":192
- *             cmp_best = 1
- *             break
- *     if cmp_best < 0:             # <<<<<<<<<<<<<<
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.best_pos, pos, n * sizeof(int))
-*/
-  __pyx_t_4 = (__pyx_v_cmp_best < 0);
-  if (__pyx_t_4) {
-
-    /* "etdom/_kernel/_fastcore.pyx":193
- *             break
- *     if cmp_best < 0:
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))             # <<<<<<<<<<<<<<
- *         memcpy(st.best_pos, pos, n * sizeof(int))
- *     return unwind
-*/
-    (void)(memcpy(__pyx_v_st->best_cert, __pyx_v_cert, (__pyx_v_n * (sizeof(unsigned PY_LONG_LONG)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":194
- *     if cmp_best < 0:
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.best_pos, pos, n * sizeof(int))             # <<<<<<<<<<<<<<
- *     return unwind
- * 
-*/
-    (void)(memcpy(__pyx_v_st->best_pos, __pyx_v_pos, (__pyx_v_n * (sizeof(int)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":192
- *             cmp_best = 1
- *             break
- *     if cmp_best < 0:             # <<<<<<<<<<<<<<
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.best_pos, pos, n * sizeof(int))
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":195
- *         memcpy(st.best_cert, cert, n * sizeof(unsigned long long))
- *         memcpy(st.best_pos, pos, n * sizeof(int))
- *     return unwind             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_unwind;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":116
- * 
- * 
- * cdef int _leaf(CState *st, unsigned long long *cells, int ncells) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # Returns an unwind depth, or n+1 for none.  A leaf matching the
- *     # first leaf's certificate yields an automorphism mapping this
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":198
- * 
- * 
- * cdef inline int _uf_find(int *rep, int x) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int root = x, t
- *     while rep[root] != root:
-*/
-
-static CYTHON_INLINE int __pyx_f_5etdom_7_kernel_9_fastcore__uf_find(int *__pyx_v_rep, int __pyx_v_x) {
-  int __pyx_v_root;
-  int __pyx_v_t;
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":199
- * 
- * cdef inline int _uf_find(int *rep, int x) noexcept nogil:
- *     cdef int root = x, t             # <<<<<<<<<<<<<<
- *     while rep[root] != root:
- *         root = rep[root]
-*/
-  __pyx_v_root = __pyx_v_x;
-
-  /* "etdom/_kernel/_fastcore.pyx":200
- * cdef inline int _uf_find(int *rep, int x) noexcept nogil:
- *     cdef int root = x, t
- *     while rep[root] != root:             # <<<<<<<<<<<<<<
- *         root = rep[root]
- *     while rep[x] != root:
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_rep[__pyx_v_root]) != __pyx_v_root);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":201
- *     cdef int root = x, t
- *     while rep[root] != root:
- *         root = rep[root]             # <<<<<<<<<<<<<<
- *     while rep[x] != root:
- *         t = rep[x]
-*/
-    __pyx_v_root = (__pyx_v_rep[__pyx_v_root]);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":202
- *     while rep[root] != root:
- *         root = rep[root]
- *     while rep[x] != root:             # <<<<<<<<<<<<<<
- *         t = rep[x]
- *         rep[x] = root
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_rep[__pyx_v_x]) != __pyx_v_root);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":203
- *         root = rep[root]
- *     while rep[x] != root:
- *         t = rep[x]             # <<<<<<<<<<<<<<
- *         rep[x] = root
- *         x = t
-*/
-    __pyx_v_t = (__pyx_v_rep[__pyx_v_x]);
-
-    /* "etdom/_kernel/_fastcore.pyx":204
- *     while rep[x] != root:
- *         t = rep[x]
- *         rep[x] = root             # <<<<<<<<<<<<<<
- *         x = t
- *     return root
-*/
-    (__pyx_v_rep[__pyx_v_x]) = __pyx_v_root;
-
-    /* "etdom/_kernel/_fastcore.pyx":205
- *         t = rep[x]
- *         rep[x] = root
- *         x = t             # <<<<<<<<<<<<<<
- *     return root
- * 
-*/
-    __pyx_v_x = __pyx_v_t;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":206
- *         rep[x] = root
- *         x = t
- *     return root             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_root;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":198
- * 
- * 
- * cdef inline int _uf_find(int *rep, int x) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int root = x, t
- *     while rep[root] != root:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":209
- * 
- * 
- * cdef void _orbit_reps_fixing(CState *st, int *rep) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int n = st.n
- *     cdef int v, gi, t, ok, a, b
-*/
-
-static void __pyx_f_5etdom_7_kernel_9_fastcore__orbit_reps_fixing(struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *__pyx_v_st, int *__pyx_v_rep) {
-  int __pyx_v_n;
-  int __pyx_v_v;
-  int __pyx_v_gi;
-  int __pyx_v_t;
-  int __pyx_v_ok;
-  int __pyx_v_a;
-  int __pyx_v_b;
-  int *__pyx_v_g;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-
-  /* "etdom/_kernel/_fastcore.pyx":210
- * 
- * cdef void _orbit_reps_fixing(CState *st, int *rep) noexcept nogil:
- *     cdef int n = st.n             # <<<<<<<<<<<<<<
- *     cdef int v, gi, t, ok, a, b
- *     cdef int *g
-*/
-  __pyx_t_1 = __pyx_v_st->n;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":213
- *     cdef int v, gi, t, ok, a, b
- *     cdef int *g
- *     for v in range(n):             # <<<<<<<<<<<<<<
- *         rep[v] = v
- *     for gi in range(st.ngens):
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_v = __pyx_t_3;
-
-    /* "etdom/_kernel/_fastcore.pyx":214
- *     cdef int *g
- *     for v in range(n):
- *         rep[v] = v             # <<<<<<<<<<<<<<
- *     for gi in range(st.ngens):
- *         g = st.gens + gi * CMAXN
-*/
-    (__pyx_v_rep[__pyx_v_v]) = __pyx_v_v;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":215
- *     for v in range(n):
- *         rep[v] = v
- *     for gi in range(st.ngens):             # <<<<<<<<<<<<<<
- *         g = st.gens + gi * CMAXN
- *         ok = 1
-*/
-  __pyx_t_1 = __pyx_v_st->ngens;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_gi = __pyx_t_3;
-
-    /* "etdom/_kernel/_fastcore.pyx":216
- *         rep[v] = v
- *     for gi in range(st.ngens):
- *         g = st.gens + gi * CMAXN             # <<<<<<<<<<<<<<
- *         ok = 1
- *         for t in range(st.nfixed):
-*/
-    __pyx_v_g = (__pyx_v_st->gens + (__pyx_v_gi * 64));
-
-    /* "etdom/_kernel/_fastcore.pyx":217
- *     for gi in range(st.ngens):
- *         g = st.gens + gi * CMAXN
- *         ok = 1             # <<<<<<<<<<<<<<
- *         for t in range(st.nfixed):
- *             if g[st.fixed[t]] != st.fixed[t]:
-*/
-    __pyx_v_ok = 1;
-
-    /* "etdom/_kernel/_fastcore.pyx":218
- *         g = st.gens + gi * CMAXN
- *         ok = 1
- *         for t in range(st.nfixed):             # <<<<<<<<<<<<<<
- *             if g[st.fixed[t]] != st.fixed[t]:
- *                 ok = 0
-*/
-    __pyx_t_4 = __pyx_v_st->nfixed;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_t = __pyx_t_6;
-
-      /* "etdom/_kernel/_fastcore.pyx":219
- *         ok = 1
- *         for t in range(st.nfixed):
- *             if g[st.fixed[t]] != st.fixed[t]:             # <<<<<<<<<<<<<<
- *                 ok = 0
- *                 break
-*/
-      __pyx_t_7 = ((__pyx_v_g[(__pyx_v_st->fixed[__pyx_v_t])]) != (__pyx_v_st->fixed[__pyx_v_t]));
-      if (__pyx_t_7) {
-
-        /* "etdom/_kernel/_fastcore.pyx":220
- *         for t in range(st.nfixed):
- *             if g[st.fixed[t]] != st.fixed[t]:
- *                 ok = 0             # <<<<<<<<<<<<<<
- *                 break
- *         if not ok:
-*/
-        __pyx_v_ok = 0;
-
-        /* "etdom/_kernel/_fastcore.pyx":221
- *             if g[st.fixed[t]] != st.fixed[t]:
- *                 ok = 0
- *                 break             # <<<<<<<<<<<<<<
- *         if not ok:
- *             continue
-*/
-        goto __pyx_L8_break;
-
-        /* "etdom/_kernel/_fastcore.pyx":219
- *         ok = 1
- *         for t in range(st.nfixed):
- *             if g[st.fixed[t]] != st.fixed[t]:             # <<<<<<<<<<<<<<
- *                 ok = 0
- *                 break
-*/
-      }
-    }
-    __pyx_L8_break:;
-
-    /* "etdom/_kernel/_fastcore.pyx":222
- *                 ok = 0
- *                 break
- *         if not ok:             # <<<<<<<<<<<<<<
- *             continue
- *         for v in range(n):
-*/
-    __pyx_t_7 = (!(__pyx_v_ok != 0));
-    if (__pyx_t_7) {
-
-      /* "etdom/_kernel/_fastcore.pyx":223
- *                 break
- *         if not ok:
- *             continue             # <<<<<<<<<<<<<<
- *         for v in range(n):
- *             a = _uf_find(rep, v)
-*/
-      goto __pyx_L5_continue;
-
-      /* "etdom/_kernel/_fastcore.pyx":222
- *                 ok = 0
- *                 break
- *         if not ok:             # <<<<<<<<<<<<<<
- *             continue
- *         for v in range(n):
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":224
- *         if not ok:
- *             continue
- *         for v in range(n):             # <<<<<<<<<<<<<<
- *             a = _uf_find(rep, v)
- *             b = _uf_find(rep, g[v])
-*/
-    __pyx_t_4 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_v = __pyx_t_6;
-
-      /* "etdom/_kernel/_fastcore.pyx":225
- *             continue
- *         for v in range(n):
- *             a = _uf_find(rep, v)             # <<<<<<<<<<<<<<
- *             b = _uf_find(rep, g[v])
- *             if a != b:
-*/
-      __pyx_v_a = __pyx_f_5etdom_7_kernel_9_fastcore__uf_find(__pyx_v_rep, __pyx_v_v);
-
-      /* "etdom/_kernel/_fastcore.pyx":226
- *         for v in range(n):
- *             a = _uf_find(rep, v)
- *             b = _uf_find(rep, g[v])             # <<<<<<<<<<<<<<
- *             if a != b:
- *                 if a < b:
-*/
-      __pyx_v_b = __pyx_f_5etdom_7_kernel_9_fastcore__uf_find(__pyx_v_rep, (__pyx_v_g[__pyx_v_v]));
-
-      /* "etdom/_kernel/_fastcore.pyx":227
- *             a = _uf_find(rep, v)
- *             b = _uf_find(rep, g[v])
- *             if a != b:             # <<<<<<<<<<<<<<
- *                 if a < b:
- *                     rep[b] = a
-*/
-      __pyx_t_7 = (__pyx_v_a != __pyx_v_b);
-      if (__pyx_t_7) {
-
-        /* "etdom/_kernel/_fastcore.pyx":228
- *             b = _uf_find(rep, g[v])
- *             if a != b:
- *                 if a < b:             # <<<<<<<<<<<<<<
- *                     rep[b] = a
- *                 else:
-*/
-        __pyx_t_7 = (__pyx_v_a < __pyx_v_b);
-        if (__pyx_t_7) {
-
-          /* "etdom/_kernel/_fastcore.pyx":229
- *             if a != b:
- *                 if a < b:
- *                     rep[b] = a             # <<<<<<<<<<<<<<
- *                 else:
- *                     rep[a] = b
-*/
-          (__pyx_v_rep[__pyx_v_b]) = __pyx_v_a;
-
-          /* "etdom/_kernel/_fastcore.pyx":228
- *             b = _uf_find(rep, g[v])
- *             if a != b:
- *                 if a < b:             # <<<<<<<<<<<<<<
- *                     rep[b] = a
- *                 else:
-*/
-          goto __pyx_L14;
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":231
- *                     rep[b] = a
- *                 else:
- *                     rep[a] = b             # <<<<<<<<<<<<<<
- *     for v in range(n):
- *         rep[v] = _uf_find(rep, v)
-*/
-        /*else*/ {
-          (__pyx_v_rep[__pyx_v_a]) = __pyx_v_b;
-        }
-        __pyx_L14:;
-
-        /* "etdom/_kernel/_fastcore.pyx":227
- *             a = _uf_find(rep, v)
- *             b = _uf_find(rep, g[v])
- *             if a != b:             # <<<<<<<<<<<<<<
- *                 if a < b:
- *                     rep[b] = a
-*/
-      }
-    }
-    __pyx_L5_continue:;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":232
- *                 else:
- *                     rep[a] = b
- *     for v in range(n):             # <<<<<<<<<<<<<<
- *         rep[v] = _uf_find(rep, v)
- * 
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_v = __pyx_t_3;
-
-    /* "etdom/_kernel/_fastcore.pyx":233
- *                     rep[a] = b
- *     for v in range(n):
- *         rep[v] = _uf_find(rep, v)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    (__pyx_v_rep[__pyx_v_v]) = __pyx_f_5etdom_7_kernel_9_fastcore__uf_find(__pyx_v_rep, __pyx_v_v);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":209
- * 
- * 
- * cdef void _orbit_reps_fixing(CState *st, int *rep) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int n = st.n
- *     cdef int v, gi, t, ok, a, b
-*/
-
-  /* function exit code */
-}
-
-/* "etdom/_kernel/_fastcore.pyx":236
- * 
- * 
- * cdef int _search(CState *st, unsigned long long *cells, int ncells) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int n = st.n
- *     cdef int depth = st.nfixed
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__search(struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *__pyx_v_st, unsigned PY_LONG_LONG *__pyx_v_cells, int __pyx_v_ncells) {
-  int __pyx_v_n;
-  int __pyx_v_depth;
-  int __pyx_v_target;
-  int __pyx_v_tsize;
-  int __pyx_v_i;
-  int __pyx_v_sz;
-  int __pyx_v_u;
-  int __pyx_v_t;
-  int __pyx_v_skip;
-  int __pyx_v_nc2;
-  int __pyx_v_r;
-  unsigned PY_LONG_LONG __pyx_v_cell;
-  unsigned PY_LONG_LONG __pyx_v_m;
-  unsigned PY_LONG_LONG __pyx_v_bit;
-  unsigned PY_LONG_LONG __pyx_v_child[64];
-  unsigned PY_LONG_LONG __pyx_v_queue[256];
-  int __pyx_v_tried[64];
-  int __pyx_v_rep[64];
-  int __pyx_v_ntried;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "etdom/_kernel/_fastcore.pyx":237
- * 
- * cdef int _search(CState *st, unsigned long long *cells, int ncells) noexcept nogil:
- *     cdef int n = st.n             # <<<<<<<<<<<<<<
- *     cdef int depth = st.nfixed
- *     cdef int target = -1, tsize = CMAXN + 1, i, sz, u, t, skip, nc2, r
-*/
-  __pyx_t_1 = __pyx_v_st->n;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":238
- * cdef int _search(CState *st, unsigned long long *cells, int ncells) noexcept nogil:
- *     cdef int n = st.n
- *     cdef int depth = st.nfixed             # <<<<<<<<<<<<<<
- *     cdef int target = -1, tsize = CMAXN + 1, i, sz, u, t, skip, nc2, r
- *     cdef unsigned long long cell, m, bit
-*/
-  __pyx_t_1 = __pyx_v_st->nfixed;
-  __pyx_v_depth = __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":239
- *     cdef int n = st.n
- *     cdef int depth = st.nfixed
- *     cdef int target = -1, tsize = CMAXN + 1, i, sz, u, t, skip, nc2, r             # <<<<<<<<<<<<<<
- *     cdef unsigned long long cell, m, bit
- *     cdef unsigned long long child[CMAXN]
-*/
-  __pyx_v_target = -1;
-  __pyx_v_tsize = 0x41;
-
-  /* "etdom/_kernel/_fastcore.pyx":245
- *     cdef int tried[CMAXN]
- *     cdef int rep[CMAXN]
- *     cdef int ntried = 0             # <<<<<<<<<<<<<<
- *     for i in range(ncells):
- *         sz = popcnt64(cells[i])
-*/
-  __pyx_v_ntried = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":246
- *     cdef int rep[CMAXN]
- *     cdef int ntried = 0
- *     for i in range(ncells):             # <<<<<<<<<<<<<<
- *         sz = popcnt64(cells[i])
- *         if 1 < sz < tsize:
-*/
-  __pyx_t_1 = __pyx_v_ncells;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "etdom/_kernel/_fastcore.pyx":247
- *     cdef int ntried = 0
- *     for i in range(ncells):
- *         sz = popcnt64(cells[i])             # <<<<<<<<<<<<<<
- *         if 1 < sz < tsize:
- *             tsize = sz
-*/
-    __pyx_v_sz = popcnt64((__pyx_v_cells[__pyx_v_i]));
-
-    /* "etdom/_kernel/_fastcore.pyx":248
- *     for i in range(ncells):
- *         sz = popcnt64(cells[i])
- *         if 1 < sz < tsize:             # <<<<<<<<<<<<<<
- *             tsize = sz
- *             target = i
-*/
-    __pyx_t_4 = (1 < __pyx_v_sz);
-    if (__pyx_t_4) {
-      __pyx_t_4 = (__pyx_v_sz < __pyx_v_tsize);
-    }
-    if (__pyx_t_4) {
-
-      /* "etdom/_kernel/_fastcore.pyx":249
- *         sz = popcnt64(cells[i])
- *         if 1 < sz < tsize:
- *             tsize = sz             # <<<<<<<<<<<<<<
- *             target = i
- *     if target < 0:
-*/
-      __pyx_v_tsize = __pyx_v_sz;
-
-      /* "etdom/_kernel/_fastcore.pyx":250
- *         if 1 < sz < tsize:
- *             tsize = sz
- *             target = i             # <<<<<<<<<<<<<<
- *     if target < 0:
- *         return _leaf(st, cells, ncells)
-*/
-      __pyx_v_target = __pyx_v_i;
-
-      /* "etdom/_kernel/_fastcore.pyx":248
- *     for i in range(ncells):
- *         sz = popcnt64(cells[i])
- *         if 1 < sz < tsize:             # <<<<<<<<<<<<<<
- *             tsize = sz
- *             target = i
-*/
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":251
- *             tsize = sz
- *             target = i
- *     if target < 0:             # <<<<<<<<<<<<<<
- *         return _leaf(st, cells, ncells)
- *     cell = cells[target]
-*/
-  __pyx_t_4 = (__pyx_v_target < 0);
-  if (__pyx_t_4) {
-
-    /* "etdom/_kernel/_fastcore.pyx":252
- *             target = i
- *     if target < 0:
- *         return _leaf(st, cells, ncells)             # <<<<<<<<<<<<<<
- *     cell = cells[target]
- *     m = cell
-*/
-    __pyx_r = __pyx_f_5etdom_7_kernel_9_fastcore__leaf(__pyx_v_st, __pyx_v_cells, __pyx_v_ncells);
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":251
- *             tsize = sz
- *             target = i
- *     if target < 0:             # <<<<<<<<<<<<<<
- *         return _leaf(st, cells, ncells)
- *     cell = cells[target]
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":253
- *     if target < 0:
- *         return _leaf(st, cells, ncells)
- *     cell = cells[target]             # <<<<<<<<<<<<<<
- *     m = cell
- *     while m:
-*/
-  __pyx_v_cell = (__pyx_v_cells[__pyx_v_target]);
-
-  /* "etdom/_kernel/_fastcore.pyx":254
- *         return _leaf(st, cells, ncells)
- *     cell = cells[target]
- *     m = cell             # <<<<<<<<<<<<<<
- *     while m:
- *         u = ctz64(m)
-*/
-  __pyx_v_m = __pyx_v_cell;
-
-  /* "etdom/_kernel/_fastcore.pyx":255
- *     cell = cells[target]
- *     m = cell
- *     while m:             # <<<<<<<<<<<<<<
- *         u = ctz64(m)
- *         m &= m - 1
-*/
-  while (1) {
-    __pyx_t_4 = (__pyx_v_m != 0);
-    if (!__pyx_t_4) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":256
- *     m = cell
- *     while m:
- *         u = ctz64(m)             # <<<<<<<<<<<<<<
- *         m &= m - 1
- *         bit = ONE << u
-*/
-    __pyx_v_u = ctz64(__pyx_v_m);
-
-    /* "etdom/_kernel/_fastcore.pyx":257
- *     while m:
- *         u = ctz64(m)
- *         m &= m - 1             # <<<<<<<<<<<<<<
- *         bit = ONE << u
- *         if ntried:
-*/
-    __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-    /* "etdom/_kernel/_fastcore.pyx":258
- *         u = ctz64(m)
- *         m &= m - 1
- *         bit = ONE << u             # <<<<<<<<<<<<<<
- *         if ntried:
- *             _orbit_reps_fixing(st, rep)
-*/
-    __pyx_v_bit = (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_u);
-
-    /* "etdom/_kernel/_fastcore.pyx":259
- *         m &= m - 1
- *         bit = ONE << u
- *         if ntried:             # <<<<<<<<<<<<<<
- *             _orbit_reps_fixing(st, rep)
- *             skip = 0
-*/
-    __pyx_t_4 = (__pyx_v_ntried != 0);
-    if (__pyx_t_4) {
-
-      /* "etdom/_kernel/_fastcore.pyx":260
- *         bit = ONE << u
- *         if ntried:
- *             _orbit_reps_fixing(st, rep)             # <<<<<<<<<<<<<<
- *             skip = 0
- *             for t in range(ntried):
-*/
-      __pyx_f_5etdom_7_kernel_9_fastcore__orbit_reps_fixing(__pyx_v_st, __pyx_v_rep);
-
-      /* "etdom/_kernel/_fastcore.pyx":261
- *         if ntried:
- *             _orbit_reps_fixing(st, rep)
- *             skip = 0             # <<<<<<<<<<<<<<
- *             for t in range(ntried):
- *                 if rep[u] == rep[tried[t]]:
-*/
-      __pyx_v_skip = 0;
-
-      /* "etdom/_kernel/_fastcore.pyx":262
- *             _orbit_reps_fixing(st, rep)
- *             skip = 0
- *             for t in range(ntried):             # <<<<<<<<<<<<<<
- *                 if rep[u] == rep[tried[t]]:
- *                     skip = 1
-*/
-      __pyx_t_1 = __pyx_v_ntried;
-      __pyx_t_2 = __pyx_t_1;
-      for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-        __pyx_v_t = __pyx_t_3;
-
-        /* "etdom/_kernel/_fastcore.pyx":263
- *             skip = 0
- *             for t in range(ntried):
- *                 if rep[u] == rep[tried[t]]:             # <<<<<<<<<<<<<<
- *                     skip = 1
- *                     break
-*/
-        __pyx_t_4 = ((__pyx_v_rep[__pyx_v_u]) == (__pyx_v_rep[(__pyx_v_tried[__pyx_v_t])]));
-        if (__pyx_t_4) {
-
-          /* "etdom/_kernel/_fastcore.pyx":264
- *             for t in range(ntried):
- *                 if rep[u] == rep[tried[t]]:
- *                     skip = 1             # <<<<<<<<<<<<<<
- *                     break
- *             if skip:
-*/
-          __pyx_v_skip = 1;
-
-          /* "etdom/_kernel/_fastcore.pyx":265
- *                 if rep[u] == rep[tried[t]]:
- *                     skip = 1
- *                     break             # <<<<<<<<<<<<<<
- *             if skip:
- *                 tried[ntried] = u
-*/
-          goto __pyx_L11_break;
-
-          /* "etdom/_kernel/_fastcore.pyx":263
- *             skip = 0
- *             for t in range(ntried):
- *                 if rep[u] == rep[tried[t]]:             # <<<<<<<<<<<<<<
- *                     skip = 1
- *                     break
-*/
-        }
-      }
-      __pyx_L11_break:;
-
-      /* "etdom/_kernel/_fastcore.pyx":266
- *                     skip = 1
- *                     break
- *             if skip:             # <<<<<<<<<<<<<<
- *                 tried[ntried] = u
- *                 ntried += 1
-*/
-      __pyx_t_4 = (__pyx_v_skip != 0);
-      if (__pyx_t_4) {
-
-        /* "etdom/_kernel/_fastcore.pyx":267
- *                     break
- *             if skip:
- *                 tried[ntried] = u             # <<<<<<<<<<<<<<
- *                 ntried += 1
- *                 continue
-*/
-        (__pyx_v_tried[__pyx_v_ntried]) = __pyx_v_u;
-
-        /* "etdom/_kernel/_fastcore.pyx":268
- *             if skip:
- *                 tried[ntried] = u
- *                 ntried += 1             # <<<<<<<<<<<<<<
- *                 continue
- *         memcpy(child, cells, target * sizeof(unsigned long long))
-*/
-        __pyx_v_ntried = (__pyx_v_ntried + 1);
-
-        /* "etdom/_kernel/_fastcore.pyx":269
- *                 tried[ntried] = u
- *                 ntried += 1
- *                 continue             # <<<<<<<<<<<<<<
- *         memcpy(child, cells, target * sizeof(unsigned long long))
- *         child[target] = bit
-*/
-        goto __pyx_L7_continue;
-
-        /* "etdom/_kernel/_fastcore.pyx":266
- *                     skip = 1
- *                     break
- *             if skip:             # <<<<<<<<<<<<<<
- *                 tried[ntried] = u
- *                 ntried += 1
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":259
- *         m &= m - 1
- *         bit = ONE << u
- *         if ntried:             # <<<<<<<<<<<<<<
- *             _orbit_reps_fixing(st, rep)
- *             skip = 0
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":270
- *                 ntried += 1
- *                 continue
- *         memcpy(child, cells, target * sizeof(unsigned long long))             # <<<<<<<<<<<<<<
- *         child[target] = bit
- *         child[target + 1] = cell ^ bit
-*/
-    (void)(memcpy(__pyx_v_child, __pyx_v_cells, (__pyx_v_target * (sizeof(unsigned PY_LONG_LONG)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":271
- *                 continue
- *         memcpy(child, cells, target * sizeof(unsigned long long))
- *         child[target] = bit             # <<<<<<<<<<<<<<
- *         child[target + 1] = cell ^ bit
- *         if ncells - target - 1 > 0:
-*/
-    (__pyx_v_child[__pyx_v_target]) = __pyx_v_bit;
-
-    /* "etdom/_kernel/_fastcore.pyx":272
- *         memcpy(child, cells, target * sizeof(unsigned long long))
- *         child[target] = bit
- *         child[target + 1] = cell ^ bit             # <<<<<<<<<<<<<<
- *         if ncells - target - 1 > 0:
- *             memcpy(child + target + 2, cells + target + 1,
-*/
-    (__pyx_v_child[(__pyx_v_target + 1)]) = (__pyx_v_cell ^ __pyx_v_bit);
-
-    /* "etdom/_kernel/_fastcore.pyx":273
- *         child[target] = bit
- *         child[target + 1] = cell ^ bit
- *         if ncells - target - 1 > 0:             # <<<<<<<<<<<<<<
- *             memcpy(child + target + 2, cells + target + 1,
- *                    (ncells - target - 1) * sizeof(unsigned long long))
-*/
-    __pyx_t_4 = (((__pyx_v_ncells - __pyx_v_target) - 1) > 0);
-    if (__pyx_t_4) {
-
-      /* "etdom/_kernel/_fastcore.pyx":274
- *         child[target + 1] = cell ^ bit
- *         if ncells - target - 1 > 0:
- *             memcpy(child + target + 2, cells + target + 1,             # <<<<<<<<<<<<<<
- *                    (ncells - target - 1) * sizeof(unsigned long long))
- *         nc2 = ncells + 1
-*/
-      (void)(memcpy(((__pyx_v_child + __pyx_v_target) + 2), ((__pyx_v_cells + __pyx_v_target) + 1), (((__pyx_v_ncells - __pyx_v_target) - 1) * (sizeof(unsigned PY_LONG_LONG)))));
-
-      /* "etdom/_kernel/_fastcore.pyx":273
- *         child[target] = bit
- *         child[target + 1] = cell ^ bit
- *         if ncells - target - 1 > 0:             # <<<<<<<<<<<<<<
- *             memcpy(child + target + 2, cells + target + 1,
- *                    (ncells - target - 1) * sizeof(unsigned long long))
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":276
- *             memcpy(child + target + 2, cells + target + 1,
- *                    (ncells - target - 1) * sizeof(unsigned long long))
- *         nc2 = ncells + 1             # <<<<<<<<<<<<<<
- *         queue[0] = bit
- *         queue[1] = cell ^ bit
-*/
-    __pyx_v_nc2 = (__pyx_v_ncells + 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":277
- *                    (ncells - target - 1) * sizeof(unsigned long long))
- *         nc2 = ncells + 1
- *         queue[0] = bit             # <<<<<<<<<<<<<<
- *         queue[1] = cell ^ bit
- *         _refine(n, st.adj, child, &nc2, queue, 2)
-*/
-    (__pyx_v_queue[0]) = __pyx_v_bit;
-
-    /* "etdom/_kernel/_fastcore.pyx":278
- *         nc2 = ncells + 1
- *         queue[0] = bit
- *         queue[1] = cell ^ bit             # <<<<<<<<<<<<<<
- *         _refine(n, st.adj, child, &nc2, queue, 2)
- *         st.fixed[st.nfixed] = u
-*/
-    (__pyx_v_queue[1]) = (__pyx_v_cell ^ __pyx_v_bit);
-
-    /* "etdom/_kernel/_fastcore.pyx":279
- *         queue[0] = bit
- *         queue[1] = cell ^ bit
- *         _refine(n, st.adj, child, &nc2, queue, 2)             # <<<<<<<<<<<<<<
- *         st.fixed[st.nfixed] = u
- *         st.nfixed += 1
-*/
-    __pyx_f_5etdom_7_kernel_9_fastcore__refine(__pyx_v_n, __pyx_v_st->adj, __pyx_v_child, (&__pyx_v_nc2), __pyx_v_queue, 2);
-
-    /* "etdom/_kernel/_fastcore.pyx":280
- *         queue[1] = cell ^ bit
- *         _refine(n, st.adj, child, &nc2, queue, 2)
- *         st.fixed[st.nfixed] = u             # <<<<<<<<<<<<<<
- *         st.nfixed += 1
- *         r = _search(st, child, nc2)
-*/
-    (__pyx_v_st->fixed[__pyx_v_st->nfixed]) = __pyx_v_u;
-
-    /* "etdom/_kernel/_fastcore.pyx":281
- *         _refine(n, st.adj, child, &nc2, queue, 2)
- *         st.fixed[st.nfixed] = u
- *         st.nfixed += 1             # <<<<<<<<<<<<<<
- *         r = _search(st, child, nc2)
- *         st.nfixed -= 1
-*/
-    __pyx_v_st->nfixed = (__pyx_v_st->nfixed + 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":282
- *         st.fixed[st.nfixed] = u
- *         st.nfixed += 1
- *         r = _search(st, child, nc2)             # <<<<<<<<<<<<<<
- *         st.nfixed -= 1
- *         tried[ntried] = u
-*/
-    __pyx_v_r = __pyx_f_5etdom_7_kernel_9_fastcore__search(__pyx_v_st, __pyx_v_child, __pyx_v_nc2);
-
-    /* "etdom/_kernel/_fastcore.pyx":283
- *         st.nfixed += 1
- *         r = _search(st, child, nc2)
- *         st.nfixed -= 1             # <<<<<<<<<<<<<<
- *         tried[ntried] = u
- *         ntried += 1
-*/
-    __pyx_v_st->nfixed = (__pyx_v_st->nfixed - 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":284
- *         r = _search(st, child, nc2)
- *         st.nfixed -= 1
- *         tried[ntried] = u             # <<<<<<<<<<<<<<
- *         ntried += 1
- *         if r < depth:
-*/
-    (__pyx_v_tried[__pyx_v_ntried]) = __pyx_v_u;
-
-    /* "etdom/_kernel/_fastcore.pyx":285
- *         st.nfixed -= 1
- *         tried[ntried] = u
- *         ntried += 1             # <<<<<<<<<<<<<<
- *         if r < depth:
- *             return r
-*/
-    __pyx_v_ntried = (__pyx_v_ntried + 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":286
- *         tried[ntried] = u
- *         ntried += 1
- *         if r < depth:             # <<<<<<<<<<<<<<
- *             return r
- *     return n + 1
-*/
-    __pyx_t_4 = (__pyx_v_r < __pyx_v_depth);
-    if (__pyx_t_4) {
-
-      /* "etdom/_kernel/_fastcore.pyx":287
- *         ntried += 1
- *         if r < depth:
- *             return r             # <<<<<<<<<<<<<<
- *     return n + 1
- * 
-*/
-      __pyx_r = __pyx_v_r;
-      goto __pyx_L0;
-
-      /* "etdom/_kernel/_fastcore.pyx":286
- *         tried[ntried] = u
- *         ntried += 1
- *         if r < depth:             # <<<<<<<<<<<<<<
- *             return r
- *     return n + 1
-*/
-    }
-    __pyx_L7_continue:;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":288
- *         if r < depth:
- *             return r
- *     return n + 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_n + 1);
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":236
- * 
- * 
- * cdef int _search(CState *st, unsigned long long *cells, int ncells) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int n = st.n
- *     cdef int depth = st.nfixed
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":291
- * 
- * 
- * cdef int _canon_core(int n, unsigned long long *adj, CState *st) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef unsigned long long cells[CMAXN]
- *     cdef unsigned long long queue[QCAP]
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__canon_core(int __pyx_v_n, unsigned PY_LONG_LONG *__pyx_v_adj, struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *__pyx_v_st) {
-  unsigned PY_LONG_LONG __pyx_v_cells[64];
-  unsigned PY_LONG_LONG __pyx_v_queue[256];
-  int __pyx_v_ncells;
-  int __pyx_r;
-
-  /* "etdom/_kernel/_fastcore.pyx":294
- *     cdef unsigned long long cells[CMAXN]
- *     cdef unsigned long long queue[QCAP]
- *     cdef int ncells = 1             # <<<<<<<<<<<<<<
- *     st.n = n
- *     st.adj = adj
-*/
-  __pyx_v_ncells = 1;
-
-  /* "etdom/_kernel/_fastcore.pyx":295
- *     cdef unsigned long long queue[QCAP]
- *     cdef int ncells = 1
- *     st.n = n             # <<<<<<<<<<<<<<
- *     st.adj = adj
- *     st.has_best = 0
-*/
-  __pyx_v_st->n = __pyx_v_n;
-
-  /* "etdom/_kernel/_fastcore.pyx":296
- *     cdef int ncells = 1
- *     st.n = n
- *     st.adj = adj             # <<<<<<<<<<<<<<
- *     st.has_best = 0
- *     st.has_first = 0
-*/
-  __pyx_v_st->adj = __pyx_v_adj;
-
-  /* "etdom/_kernel/_fastcore.pyx":297
- *     st.n = n
- *     st.adj = adj
- *     st.has_best = 0             # <<<<<<<<<<<<<<
- *     st.has_first = 0
- *     st.ngens = 0
-*/
-  __pyx_v_st->has_best = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":298
- *     st.adj = adj
- *     st.has_best = 0
- *     st.has_first = 0             # <<<<<<<<<<<<<<
- *     st.ngens = 0
- *     st.overflow = 0
-*/
-  __pyx_v_st->has_first = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":299
- *     st.has_best = 0
- *     st.has_first = 0
- *     st.ngens = 0             # <<<<<<<<<<<<<<
- *     st.overflow = 0
- *     st.nfixed = 0
-*/
-  __pyx_v_st->ngens = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":300
- *     st.has_first = 0
- *     st.ngens = 0
- *     st.overflow = 0             # <<<<<<<<<<<<<<
- *     st.nfixed = 0
- *     cells[0] = _full_mask(n)
-*/
-  __pyx_v_st->overflow = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":301
- *     st.ngens = 0
- *     st.overflow = 0
- *     st.nfixed = 0             # <<<<<<<<<<<<<<
- *     cells[0] = _full_mask(n)
- *     queue[0] = cells[0]
-*/
-  __pyx_v_st->nfixed = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":302
- *     st.overflow = 0
- *     st.nfixed = 0
- *     cells[0] = _full_mask(n)             # <<<<<<<<<<<<<<
- *     queue[0] = cells[0]
- *     _refine(n, adj, cells, &ncells, queue, 1)
-*/
-  (__pyx_v_cells[0]) = __pyx_f_5etdom_7_kernel_9_fastcore__full_mask(__pyx_v_n);
-
-  /* "etdom/_kernel/_fastcore.pyx":303
- *     st.nfixed = 0
- *     cells[0] = _full_mask(n)
- *     queue[0] = cells[0]             # <<<<<<<<<<<<<<
- *     _refine(n, adj, cells, &ncells, queue, 1)
- *     _search(st, cells, ncells)
-*/
-  (__pyx_v_queue[0]) = (__pyx_v_cells[0]);
-
-  /* "etdom/_kernel/_fastcore.pyx":304
- *     cells[0] = _full_mask(n)
- *     queue[0] = cells[0]
- *     _refine(n, adj, cells, &ncells, queue, 1)             # <<<<<<<<<<<<<<
- *     _search(st, cells, ncells)
- *     return st.overflow
-*/
-  __pyx_f_5etdom_7_kernel_9_fastcore__refine(__pyx_v_n, __pyx_v_adj, __pyx_v_cells, (&__pyx_v_ncells), __pyx_v_queue, 1);
-
-  /* "etdom/_kernel/_fastcore.pyx":305
- *     queue[0] = cells[0]
- *     _refine(n, adj, cells, &ncells, queue, 1)
- *     _search(st, cells, ncells)             # <<<<<<<<<<<<<<
- *     return st.overflow
- * 
-*/
-  (void)(__pyx_f_5etdom_7_kernel_9_fastcore__search(__pyx_v_st, __pyx_v_cells, __pyx_v_ncells));
-
-  /* "etdom/_kernel/_fastcore.pyx":306
- *     _refine(n, adj, cells, &ncells, queue, 1)
- *     _search(st, cells, ncells)
- *     return st.overflow             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_st->overflow;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":291
- * 
- * 
- * cdef int _canon_core(int n, unsigned long long *adj, CState *st) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef unsigned long long cells[CMAXN]
- *     cdef unsigned long long queue[QCAP]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":309
- * 
- * 
- * cdef int _canon_retry(int n, unsigned long long *adj, CState *st) except -1:             # <<<<<<<<<<<<<<
- *     """Run the search, growing the generator buffer on overflow."""
- *     cdef int cap = 128
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__canon_retry(int __pyx_v_n, unsigned PY_LONG_LONG *__pyx_v_adj, struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *__pyx_v_st) {
-  int __pyx_v_cap;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":311
- * cdef int _canon_retry(int n, unsigned long long *adj, CState *st) except -1:
- *     """Run the search, growing the generator buffer on overflow."""
- *     cdef int cap = 128             # <<<<<<<<<<<<<<
- *     st.gens = <int *> malloc(cap * CMAXN * sizeof(int))
- *     if st.gens == NULL:
-*/
-  __pyx_v_cap = 0x80;
-
-  /* "etdom/_kernel/_fastcore.pyx":312
- *     """Run the search, growing the generator buffer on overflow."""
- *     cdef int cap = 128
- *     st.gens = <int *> malloc(cap * CMAXN * sizeof(int))             # <<<<<<<<<<<<<<
- *     if st.gens == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_st->gens = ((int *)malloc(((__pyx_v_cap * 64) * (sizeof(int)))));
-
-  /* "etdom/_kernel/_fastcore.pyx":313
- *     cdef int cap = 128
- *     st.gens = <int *> malloc(cap * CMAXN * sizeof(int))
- *     if st.gens == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     st.gens_cap = cap
-*/
-  __pyx_t_1 = (__pyx_v_st->gens == NULL);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "etdom/_kernel/_fastcore.pyx":314
- *     st.gens = <int *> malloc(cap * CMAXN * sizeof(int))
- *     if st.gens == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     st.gens_cap = cap
- *     while True:
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 314, __pyx_L1_error)
-
-    /* "etdom/_kernel/_fastcore.pyx":313
- *     cdef int cap = 128
- *     st.gens = <int *> malloc(cap * CMAXN * sizeof(int))
- *     if st.gens == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     st.gens_cap = cap
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":315
- *     if st.gens == NULL:
- *         raise MemoryError()
- *     st.gens_cap = cap             # <<<<<<<<<<<<<<
- *     while True:
- *         if _canon_core(n, adj, st) == 0:
-*/
-  __pyx_v_st->gens_cap = __pyx_v_cap;
-
-  /* "etdom/_kernel/_fastcore.pyx":316
- *         raise MemoryError()
- *     st.gens_cap = cap
- *     while True:             # <<<<<<<<<<<<<<
- *         if _canon_core(n, adj, st) == 0:
- *             return 0
-*/
-  while (1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":317
- *     st.gens_cap = cap
- *     while True:
- *         if _canon_core(n, adj, st) == 0:             # <<<<<<<<<<<<<<
- *             return 0
- *         cap *= 2
-*/
-    __pyx_t_1 = (__pyx_f_5etdom_7_kernel_9_fastcore__canon_core(__pyx_v_n, __pyx_v_adj, __pyx_v_st) == 0);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":318
- *     while True:
- *         if _canon_core(n, adj, st) == 0:
- *             return 0             # <<<<<<<<<<<<<<
- *         cap *= 2
- *         free(st.gens)
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "etdom/_kernel/_fastcore.pyx":317
- *     st.gens_cap = cap
- *     while True:
- *         if _canon_core(n, adj, st) == 0:             # <<<<<<<<<<<<<<
- *             return 0
- *         cap *= 2
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":319
- *         if _canon_core(n, adj, st) == 0:
- *             return 0
- *         cap *= 2             # <<<<<<<<<<<<<<
- *         free(st.gens)
- *         st.gens = <int *> malloc(cap * CMAXN * sizeof(int))
-*/
-    __pyx_v_cap = (__pyx_v_cap * 2);
-
-    /* "etdom/_kernel/_fastcore.pyx":320
- *             return 0
- *         cap *= 2
- *         free(st.gens)             # <<<<<<<<<<<<<<
- *         st.gens = <int *> malloc(cap * CMAXN * sizeof(int))
- *         if st.gens == NULL:
-*/
-    free(__pyx_v_st->gens);
-
-    /* "etdom/_kernel/_fastcore.pyx":321
- *         cap *= 2
- *         free(st.gens)
- *         st.gens = <int *> malloc(cap * CMAXN * sizeof(int))             # <<<<<<<<<<<<<<
- *         if st.gens == NULL:
- *             raise MemoryError()
-*/
-    __pyx_v_st->gens = ((int *)malloc(((__pyx_v_cap * 64) * (sizeof(int)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":322
- *         free(st.gens)
- *         st.gens = <int *> malloc(cap * CMAXN * sizeof(int))
- *         if st.gens == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         st.gens_cap = cap
-*/
-    __pyx_t_1 = (__pyx_v_st->gens == NULL);
-    if (unlikely(__pyx_t_1)) {
-
-      /* "etdom/_kernel/_fastcore.pyx":323
- *         st.gens = <int *> malloc(cap * CMAXN * sizeof(int))
- *         if st.gens == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         st.gens_cap = cap
- * 
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 323, __pyx_L1_error)
-
-      /* "etdom/_kernel/_fastcore.pyx":322
- *         free(st.gens)
- *         st.gens = <int *> malloc(cap * CMAXN * sizeof(int))
- *         if st.gens == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         st.gens_cap = cap
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":324
- *         if st.gens == NULL:
- *             raise MemoryError()
- *         st.gens_cap = cap             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_v_st->gens_cap = __pyx_v_cap;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":309
- * 
- * 
- * cdef int _canon_retry(int n, unsigned long long *adj, CState *st) except -1:             # <<<<<<<<<<<<<<
- *     """Run the search, growing the generator buffer on overflow."""
- *     cdef int cap = 128
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("etdom._kernel._fastcore._canon_retry", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":327
- * 
- * 
- * cdef void _orbit_reps_all(CState *st, int *rep) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int save = st.nfixed
- *     st.nfixed = 0
-*/
-
-static void __pyx_f_5etdom_7_kernel_9_fastcore__orbit_reps_all(struct __pyx_t_5etdom_7_kernel_9_fastcore_CState *__pyx_v_st, int *__pyx_v_rep) {
-  int __pyx_v_save;
-  int __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":328
- * 
- * cdef void _orbit_reps_all(CState *st, int *rep) noexcept nogil:
- *     cdef int save = st.nfixed             # <<<<<<<<<<<<<<
- *     st.nfixed = 0
- *     _orbit_reps_fixing(st, rep)
-*/
-  __pyx_t_1 = __pyx_v_st->nfixed;
-  __pyx_v_save = __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":329
- * cdef void _orbit_reps_all(CState *st, int *rep) noexcept nogil:
- *     cdef int save = st.nfixed
- *     st.nfixed = 0             # <<<<<<<<<<<<<<
- *     _orbit_reps_fixing(st, rep)
- *     st.nfixed = save
-*/
-  __pyx_v_st->nfixed = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":330
- *     cdef int save = st.nfixed
- *     st.nfixed = 0
- *     _orbit_reps_fixing(st, rep)             # <<<<<<<<<<<<<<
- *     st.nfixed = save
- * 
-*/
-  __pyx_f_5etdom_7_kernel_9_fastcore__orbit_reps_fixing(__pyx_v_st, __pyx_v_rep);
-
-  /* "etdom/_kernel/_fastcore.pyx":331
- *     st.nfixed = 0
- *     _orbit_reps_fixing(st, rep)
- *     st.nfixed = save             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_st->nfixed = __pyx_v_save;
-
-  /* "etdom/_kernel/_fastcore.pyx":327
- * 
- * 
- * cdef void _orbit_reps_all(CState *st, int *rep) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int save = st.nfixed
- *     st.nfixed = 0
-*/
-
-  /* function exit code */
-}
-
-/* "etdom/_kernel/_fastcore.pyx":334
- * 
- * 
- * def canon(int n, adj):             # <<<<<<<<<<<<<<
- *     """(cert, pos, orbit, gens) exactly as the pure backend returns them."""
- *     if n == 0:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_1canon(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_5etdom_7_kernel_9_fastcore_canon, "(cert, pos, orbit, gens) exactly as the pure backend returns them.");
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_1canon = {"canon", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_1canon, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_5etdom_7_kernel_9_fastcore_canon};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_1canon(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("canon (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 334, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 334, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 334, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "canon", 0) < (0)) __PYX_ERR(0, 334, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("canon", 1, 2, 2, i); __PYX_ERR(0, 334, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 334, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 334, __pyx_L3_error)
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 334, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("canon", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 334, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.canon", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_canon(__pyx_self, __pyx_v_n, __pyx_v_adj);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_5etdom_7_kernel_9_fastcore_5canon_2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "etdom/_kernel/_fastcore.pyx":346
- *     cdef int rep[CMAXN]
- *     _orbit_reps_all(&st, rep)
- *     cert = tuple(st.best_cert[i] for i in range(n))             # <<<<<<<<<<<<<<
- *     pos = [st.best_pos[i] for i in range(n)]
- *     orbit = [rep[i] for i in range(n)]
-*/
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_5canon_genexpr(PyObject *__pyx_self, int __pyx_genexpr_arg_0) {
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *)__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr(__pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 346, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_outer_scope = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon *) __pyx_self;
-  __Pyx_INCREF((PyObject *)__pyx_cur_scope->__pyx_outer_scope);
-  __Pyx_GIVEREF((PyObject *)__pyx_cur_scope->__pyx_outer_scope);
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_5etdom_7_kernel_9_fastcore_5canon_2generator, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_canon_locals_genexpr, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore); if (unlikely(!gen)) __PYX_ERR(0, 346, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("etdom._kernel._fastcore.canon.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_5etdom_7_kernel_9_fastcore_5canon_2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
-{
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *__pyx_cur_scope = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 346, __pyx_L1_error)
-  }
-  __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_cur_scope->__pyx_v_i = __pyx_t_3;
-    __pyx_t_4 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_cur_scope->__pyx_outer_scope->__pyx_v_st.best_cert[__pyx_cur_scope->__pyx_v_i])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 346, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 346, __pyx_L1_error)
-  }
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":334
- * 
- * 
- * def canon(int n, adj):             # <<<<<<<<<<<<<<
- *     """(cert, pos, orbit, gens) exactly as the pure backend returns them."""
- *     if n == 0:
-*/
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_canon(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj) {
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon *__pyx_cur_scope;
-  unsigned PY_LONG_LONG __pyx_v_cadj[64];
-  int __pyx_v_i;
-  int __pyx_v_gi;
-  int __pyx_v_rep[64];
-  PyObject *__pyx_v_cert = NULL;
-  PyObject *__pyx_v_pos = NULL;
-  PyObject *__pyx_v_orbit = NULL;
-  PyObject *__pyx_v_gens = NULL;
-  PyObject *__pyx_gb_5etdom_7_kernel_9_fastcore_5canon_2generator = 0;
-  int __pyx_8genexpr1__pyx_v_i;
-  int __pyx_8genexpr2__pyx_v_i;
-  int __pyx_8genexpr3__pyx_v_v;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  unsigned PY_LONG_LONG __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("canon", 0);
-  __pyx_cur_scope = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon *)__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon(__pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 334, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":336
- * def canon(int n, adj):
- *     """(cert, pos, orbit, gens) exactly as the pure backend returns them."""
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return (), [], [], []
- *     cdef unsigned long long cadj[CMAXN]
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":337
- *     """(cert, pos, orbit, gens) exactly as the pure backend returns them."""
- *     if n == 0:
- *         return (), [], [], []             # <<<<<<<<<<<<<<
- *     cdef unsigned long long cadj[CMAXN]
- *     cdef int i, v, gi
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 337, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 337, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 337, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = PyTuple_New(4); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 337, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_empty_tuple);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_empty_tuple);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_mstate_global->__pyx_empty_tuple) != (0)) __PYX_ERR(0, 337, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_2);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_2) != (0)) __PYX_ERR(0, 337, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_3);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 337, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_4);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 3, __pyx_t_4) != (0)) __PYX_ERR(0, 337, __pyx_L1_error);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = 0;
-    __pyx_t_4 = 0;
-    __pyx_r = __pyx_t_5;
-    __pyx_t_5 = 0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":336
- * def canon(int n, adj):
- *     """(cert, pos, orbit, gens) exactly as the pure backend returns them."""
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return (), [], [], []
- *     cdef unsigned long long cadj[CMAXN]
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":340
- *     cdef unsigned long long cadj[CMAXN]
- *     cdef int i, v, gi
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         cadj[i] = adj[i]
- *     cdef CState st
-*/
-  __pyx_t_6 = __pyx_v_n;
-  __pyx_t_7 = __pyx_t_6;
-  for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_i = __pyx_t_8;
-
-    /* "etdom/_kernel/_fastcore.pyx":341
- *     cdef int i, v, gi
- *     for i in range(n):
- *         cadj[i] = adj[i]             # <<<<<<<<<<<<<<
- *     cdef CState st
- *     _canon_retry(n, cadj, &st)
-*/
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_adj, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 341, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_9 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_5); if (unlikely((__pyx_t_9 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 341, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    (__pyx_v_cadj[__pyx_v_i]) = __pyx_t_9;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":343
- *         cadj[i] = adj[i]
- *     cdef CState st
- *     _canon_retry(n, cadj, &st)             # <<<<<<<<<<<<<<
- *     cdef int rep[CMAXN]
- *     _orbit_reps_all(&st, rep)
-*/
-  __pyx_t_6 = __pyx_f_5etdom_7_kernel_9_fastcore__canon_retry(__pyx_v_n, __pyx_v_cadj, (&__pyx_cur_scope->__pyx_v_st)); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 343, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":345
- *     _canon_retry(n, cadj, &st)
- *     cdef int rep[CMAXN]
- *     _orbit_reps_all(&st, rep)             # <<<<<<<<<<<<<<
- *     cert = tuple(st.best_cert[i] for i in range(n))
- *     pos = [st.best_pos[i] for i in range(n)]
-*/
-  __pyx_f_5etdom_7_kernel_9_fastcore__orbit_reps_all((&__pyx_cur_scope->__pyx_v_st), __pyx_v_rep);
-
-  /* "etdom/_kernel/_fastcore.pyx":346
- *     cdef int rep[CMAXN]
- *     _orbit_reps_all(&st, rep)
- *     cert = tuple(st.best_cert[i] for i in range(n))             # <<<<<<<<<<<<<<
- *     pos = [st.best_pos[i] for i in range(n)]
- *     orbit = [rep[i] for i in range(n)]
-*/
-  __pyx_t_5 = __pyx_pf_5etdom_7_kernel_9_fastcore_5canon_genexpr(((PyObject*)__pyx_cur_scope), __pyx_v_n); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 346, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_4 = __Pyx_PySequence_Tuple(__pyx_t_5); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 346, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_v_cert = ((PyObject*)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":347
- *     _orbit_reps_all(&st, rep)
- *     cert = tuple(st.best_cert[i] for i in range(n))
- *     pos = [st.best_pos[i] for i in range(n)]             # <<<<<<<<<<<<<<
- *     orbit = [rep[i] for i in range(n)]
- *     gens = []
-*/
-  { /* enter inner scope */
-    __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 347, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_6 = __pyx_v_n;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_8genexpr1__pyx_v_i = __pyx_t_8;
-      __pyx_t_5 = __Pyx_PyLong_From_int((__pyx_cur_scope->__pyx_v_st.best_pos[__pyx_8genexpr1__pyx_v_i])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 347, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_4, (PyObject*)__pyx_t_5))) __PYX_ERR(0, 347, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    }
-  } /* exit inner scope */
-  __pyx_v_pos = ((PyObject*)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":348
- *     cert = tuple(st.best_cert[i] for i in range(n))
- *     pos = [st.best_pos[i] for i in range(n)]
- *     orbit = [rep[i] for i in range(n)]             # <<<<<<<<<<<<<<
- *     gens = []
- *     for gi in range(st.ngens):
-*/
-  { /* enter inner scope */
-    __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 348, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_6 = __pyx_v_n;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_8genexpr2__pyx_v_i = __pyx_t_8;
-      __pyx_t_5 = __Pyx_PyLong_From_int((__pyx_v_rep[__pyx_8genexpr2__pyx_v_i])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 348, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_4, (PyObject*)__pyx_t_5))) __PYX_ERR(0, 348, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    }
-  } /* exit inner scope */
-  __pyx_v_orbit = ((PyObject*)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":349
- *     pos = [st.best_pos[i] for i in range(n)]
- *     orbit = [rep[i] for i in range(n)]
- *     gens = []             # <<<<<<<<<<<<<<
- *     for gi in range(st.ngens):
- *         gens.append([st.gens[gi * CMAXN + v] for v in range(n)])
-*/
-  __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 349, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_gens = ((PyObject*)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":350
- *     orbit = [rep[i] for i in range(n)]
- *     gens = []
- *     for gi in range(st.ngens):             # <<<<<<<<<<<<<<
- *         gens.append([st.gens[gi * CMAXN + v] for v in range(n)])
- *     free(st.gens)
-*/
-  __pyx_t_6 = __pyx_cur_scope->__pyx_v_st.ngens;
-  __pyx_t_7 = __pyx_t_6;
-  for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_gi = __pyx_t_8;
-
-    /* "etdom/_kernel/_fastcore.pyx":351
- *     gens = []
- *     for gi in range(st.ngens):
- *         gens.append([st.gens[gi * CMAXN + v] for v in range(n)])             # <<<<<<<<<<<<<<
- *     free(st.gens)
- *     return cert, pos, orbit, gens
-*/
-    { /* enter inner scope */
-      __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 351, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_10 = __pyx_v_n;
-      __pyx_t_11 = __pyx_t_10;
-      for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-        __pyx_8genexpr3__pyx_v_v = __pyx_t_12;
-        __pyx_t_5 = __Pyx_PyLong_From_int((__pyx_cur_scope->__pyx_v_st.gens[((__pyx_v_gi * 64) + __pyx_8genexpr3__pyx_v_v)])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 351, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_4, (PyObject*)__pyx_t_5))) __PYX_ERR(0, 351, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      }
-    } /* exit inner scope */
-    __pyx_t_13 = __Pyx_PyList_Append(__pyx_v_gens, __pyx_t_4); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 351, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":352
- *     for gi in range(st.ngens):
- *         gens.append([st.gens[gi * CMAXN + v] for v in range(n)])
- *     free(st.gens)             # <<<<<<<<<<<<<<
- *     return cert, pos, orbit, gens
- * 
-*/
-  free(__pyx_cur_scope->__pyx_v_st.gens);
-
-  /* "etdom/_kernel/_fastcore.pyx":353
- *         gens.append([st.gens[gi * CMAXN + v] for v in range(n)])
- *     free(st.gens)
- *     return cert, pos, orbit, gens             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = PyTuple_New(4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 353, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_INCREF(__pyx_v_cert);
-  __Pyx_GIVEREF(__pyx_v_cert);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_v_cert) != (0)) __PYX_ERR(0, 353, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_pos);
-  __Pyx_GIVEREF(__pyx_v_pos);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, __pyx_v_pos) != (0)) __PYX_ERR(0, 353, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_orbit);
-  __Pyx_GIVEREF(__pyx_v_orbit);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_v_orbit) != (0)) __PYX_ERR(0, 353, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_gens);
-  __Pyx_GIVEREF(__pyx_v_gens);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 3, __pyx_v_gens) != (0)) __PYX_ERR(0, 353, __pyx_L1_error);
-  __pyx_r = __pyx_t_4;
-  __pyx_t_4 = 0;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":334
- * 
- * 
- * def canon(int n, adj):             # <<<<<<<<<<<<<<
- *     """(cert, pos, orbit, gens) exactly as the pure backend returns them."""
- *     if n == 0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.canon", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_cert);
-  __Pyx_XDECREF(__pyx_v_pos);
-  __Pyx_XDECREF(__pyx_v_orbit);
-  __Pyx_XDECREF(__pyx_v_gens);
-  __Pyx_XDECREF(__pyx_gb_5etdom_7_kernel_9_fastcore_5canon_2generator);
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":365
- * 
- * 
- * cdef void _mc_expand(CliqueCtx *cc, int size, unsigned long long pool) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int order[CMAXN]
- *     cdef int bounds[CMAXN]
-*/
-
-static void __pyx_f_5etdom_7_kernel_9_fastcore__mc_expand(struct __pyx_t_5etdom_7_kernel_9_fastcore_CliqueCtx *__pyx_v_cc, int __pyx_v_size, unsigned PY_LONG_LONG __pyx_v_pool) {
-  int __pyx_v_order[64];
-  int __pyx_v_bounds[64];
-  int __pyx_v_cnt;
-  int __pyx_v_colour;
-  int __pyx_v_v;
-  int __pyx_v_i;
-  unsigned PY_LONG_LONG __pyx_v_remaining;
-  unsigned PY_LONG_LONG __pyx_v_avail;
-  unsigned PY_LONG_LONG __pyx_v_nxt;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "etdom/_kernel/_fastcore.pyx":368
- *     cdef int order[CMAXN]
- *     cdef int bounds[CMAXN]
- *     cdef int cnt = 0, colour = 0, v, i             # <<<<<<<<<<<<<<
- *     cdef unsigned long long remaining = pool, avail, nxt
- *     while remaining:
-*/
-  __pyx_v_cnt = 0;
-  __pyx_v_colour = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":369
- *     cdef int bounds[CMAXN]
- *     cdef int cnt = 0, colour = 0, v, i
- *     cdef unsigned long long remaining = pool, avail, nxt             # <<<<<<<<<<<<<<
- *     while remaining:
- *         colour += 1
-*/
-  __pyx_v_remaining = __pyx_v_pool;
-
-  /* "etdom/_kernel/_fastcore.pyx":370
- *     cdef int cnt = 0, colour = 0, v, i
- *     cdef unsigned long long remaining = pool, avail, nxt
- *     while remaining:             # <<<<<<<<<<<<<<
- *         colour += 1
- *         avail = remaining
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_remaining != 0);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":371
- *     cdef unsigned long long remaining = pool, avail, nxt
- *     while remaining:
- *         colour += 1             # <<<<<<<<<<<<<<
- *         avail = remaining
- *         while avail:
-*/
-    __pyx_v_colour = (__pyx_v_colour + 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":372
- *     while remaining:
- *         colour += 1
- *         avail = remaining             # <<<<<<<<<<<<<<
- *         while avail:
- *             v = ctz64(avail)
-*/
-    __pyx_v_avail = __pyx_v_remaining;
-
-    /* "etdom/_kernel/_fastcore.pyx":373
- *         colour += 1
- *         avail = remaining
- *         while avail:             # <<<<<<<<<<<<<<
- *             v = ctz64(avail)
- *             order[cnt] = v
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_avail != 0);
-      if (!__pyx_t_1) break;
-
-      /* "etdom/_kernel/_fastcore.pyx":374
- *         avail = remaining
- *         while avail:
- *             v = ctz64(avail)             # <<<<<<<<<<<<<<
- *             order[cnt] = v
- *             bounds[cnt] = colour
-*/
-      __pyx_v_v = ctz64(__pyx_v_avail);
-
-      /* "etdom/_kernel/_fastcore.pyx":375
- *         while avail:
- *             v = ctz64(avail)
- *             order[cnt] = v             # <<<<<<<<<<<<<<
- *             bounds[cnt] = colour
- *             cnt += 1
-*/
-      (__pyx_v_order[__pyx_v_cnt]) = __pyx_v_v;
-
-      /* "etdom/_kernel/_fastcore.pyx":376
- *             v = ctz64(avail)
- *             order[cnt] = v
- *             bounds[cnt] = colour             # <<<<<<<<<<<<<<
- *             cnt += 1
- *             avail &= ~cc.adj[v]
-*/
-      (__pyx_v_bounds[__pyx_v_cnt]) = __pyx_v_colour;
-
-      /* "etdom/_kernel/_fastcore.pyx":377
- *             order[cnt] = v
- *             bounds[cnt] = colour
- *             cnt += 1             # <<<<<<<<<<<<<<
- *             avail &= ~cc.adj[v]
- *             avail &= ~(ONE << v)
-*/
-      __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-      /* "etdom/_kernel/_fastcore.pyx":378
- *             bounds[cnt] = colour
- *             cnt += 1
- *             avail &= ~cc.adj[v]             # <<<<<<<<<<<<<<
- *             avail &= ~(ONE << v)
- *             remaining &= ~(ONE << v)
-*/
-      __pyx_v_avail = (__pyx_v_avail & (~(__pyx_v_cc->adj[__pyx_v_v])));
-
-      /* "etdom/_kernel/_fastcore.pyx":379
- *             cnt += 1
- *             avail &= ~cc.adj[v]
- *             avail &= ~(ONE << v)             # <<<<<<<<<<<<<<
- *             remaining &= ~(ONE << v)
- *     for i in range(cnt - 1, -1, -1):
-*/
-      __pyx_v_avail = (__pyx_v_avail & (~(__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_v)));
-
-      /* "etdom/_kernel/_fastcore.pyx":380
- *             avail &= ~cc.adj[v]
- *             avail &= ~(ONE << v)
- *             remaining &= ~(ONE << v)             # <<<<<<<<<<<<<<
- *     for i in range(cnt - 1, -1, -1):
- *         if size + bounds[i] <= cc.best:
-*/
-      __pyx_v_remaining = (__pyx_v_remaining & (~(__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_v)));
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":381
- *             avail &= ~(ONE << v)
- *             remaining &= ~(ONE << v)
- *     for i in range(cnt - 1, -1, -1):             # <<<<<<<<<<<<<<
- *         if size + bounds[i] <= cc.best:
- *             return
-*/
-  for (__pyx_t_2 = (__pyx_v_cnt - 1); __pyx_t_2 > -1; __pyx_t_2-=1) {
-    __pyx_v_i = __pyx_t_2;
-
-    /* "etdom/_kernel/_fastcore.pyx":382
- *             remaining &= ~(ONE << v)
- *     for i in range(cnt - 1, -1, -1):
- *         if size + bounds[i] <= cc.best:             # <<<<<<<<<<<<<<
- *             return
- *         v = order[i]
-*/
-    __pyx_t_1 = ((__pyx_v_size + (__pyx_v_bounds[__pyx_v_i])) <= __pyx_v_cc->best);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":383
- *     for i in range(cnt - 1, -1, -1):
- *         if size + bounds[i] <= cc.best:
- *             return             # <<<<<<<<<<<<<<
- *         v = order[i]
- *         nxt = pool & cc.adj[v]
-*/
-      goto __pyx_L0;
-
-      /* "etdom/_kernel/_fastcore.pyx":382
- *             remaining &= ~(ONE << v)
- *     for i in range(cnt - 1, -1, -1):
- *         if size + bounds[i] <= cc.best:             # <<<<<<<<<<<<<<
- *             return
- *         v = order[i]
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":384
- *         if size + bounds[i] <= cc.best:
- *             return
- *         v = order[i]             # <<<<<<<<<<<<<<
- *         nxt = pool & cc.adj[v]
- *         if nxt:
-*/
-    __pyx_v_v = (__pyx_v_order[__pyx_v_i]);
-
-    /* "etdom/_kernel/_fastcore.pyx":385
- *             return
- *         v = order[i]
- *         nxt = pool & cc.adj[v]             # <<<<<<<<<<<<<<
- *         if nxt:
- *             _mc_expand(cc, size + 1, nxt)
-*/
-    __pyx_v_nxt = (__pyx_v_pool & (__pyx_v_cc->adj[__pyx_v_v]));
-
-    /* "etdom/_kernel/_fastcore.pyx":386
- *         v = order[i]
- *         nxt = pool & cc.adj[v]
- *         if nxt:             # <<<<<<<<<<<<<<
- *             _mc_expand(cc, size + 1, nxt)
- *         elif size + 1 > cc.best:
-*/
-    __pyx_t_1 = (__pyx_v_nxt != 0);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":387
- *         nxt = pool & cc.adj[v]
- *         if nxt:
- *             _mc_expand(cc, size + 1, nxt)             # <<<<<<<<<<<<<<
- *         elif size + 1 > cc.best:
- *             cc.best = size + 1
-*/
-      __pyx_f_5etdom_7_kernel_9_fastcore__mc_expand(__pyx_v_cc, (__pyx_v_size + 1), __pyx_v_nxt);
-
-      /* "etdom/_kernel/_fastcore.pyx":386
- *         v = order[i]
- *         nxt = pool & cc.adj[v]
- *         if nxt:             # <<<<<<<<<<<<<<
- *             _mc_expand(cc, size + 1, nxt)
- *         elif size + 1 > cc.best:
-*/
-      goto __pyx_L10;
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":388
- *         if nxt:
- *             _mc_expand(cc, size + 1, nxt)
- *         elif size + 1 > cc.best:             # <<<<<<<<<<<<<<
- *             cc.best = size + 1
- *         pool &= ~(ONE << v)
-*/
-    __pyx_t_1 = ((__pyx_v_size + 1) > __pyx_v_cc->best);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":389
- *             _mc_expand(cc, size + 1, nxt)
- *         elif size + 1 > cc.best:
- *             cc.best = size + 1             # <<<<<<<<<<<<<<
- *         pool &= ~(ONE << v)
- * 
-*/
-      __pyx_v_cc->best = (__pyx_v_size + 1);
-
-      /* "etdom/_kernel/_fastcore.pyx":388
- *         if nxt:
- *             _mc_expand(cc, size + 1, nxt)
- *         elif size + 1 > cc.best:             # <<<<<<<<<<<<<<
- *             cc.best = size + 1
- *         pool &= ~(ONE << v)
-*/
-    }
-    __pyx_L10:;
-
-    /* "etdom/_kernel/_fastcore.pyx":390
- *         elif size + 1 > cc.best:
- *             cc.best = size + 1
- *         pool &= ~(ONE << v)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_v_pool = (__pyx_v_pool & (~(__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_v)));
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":365
- * 
- * 
- * cdef void _mc_expand(CliqueCtx *cc, int size, unsigned long long pool) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int order[CMAXN]
- *     cdef int bounds[CMAXN]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":393
- * 
- * 
- * def max_clique(int n, adj, int lb=0):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_3max_clique(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_3max_clique = {"max_clique", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_3max_clique, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_3max_clique(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  int __pyx_v_lb;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("max_clique (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,&__pyx_mstate_global->__pyx_n_u_lb,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 393, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 393, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 393, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 393, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "max_clique", 0) < (0)) __PYX_ERR(0, 393, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("max_clique", 0, 2, 3, i); __PYX_ERR(0, 393, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 393, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 393, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 393, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 393, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-    if (values[2]) {
-      __pyx_v_lb = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_lb == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 393, __pyx_L3_error)
-    } else {
-      __pyx_v_lb = ((int)((int)0));
-    }
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("max_clique", 0, 2, 3, __pyx_nargs); __PYX_ERR(0, 393, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.max_clique", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_2max_clique(__pyx_self, __pyx_v_n, __pyx_v_adj, __pyx_v_lb);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_2max_clique(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_lb) {
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_CliqueCtx __pyx_v_cc;
-  int __pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  unsigned PY_LONG_LONG __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("max_clique", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":394
- * 
- * def max_clique(int n, adj, int lb=0):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef CliqueCtx cc
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":395
- * def max_clique(int n, adj, int lb=0):
- *     if n == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     cdef CliqueCtx cc
- *     cdef int i
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __pyx_r = __pyx_mstate_global->__pyx_int_0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":394
- * 
- * def max_clique(int n, adj, int lb=0):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef CliqueCtx cc
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":398
- *     cdef CliqueCtx cc
- *     cdef int i
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         cc.adj[i] = adj[i]
- *     cc.best = lb
-*/
-  __pyx_t_2 = __pyx_v_n;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":399
- *     cdef int i
- *     for i in range(n):
- *         cc.adj[i] = adj[i]             # <<<<<<<<<<<<<<
- *     cc.best = lb
- *     _mc_expand(&cc, 0, _full_mask(n))
-*/
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_adj, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 399, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_5); if (unlikely((__pyx_t_6 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 399, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    (__pyx_v_cc.adj[__pyx_v_i]) = __pyx_t_6;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":400
- *     for i in range(n):
- *         cc.adj[i] = adj[i]
- *     cc.best = lb             # <<<<<<<<<<<<<<
- *     _mc_expand(&cc, 0, _full_mask(n))
- *     return cc.best
-*/
-  __pyx_v_cc.best = __pyx_v_lb;
-
-  /* "etdom/_kernel/_fastcore.pyx":401
- *         cc.adj[i] = adj[i]
- *     cc.best = lb
- *     _mc_expand(&cc, 0, _full_mask(n))             # <<<<<<<<<<<<<<
- *     return cc.best
- * 
-*/
-  __pyx_f_5etdom_7_kernel_9_fastcore__mc_expand((&__pyx_v_cc), 0, __pyx_f_5etdom_7_kernel_9_fastcore__full_mask(__pyx_v_n));
-
-  /* "etdom/_kernel/_fastcore.pyx":402
- *     cc.best = lb
- *     _mc_expand(&cc, 0, _full_mask(n))
- *     return cc.best             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_5 = __Pyx_PyLong_From_int(__pyx_v_cc.best); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 402, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_r = __pyx_t_5;
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":393
- * 
- * 
- * def max_clique(int n, adj, int lb=0):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.max_clique", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":412
- * 
- * 
- * cdef int _bk(BKCtx *bk, unsigned long long r, unsigned long long p,             # <<<<<<<<<<<<<<
- *              unsigned long long x) except -1:
- *     cdef int pivot = -1, pivot_cnt = -1, u, c, v
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__bk(struct __pyx_t_5etdom_7_kernel_9_fastcore_BKCtx *__pyx_v_bk, unsigned PY_LONG_LONG __pyx_v_r, unsigned PY_LONG_LONG __pyx_v_p, unsigned PY_LONG_LONG __pyx_v_x) {
-  int __pyx_v_pivot;
-  int __pyx_v_pivot_cnt;
-  int __pyx_v_u;
-  int __pyx_v_c;
-  int __pyx_v_v;
-  unsigned PY_LONG_LONG __pyx_v_m;
-  unsigned PY_LONG_LONG __pyx_v_cand;
-  unsigned PY_LONG_LONG __pyx_v_bit;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":414
- * cdef int _bk(BKCtx *bk, unsigned long long r, unsigned long long p,
- *              unsigned long long x) except -1:
- *     cdef int pivot = -1, pivot_cnt = -1, u, c, v             # <<<<<<<<<<<<<<
- *     cdef unsigned long long m, cand, bit
- *     if p == 0 and x == 0:
-*/
-  __pyx_v_pivot = -1;
-  __pyx_v_pivot_cnt = -1;
-
-  /* "etdom/_kernel/_fastcore.pyx":416
- *     cdef int pivot = -1, pivot_cnt = -1, u, c, v
- *     cdef unsigned long long m, cand, bit
- *     if p == 0 and x == 0:             # <<<<<<<<<<<<<<
- *         if bk.nout >= bk.cap:
- *             bk.cap *= 2
-*/
-  __pyx_t_2 = (__pyx_v_p == 0);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_x == 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":417
- *     cdef unsigned long long m, cand, bit
- *     if p == 0 and x == 0:
- *         if bk.nout >= bk.cap:             # <<<<<<<<<<<<<<
- *             bk.cap *= 2
- *             bk.out = <unsigned long long *> realloc(
-*/
-    __pyx_t_1 = (__pyx_v_bk->nout >= __pyx_v_bk->cap);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":418
- *     if p == 0 and x == 0:
- *         if bk.nout >= bk.cap:
- *             bk.cap *= 2             # <<<<<<<<<<<<<<
- *             bk.out = <unsigned long long *> realloc(
- *                 bk.out, bk.cap * sizeof(unsigned long long))
-*/
-      __pyx_v_bk->cap = (__pyx_v_bk->cap * 2);
-
-      /* "etdom/_kernel/_fastcore.pyx":419
- *         if bk.nout >= bk.cap:
- *             bk.cap *= 2
- *             bk.out = <unsigned long long *> realloc(             # <<<<<<<<<<<<<<
- *                 bk.out, bk.cap * sizeof(unsigned long long))
- *             if bk.out == NULL:
-*/
-      __pyx_v_bk->out = ((unsigned PY_LONG_LONG *)realloc(__pyx_v_bk->out, (__pyx_v_bk->cap * (sizeof(unsigned PY_LONG_LONG)))));
-
-      /* "etdom/_kernel/_fastcore.pyx":421
- *             bk.out = <unsigned long long *> realloc(
- *                 bk.out, bk.cap * sizeof(unsigned long long))
- *             if bk.out == NULL:             # <<<<<<<<<<<<<<
- *                 raise MemoryError()
- *         bk.out[bk.nout] = r
-*/
-      __pyx_t_1 = (__pyx_v_bk->out == NULL);
-      if (unlikely(__pyx_t_1)) {
-
-        /* "etdom/_kernel/_fastcore.pyx":422
- *                 bk.out, bk.cap * sizeof(unsigned long long))
- *             if bk.out == NULL:
- *                 raise MemoryError()             # <<<<<<<<<<<<<<
- *         bk.out[bk.nout] = r
- *         bk.nout += 1
-*/
-        PyErr_NoMemory(); __PYX_ERR(0, 422, __pyx_L1_error)
-
-        /* "etdom/_kernel/_fastcore.pyx":421
- *             bk.out = <unsigned long long *> realloc(
- *                 bk.out, bk.cap * sizeof(unsigned long long))
- *             if bk.out == NULL:             # <<<<<<<<<<<<<<
- *                 raise MemoryError()
- *         bk.out[bk.nout] = r
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":417
- *     cdef unsigned long long m, cand, bit
- *     if p == 0 and x == 0:
- *         if bk.nout >= bk.cap:             # <<<<<<<<<<<<<<
- *             bk.cap *= 2
- *             bk.out = <unsigned long long *> realloc(
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":423
- *             if bk.out == NULL:
- *                 raise MemoryError()
- *         bk.out[bk.nout] = r             # <<<<<<<<<<<<<<
- *         bk.nout += 1
- *         return 0
-*/
-    (__pyx_v_bk->out[__pyx_v_bk->nout]) = __pyx_v_r;
-
-    /* "etdom/_kernel/_fastcore.pyx":424
- *                 raise MemoryError()
- *         bk.out[bk.nout] = r
- *         bk.nout += 1             # <<<<<<<<<<<<<<
- *         return 0
- *     m = p | x
-*/
-    __pyx_v_bk->nout = (__pyx_v_bk->nout + 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":425
- *         bk.out[bk.nout] = r
- *         bk.nout += 1
- *         return 0             # <<<<<<<<<<<<<<
- *     m = p | x
- *     while m:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":416
- *     cdef int pivot = -1, pivot_cnt = -1, u, c, v
- *     cdef unsigned long long m, cand, bit
- *     if p == 0 and x == 0:             # <<<<<<<<<<<<<<
- *         if bk.nout >= bk.cap:
- *             bk.cap *= 2
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":426
- *         bk.nout += 1
- *         return 0
- *     m = p | x             # <<<<<<<<<<<<<<
- *     while m:
- *         u = ctz64(m)
-*/
-  __pyx_v_m = (__pyx_v_p | __pyx_v_x);
-
-  /* "etdom/_kernel/_fastcore.pyx":427
- *         return 0
- *     m = p | x
- *     while m:             # <<<<<<<<<<<<<<
- *         u = ctz64(m)
- *         m &= m - 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_m != 0);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":428
- *     m = p | x
- *     while m:
- *         u = ctz64(m)             # <<<<<<<<<<<<<<
- *         m &= m - 1
- *         c = popcnt64(p & bk.adj[u])
-*/
-    __pyx_v_u = ctz64(__pyx_v_m);
-
-    /* "etdom/_kernel/_fastcore.pyx":429
- *     while m:
- *         u = ctz64(m)
- *         m &= m - 1             # <<<<<<<<<<<<<<
- *         c = popcnt64(p & bk.adj[u])
- *         if c > pivot_cnt:
-*/
-    __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-    /* "etdom/_kernel/_fastcore.pyx":430
- *         u = ctz64(m)
- *         m &= m - 1
- *         c = popcnt64(p & bk.adj[u])             # <<<<<<<<<<<<<<
- *         if c > pivot_cnt:
- *             pivot_cnt = c
-*/
-    __pyx_v_c = popcnt64((__pyx_v_p & (__pyx_v_bk->adj[__pyx_v_u])));
-
-    /* "etdom/_kernel/_fastcore.pyx":431
- *         m &= m - 1
- *         c = popcnt64(p & bk.adj[u])
- *         if c > pivot_cnt:             # <<<<<<<<<<<<<<
- *             pivot_cnt = c
- *             pivot = u
-*/
-    __pyx_t_1 = (__pyx_v_c > __pyx_v_pivot_cnt);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":432
- *         c = popcnt64(p & bk.adj[u])
- *         if c > pivot_cnt:
- *             pivot_cnt = c             # <<<<<<<<<<<<<<
- *             pivot = u
- *     cand = p & ~bk.adj[pivot]
-*/
-      __pyx_v_pivot_cnt = __pyx_v_c;
-
-      /* "etdom/_kernel/_fastcore.pyx":433
- *         if c > pivot_cnt:
- *             pivot_cnt = c
- *             pivot = u             # <<<<<<<<<<<<<<
- *     cand = p & ~bk.adj[pivot]
- *     while cand:
-*/
-      __pyx_v_pivot = __pyx_v_u;
-
-      /* "etdom/_kernel/_fastcore.pyx":431
- *         m &= m - 1
- *         c = popcnt64(p & bk.adj[u])
- *         if c > pivot_cnt:             # <<<<<<<<<<<<<<
- *             pivot_cnt = c
- *             pivot = u
-*/
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":434
- *             pivot_cnt = c
- *             pivot = u
- *     cand = p & ~bk.adj[pivot]             # <<<<<<<<<<<<<<
- *     while cand:
- *         v = ctz64(cand)
-*/
-  __pyx_v_cand = (__pyx_v_p & (~(__pyx_v_bk->adj[__pyx_v_pivot])));
-
-  /* "etdom/_kernel/_fastcore.pyx":435
- *             pivot = u
- *     cand = p & ~bk.adj[pivot]
- *     while cand:             # <<<<<<<<<<<<<<
- *         v = ctz64(cand)
- *         cand &= cand - 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_cand != 0);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":436
- *     cand = p & ~bk.adj[pivot]
- *     while cand:
- *         v = ctz64(cand)             # <<<<<<<<<<<<<<
- *         cand &= cand - 1
- *         bit = ONE << v
-*/
-    __pyx_v_v = ctz64(__pyx_v_cand);
-
-    /* "etdom/_kernel/_fastcore.pyx":437
- *     while cand:
- *         v = ctz64(cand)
- *         cand &= cand - 1             # <<<<<<<<<<<<<<
- *         bit = ONE << v
- *         _bk(bk, r | bit, p & bk.adj[v], x & bk.adj[v])
-*/
-    __pyx_v_cand = (__pyx_v_cand & (__pyx_v_cand - 1));
-
-    /* "etdom/_kernel/_fastcore.pyx":438
- *         v = ctz64(cand)
- *         cand &= cand - 1
- *         bit = ONE << v             # <<<<<<<<<<<<<<
- *         _bk(bk, r | bit, p & bk.adj[v], x & bk.adj[v])
- *         p &= ~bit
-*/
-    __pyx_v_bit = (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_v);
-
-    /* "etdom/_kernel/_fastcore.pyx":439
- *         cand &= cand - 1
- *         bit = ONE << v
- *         _bk(bk, r | bit, p & bk.adj[v], x & bk.adj[v])             # <<<<<<<<<<<<<<
- *         p &= ~bit
- *         x |= bit
-*/
-    __pyx_t_3 = __pyx_f_5etdom_7_kernel_9_fastcore__bk(__pyx_v_bk, (__pyx_v_r | __pyx_v_bit), (__pyx_v_p & (__pyx_v_bk->adj[__pyx_v_v])), (__pyx_v_x & (__pyx_v_bk->adj[__pyx_v_v]))); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 439, __pyx_L1_error)
-
-    /* "etdom/_kernel/_fastcore.pyx":440
- *         bit = ONE << v
- *         _bk(bk, r | bit, p & bk.adj[v], x & bk.adj[v])
- *         p &= ~bit             # <<<<<<<<<<<<<<
- *         x |= bit
- *     return 0
-*/
-    __pyx_v_p = (__pyx_v_p & (~__pyx_v_bit));
-
-    /* "etdom/_kernel/_fastcore.pyx":441
- *         _bk(bk, r | bit, p & bk.adj[v], x & bk.adj[v])
- *         p &= ~bit
- *         x |= bit             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-    __pyx_v_x = (__pyx_v_x | __pyx_v_bit);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":442
- *         p &= ~bit
- *         x |= bit
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":412
- * 
- * 
- * cdef int _bk(BKCtx *bk, unsigned long long r, unsigned long long p,             # <<<<<<<<<<<<<<
- *              unsigned long long x) except -1:
- *     cdef int pivot = -1, pivot_cnt = -1, u, c, v
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("etdom._kernel._fastcore._bk", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":445
- * 
- * 
- * def maximal_cliques(int n, adj):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return []
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_5maximal_cliques(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_5maximal_cliques = {"maximal_cliques", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_5maximal_cliques, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_5maximal_cliques(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("maximal_cliques (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 445, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 445, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 445, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "maximal_cliques", 0) < (0)) __PYX_ERR(0, 445, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("maximal_cliques", 1, 2, 2, i); __PYX_ERR(0, 445, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 445, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 445, __pyx_L3_error)
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 445, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("maximal_cliques", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 445, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.maximal_cliques", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_4maximal_cliques(__pyx_self, __pyx_v_n, __pyx_v_adj);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_4maximal_cliques(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj) {
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_BKCtx __pyx_v_bk;
-  int __pyx_v_i;
-  int __pyx_8genexpr4__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  unsigned PY_LONG_LONG __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  char const *__pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  PyObject *__pyx_t_14 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("maximal_cliques", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":446
- * 
- * def maximal_cliques(int n, adj):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return []
- *     cdef BKCtx bk
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":447
- * def maximal_cliques(int n, adj):
- *     if n == 0:
- *         return []             # <<<<<<<<<<<<<<
- *     cdef BKCtx bk
- *     cdef int i
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 447, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_r = __pyx_t_2;
-    __pyx_t_2 = 0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":446
- * 
- * def maximal_cliques(int n, adj):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return []
- *     cdef BKCtx bk
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":450
- *     cdef BKCtx bk
- *     cdef int i
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         bk.adj[i] = adj[i]
- *     bk.cap = 64
-*/
-  __pyx_t_3 = __pyx_v_n;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "etdom/_kernel/_fastcore.pyx":451
- *     cdef int i
- *     for i in range(n):
- *         bk.adj[i] = adj[i]             # <<<<<<<<<<<<<<
- *     bk.cap = 64
- *     bk.nout = 0
-*/
-    __pyx_t_2 = __Pyx_GetItemInt(__pyx_v_adj, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 451, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_6 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_2); if (unlikely((__pyx_t_6 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 451, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    (__pyx_v_bk.adj[__pyx_v_i]) = __pyx_t_6;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":452
- *     for i in range(n):
- *         bk.adj[i] = adj[i]
- *     bk.cap = 64             # <<<<<<<<<<<<<<
- *     bk.nout = 0
- *     bk.out = <unsigned long long *> malloc(bk.cap * sizeof(unsigned long long))
-*/
-  __pyx_v_bk.cap = 64;
-
-  /* "etdom/_kernel/_fastcore.pyx":453
- *         bk.adj[i] = adj[i]
- *     bk.cap = 64
- *     bk.nout = 0             # <<<<<<<<<<<<<<
- *     bk.out = <unsigned long long *> malloc(bk.cap * sizeof(unsigned long long))
- *     if bk.out == NULL:
-*/
-  __pyx_v_bk.nout = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":454
- *     bk.cap = 64
- *     bk.nout = 0
- *     bk.out = <unsigned long long *> malloc(bk.cap * sizeof(unsigned long long))             # <<<<<<<<<<<<<<
- *     if bk.out == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_bk.out = ((unsigned PY_LONG_LONG *)malloc((__pyx_v_bk.cap * (sizeof(unsigned PY_LONG_LONG)))));
-
-  /* "etdom/_kernel/_fastcore.pyx":455
- *     bk.nout = 0
- *     bk.out = <unsigned long long *> malloc(bk.cap * sizeof(unsigned long long))
- *     if bk.out == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  __pyx_t_1 = (__pyx_v_bk.out == NULL);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "etdom/_kernel/_fastcore.pyx":456
- *     bk.out = <unsigned long long *> malloc(bk.cap * sizeof(unsigned long long))
- *     if bk.out == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     try:
- *         _bk(&bk, 0, _full_mask(n), 0)
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 456, __pyx_L1_error)
-
-    /* "etdom/_kernel/_fastcore.pyx":455
- *     bk.nout = 0
- *     bk.out = <unsigned long long *> malloc(bk.cap * sizeof(unsigned long long))
- *     if bk.out == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":457
- *     if bk.out == NULL:
- *         raise MemoryError()
- *     try:             # <<<<<<<<<<<<<<
- *         _bk(&bk, 0, _full_mask(n), 0)
- *         return [bk.out[i] for i in range(bk.nout)]
-*/
-  /*try:*/ {
-
-    /* "etdom/_kernel/_fastcore.pyx":458
- *         raise MemoryError()
- *     try:
- *         _bk(&bk, 0, _full_mask(n), 0)             # <<<<<<<<<<<<<<
- *         return [bk.out[i] for i in range(bk.nout)]
- *     finally:
-*/
-    __pyx_t_3 = __pyx_f_5etdom_7_kernel_9_fastcore__bk((&__pyx_v_bk), 0, __pyx_f_5etdom_7_kernel_9_fastcore__full_mask(__pyx_v_n), 0); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 458, __pyx_L8_error)
-
-    /* "etdom/_kernel/_fastcore.pyx":459
- *     try:
- *         _bk(&bk, 0, _full_mask(n), 0)
- *         return [bk.out[i] for i in range(bk.nout)]             # <<<<<<<<<<<<<<
- *     finally:
- *         free(bk.out)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    { /* enter inner scope */
-      __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 459, __pyx_L8_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_3 = __pyx_v_bk.nout;
-      __pyx_t_4 = __pyx_t_3;
-      for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-        __pyx_8genexpr4__pyx_v_i = __pyx_t_5;
-        __pyx_t_7 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_v_bk.out[__pyx_8genexpr4__pyx_v_i])); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 459, __pyx_L8_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_2, (PyObject*)__pyx_t_7))) __PYX_ERR(0, 459, __pyx_L8_error)
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      }
-    } /* exit inner scope */
-    __pyx_r = __pyx_t_2;
-    __pyx_t_2 = 0;
-    goto __pyx_L7_return;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":461
- *         return [bk.out[i] for i in range(bk.nout)]
- *     finally:
- *         free(bk.out)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  /*finally:*/ {
-    __pyx_L8_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_9 = 0; __pyx_t_10 = 0; __pyx_t_11 = 0; __pyx_t_12 = 0; __pyx_t_13 = 0; __pyx_t_14 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_12, &__pyx_t_13, &__pyx_t_14);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_9, &__pyx_t_10, &__pyx_t_11) < 0)) __Pyx_ErrFetch(&__pyx_t_9, &__pyx_t_10, &__pyx_t_11);
-      __Pyx_XGOTREF(__pyx_t_9);
-      __Pyx_XGOTREF(__pyx_t_10);
-      __Pyx_XGOTREF(__pyx_t_11);
-      __Pyx_XGOTREF(__pyx_t_12);
-      __Pyx_XGOTREF(__pyx_t_13);
-      __Pyx_XGOTREF(__pyx_t_14);
-      __pyx_t_3 = __pyx_lineno; __pyx_t_4 = __pyx_clineno; __pyx_t_8 = __pyx_filename;
-      {
-        free(__pyx_v_bk.out);
-      }
-      __Pyx_XGIVEREF(__pyx_t_12);
-      __Pyx_XGIVEREF(__pyx_t_13);
-      __Pyx_XGIVEREF(__pyx_t_14);
-      __Pyx_ExceptionReset(__pyx_t_12, __pyx_t_13, __pyx_t_14);
-      __Pyx_XGIVEREF(__pyx_t_9);
-      __Pyx_XGIVEREF(__pyx_t_10);
-      __Pyx_XGIVEREF(__pyx_t_11);
-      __Pyx_ErrRestore(__pyx_t_9, __pyx_t_10, __pyx_t_11);
-      __pyx_t_9 = 0; __pyx_t_10 = 0; __pyx_t_11 = 0; __pyx_t_12 = 0; __pyx_t_13 = 0; __pyx_t_14 = 0;
-      __pyx_lineno = __pyx_t_3; __pyx_clineno = __pyx_t_4; __pyx_filename = __pyx_t_8;
-      goto __pyx_L1_error;
-    }
-    __pyx_L7_return: {
-      __pyx_t_14 = __pyx_r;
-      __pyx_r = 0;
-      free(__pyx_v_bk.out);
-      __pyx_r = __pyx_t_14;
-      __pyx_t_14 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":445
- * 
- * 
- * def maximal_cliques(int n, adj):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return []
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.maximal_cliques", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":464
- * 
- * 
- * cdef int _greedy_indep(unsigned long long *adj, unsigned long long mask) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int cnt = 0, v
- *     while mask:
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__greedy_indep(unsigned PY_LONG_LONG *__pyx_v_adj, unsigned PY_LONG_LONG __pyx_v_mask) {
-  int __pyx_v_cnt;
-  int __pyx_v_v;
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":465
- * 
- * cdef int _greedy_indep(unsigned long long *adj, unsigned long long mask) noexcept nogil:
- *     cdef int cnt = 0, v             # <<<<<<<<<<<<<<
- *     while mask:
- *         v = ctz64(mask)
-*/
-  __pyx_v_cnt = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":466
- * cdef int _greedy_indep(unsigned long long *adj, unsigned long long mask) noexcept nogil:
- *     cdef int cnt = 0, v
- *     while mask:             # <<<<<<<<<<<<<<
- *         v = ctz64(mask)
- *         cnt += 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_mask != 0);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":467
- *     cdef int cnt = 0, v
- *     while mask:
- *         v = ctz64(mask)             # <<<<<<<<<<<<<<
- *         cnt += 1
- *         mask &= ~adj[v]
-*/
-    __pyx_v_v = ctz64(__pyx_v_mask);
-
-    /* "etdom/_kernel/_fastcore.pyx":468
- *     while mask:
- *         v = ctz64(mask)
- *         cnt += 1             # <<<<<<<<<<<<<<
- *         mask &= ~adj[v]
- *         mask &= ~(ONE << v)
-*/
-    __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":469
- *         v = ctz64(mask)
- *         cnt += 1
- *         mask &= ~adj[v]             # <<<<<<<<<<<<<<
- *         mask &= ~(ONE << v)
- *     return cnt
-*/
-    __pyx_v_mask = (__pyx_v_mask & (~(__pyx_v_adj[__pyx_v_v])));
-
-    /* "etdom/_kernel/_fastcore.pyx":470
- *         cnt += 1
- *         mask &= ~adj[v]
- *         mask &= ~(ONE << v)             # <<<<<<<<<<<<<<
- *     return cnt
- * 
-*/
-    __pyx_v_mask = (__pyx_v_mask & (~(__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_v)));
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":471
- *         mask &= ~adj[v]
- *         mask &= ~(ONE << v)
- *     return cnt             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_cnt;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":464
- * 
- * 
- * cdef int _greedy_indep(unsigned long long *adj, unsigned long long mask) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int cnt = 0, v
- *     while mask:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":485
- * 
- * 
- * cdef void _cover_search(CoverCtx *ct, unsigned long long covered, int used) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef unsigned long long rem, m
- *     cdef int v, branch_v = -1, branch_opts, c, i
-*/
-
-static void __pyx_f_5etdom_7_kernel_9_fastcore__cover_search(struct __pyx_t_5etdom_7_kernel_9_fastcore_CoverCtx *__pyx_v_ct, unsigned PY_LONG_LONG __pyx_v_covered, int __pyx_v_used) {
-  unsigned PY_LONG_LONG __pyx_v_rem;
-  unsigned PY_LONG_LONG __pyx_v_m;
-  int __pyx_v_v;
-  int __pyx_v_branch_v;
-  int __pyx_v_branch_opts;
-  int __pyx_v_c;
-  int __pyx_v_i;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "etdom/_kernel/_fastcore.pyx":487
- * cdef void _cover_search(CoverCtx *ct, unsigned long long covered, int used) noexcept nogil:
- *     cdef unsigned long long rem, m
- *     cdef int v, branch_v = -1, branch_opts, c, i             # <<<<<<<<<<<<<<
- *     if covered == ct.full:
- *         if used < ct.best:
-*/
-  __pyx_v_branch_v = -1;
-
-  /* "etdom/_kernel/_fastcore.pyx":488
- *     cdef unsigned long long rem, m
- *     cdef int v, branch_v = -1, branch_opts, c, i
- *     if covered == ct.full:             # <<<<<<<<<<<<<<
- *         if used < ct.best:
- *             ct.best = used
-*/
-  __pyx_t_1 = (__pyx_v_covered == __pyx_v_ct->full);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":489
- *     cdef int v, branch_v = -1, branch_opts, c, i
- *     if covered == ct.full:
- *         if used < ct.best:             # <<<<<<<<<<<<<<
- *             ct.best = used
- *         return
-*/
-    __pyx_t_1 = (__pyx_v_used < __pyx_v_ct->best);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":490
- *     if covered == ct.full:
- *         if used < ct.best:
- *             ct.best = used             # <<<<<<<<<<<<<<
- *         return
- *     rem = ct.full & ~covered
-*/
-      __pyx_v_ct->best = __pyx_v_used;
-
-      /* "etdom/_kernel/_fastcore.pyx":489
- *     cdef int v, branch_v = -1, branch_opts, c, i
- *     if covered == ct.full:
- *         if used < ct.best:             # <<<<<<<<<<<<<<
- *             ct.best = used
- *         return
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":491
- *         if used < ct.best:
- *             ct.best = used
- *         return             # <<<<<<<<<<<<<<
- *     rem = ct.full & ~covered
- *     if used + _greedy_indep(ct.adj, rem) >= ct.best:
-*/
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":488
- *     cdef unsigned long long rem, m
- *     cdef int v, branch_v = -1, branch_opts, c, i
- *     if covered == ct.full:             # <<<<<<<<<<<<<<
- *         if used < ct.best:
- *             ct.best = used
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":492
- *             ct.best = used
- *         return
- *     rem = ct.full & ~covered             # <<<<<<<<<<<<<<
- *     if used + _greedy_indep(ct.adj, rem) >= ct.best:
- *         return
-*/
-  __pyx_v_rem = (__pyx_v_ct->full & (~__pyx_v_covered));
-
-  /* "etdom/_kernel/_fastcore.pyx":493
- *         return
- *     rem = ct.full & ~covered
- *     if used + _greedy_indep(ct.adj, rem) >= ct.best:             # <<<<<<<<<<<<<<
- *         return
- *     branch_opts = 1 << 30
-*/
-  __pyx_t_1 = ((__pyx_v_used + __pyx_f_5etdom_7_kernel_9_fastcore__greedy_indep(__pyx_v_ct->adj, __pyx_v_rem)) >= __pyx_v_ct->best);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":494
- *     rem = ct.full & ~covered
- *     if used + _greedy_indep(ct.adj, rem) >= ct.best:
- *         return             # <<<<<<<<<<<<<<
- *     branch_opts = 1 << 30
- *     m = rem
-*/
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":493
- *         return
- *     rem = ct.full & ~covered
- *     if used + _greedy_indep(ct.adj, rem) >= ct.best:             # <<<<<<<<<<<<<<
- *         return
- *     branch_opts = 1 << 30
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":495
- *     if used + _greedy_indep(ct.adj, rem) >= ct.best:
- *         return
- *     branch_opts = 1 << 30             # <<<<<<<<<<<<<<
- *     m = rem
- *     while m:
-*/
-  __pyx_v_branch_opts = 0x40000000;
-
-  /* "etdom/_kernel/_fastcore.pyx":496
- *         return
- *     branch_opts = 1 << 30
- *     m = rem             # <<<<<<<<<<<<<<
- *     while m:
- *         v = ctz64(m)
-*/
-  __pyx_v_m = __pyx_v_rem;
-
-  /* "etdom/_kernel/_fastcore.pyx":497
- *     branch_opts = 1 << 30
- *     m = rem
- *     while m:             # <<<<<<<<<<<<<<
- *         v = ctz64(m)
- *         m &= m - 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_m != 0);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":498
- *     m = rem
- *     while m:
- *         v = ctz64(m)             # <<<<<<<<<<<<<<
- *         m &= m - 1
- *         c = ct.member_off[v + 1] - ct.member_off[v]
-*/
-    __pyx_v_v = ctz64(__pyx_v_m);
-
-    /* "etdom/_kernel/_fastcore.pyx":499
- *     while m:
- *         v = ctz64(m)
- *         m &= m - 1             # <<<<<<<<<<<<<<
- *         c = ct.member_off[v + 1] - ct.member_off[v]
- *         if c < branch_opts:
-*/
-    __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-    /* "etdom/_kernel/_fastcore.pyx":500
- *         v = ctz64(m)
- *         m &= m - 1
- *         c = ct.member_off[v + 1] - ct.member_off[v]             # <<<<<<<<<<<<<<
- *         if c < branch_opts:
- *             branch_opts = c
-*/
-    __pyx_v_c = ((__pyx_v_ct->member_off[(__pyx_v_v + 1)]) - (__pyx_v_ct->member_off[__pyx_v_v]));
-
-    /* "etdom/_kernel/_fastcore.pyx":501
- *         m &= m - 1
- *         c = ct.member_off[v + 1] - ct.member_off[v]
- *         if c < branch_opts:             # <<<<<<<<<<<<<<
- *             branch_opts = c
- *             branch_v = v
-*/
-    __pyx_t_1 = (__pyx_v_c < __pyx_v_branch_opts);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":502
- *         c = ct.member_off[v + 1] - ct.member_off[v]
- *         if c < branch_opts:
- *             branch_opts = c             # <<<<<<<<<<<<<<
- *             branch_v = v
- *     for i in range(ct.member_off[branch_v], ct.member_off[branch_v + 1]):
-*/
-      __pyx_v_branch_opts = __pyx_v_c;
-
-      /* "etdom/_kernel/_fastcore.pyx":503
- *         if c < branch_opts:
- *             branch_opts = c
- *             branch_v = v             # <<<<<<<<<<<<<<
- *     for i in range(ct.member_off[branch_v], ct.member_off[branch_v + 1]):
- *         _cover_search(ct, covered | ct.cliques[ct.member[i]], used + 1)
-*/
-      __pyx_v_branch_v = __pyx_v_v;
-
-      /* "etdom/_kernel/_fastcore.pyx":501
- *         m &= m - 1
- *         c = ct.member_off[v + 1] - ct.member_off[v]
- *         if c < branch_opts:             # <<<<<<<<<<<<<<
- *             branch_opts = c
- *             branch_v = v
-*/
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":504
- *             branch_opts = c
- *             branch_v = v
- *     for i in range(ct.member_off[branch_v], ct.member_off[branch_v + 1]):             # <<<<<<<<<<<<<<
- *         _cover_search(ct, covered | ct.cliques[ct.member[i]], used + 1)
- *         if ct.best <= ct.lb:
-*/
-  __pyx_t_2 = (__pyx_v_ct->member_off[(__pyx_v_branch_v + 1)]);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = (__pyx_v_ct->member_off[__pyx_v_branch_v]); __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":505
- *             branch_v = v
- *     for i in range(ct.member_off[branch_v], ct.member_off[branch_v + 1]):
- *         _cover_search(ct, covered | ct.cliques[ct.member[i]], used + 1)             # <<<<<<<<<<<<<<
- *         if ct.best <= ct.lb:
- *             return
-*/
-    __pyx_f_5etdom_7_kernel_9_fastcore__cover_search(__pyx_v_ct, (__pyx_v_covered | (__pyx_v_ct->cliques[(__pyx_v_ct->member[__pyx_v_i])])), (__pyx_v_used + 1));
-
-    /* "etdom/_kernel/_fastcore.pyx":506
- *     for i in range(ct.member_off[branch_v], ct.member_off[branch_v + 1]):
- *         _cover_search(ct, covered | ct.cliques[ct.member[i]], used + 1)
- *         if ct.best <= ct.lb:             # <<<<<<<<<<<<<<
- *             return
- * 
-*/
-    __pyx_t_1 = (__pyx_v_ct->best <= __pyx_v_ct->lb);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":507
- *         _cover_search(ct, covered | ct.cliques[ct.member[i]], used + 1)
- *         if ct.best <= ct.lb:
- *             return             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      goto __pyx_L0;
-
-      /* "etdom/_kernel/_fastcore.pyx":506
- *     for i in range(ct.member_off[branch_v], ct.member_off[branch_v + 1]):
- *         _cover_search(ct, covered | ct.cliques[ct.member[i]], used + 1)
- *         if ct.best <= ct.lb:             # <<<<<<<<<<<<<<
- *             return
- * 
-*/
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":485
- * 
- * 
- * cdef void _cover_search(CoverCtx *ct, unsigned long long covered, int used) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef unsigned long long rem, m
- *     cdef int v, branch_v = -1, branch_opts, c, i
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":510
- * 
- * 
- * def clique_cover(int n, adj, int lb=0):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_7clique_cover(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_7clique_cover = {"clique_cover", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_7clique_cover, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_7clique_cover(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  int __pyx_v_lb;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("clique_cover (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,&__pyx_mstate_global->__pyx_n_u_lb,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 510, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 510, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 510, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 510, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "clique_cover", 0) < (0)) __PYX_ERR(0, 510, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("clique_cover", 0, 2, 3, i); __PYX_ERR(0, 510, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 510, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 510, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 510, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 510, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-    if (values[2]) {
-      __pyx_v_lb = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_lb == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 510, __pyx_L3_error)
-    } else {
-      __pyx_v_lb = ((int)((int)0));
-    }
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("clique_cover", 0, 2, 3, __pyx_nargs); __PYX_ERR(0, 510, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.clique_cover", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_6clique_cover(__pyx_self, __pyx_v_n, __pyx_v_adj, __pyx_v_lb);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_6clique_cover(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_lb) {
-  PyObject *__pyx_v_cliques_py = NULL;
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_CoverCtx __pyx_v_ct;
-  int __pyx_v_i;
-  int __pyx_v_v;
-  int __pyx_v_ci;
-  int __pyx_v_ub;
-  int __pyx_v_gi_lb;
-  unsigned PY_LONG_LONG __pyx_v_covered;
-  unsigned PY_LONG_LONG __pyx_v_bestc;
-  unsigned PY_LONG_LONG __pyx_v_m;
-  int *__pyx_v_counts;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  unsigned PY_LONG_LONG __pyx_t_10;
-  Py_ssize_t __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  char const *__pyx_t_14;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("clique_cover", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":511
- * 
- * def clique_cover(int n, adj, int lb=0):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cliques_py = maximal_cliques(n, adj)
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":512
- * def clique_cover(int n, adj, int lb=0):
- *     if n == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     cliques_py = maximal_cliques(n, adj)
- *     cdef CoverCtx ct
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __pyx_r = __pyx_mstate_global->__pyx_int_0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":511
- * 
- * def clique_cover(int n, adj, int lb=0):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cliques_py = maximal_cliques(n, adj)
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":513
- *     if n == 0:
- *         return 0
- *     cliques_py = maximal_cliques(n, adj)             # <<<<<<<<<<<<<<
- *     cdef CoverCtx ct
- *     cdef int i, v, ci, ub, gi_lb
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_maximal_cliques); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 513, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = __Pyx_PyLong_From_int(__pyx_v_n); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 513, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_4))) {
-    __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_4);
-    assert(__pyx_t_3);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-    __Pyx_INCREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-    __pyx_t_6 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_3, __pyx_t_5, __pyx_v_adj};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_6, (3-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  __pyx_v_cliques_py = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":517
- *     cdef int i, v, ci, ub, gi_lb
- *     cdef unsigned long long covered, bestc, m
- *     ct.member = NULL             # <<<<<<<<<<<<<<
- *     ct.cliques = NULL
- *     for i in range(n):
-*/
-  __pyx_v_ct.member = NULL;
-
-  /* "etdom/_kernel/_fastcore.pyx":518
- *     cdef unsigned long long covered, bestc, m
- *     ct.member = NULL
- *     ct.cliques = NULL             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         ct.adj[i] = adj[i]
-*/
-  __pyx_v_ct.cliques = NULL;
-
-  /* "etdom/_kernel/_fastcore.pyx":519
- *     ct.member = NULL
- *     ct.cliques = NULL
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         ct.adj[i] = adj[i]
- *     ct.full = _full_mask(n)
-*/
-  __pyx_t_7 = __pyx_v_n;
-  __pyx_t_8 = __pyx_t_7;
-  for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-    __pyx_v_i = __pyx_t_9;
-
-    /* "etdom/_kernel/_fastcore.pyx":520
- *     ct.cliques = NULL
- *     for i in range(n):
- *         ct.adj[i] = adj[i]             # <<<<<<<<<<<<<<
- *     ct.full = _full_mask(n)
- *     ct.ncl = len(cliques_py)
-*/
-    __pyx_t_2 = __Pyx_GetItemInt(__pyx_v_adj, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 520, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_10 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_2); if (unlikely((__pyx_t_10 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 520, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    (__pyx_v_ct.adj[__pyx_v_i]) = __pyx_t_10;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":521
- *     for i in range(n):
- *         ct.adj[i] = adj[i]
- *     ct.full = _full_mask(n)             # <<<<<<<<<<<<<<
- *     ct.ncl = len(cliques_py)
- *     ct.cliques = <unsigned long long *> malloc(ct.ncl * sizeof(unsigned long long))
-*/
-  __pyx_v_ct.full = __pyx_f_5etdom_7_kernel_9_fastcore__full_mask(__pyx_v_n);
-
-  /* "etdom/_kernel/_fastcore.pyx":522
- *         ct.adj[i] = adj[i]
- *     ct.full = _full_mask(n)
- *     ct.ncl = len(cliques_py)             # <<<<<<<<<<<<<<
- *     ct.cliques = <unsigned long long *> malloc(ct.ncl * sizeof(unsigned long long))
- *     cdef int *counts = <int *> malloc(n * sizeof(int))
-*/
-  __pyx_t_11 = PyObject_Length(__pyx_v_cliques_py); if (unlikely(__pyx_t_11 == ((Py_ssize_t)-1))) __PYX_ERR(0, 522, __pyx_L1_error)
-  __pyx_v_ct.ncl = __pyx_t_11;
-
-  /* "etdom/_kernel/_fastcore.pyx":523
- *     ct.full = _full_mask(n)
- *     ct.ncl = len(cliques_py)
- *     ct.cliques = <unsigned long long *> malloc(ct.ncl * sizeof(unsigned long long))             # <<<<<<<<<<<<<<
- *     cdef int *counts = <int *> malloc(n * sizeof(int))
- *     if ct.cliques == NULL or counts == NULL:
-*/
-  __pyx_v_ct.cliques = ((unsigned PY_LONG_LONG *)malloc((__pyx_v_ct.ncl * (sizeof(unsigned PY_LONG_LONG)))));
-
-  /* "etdom/_kernel/_fastcore.pyx":524
- *     ct.ncl = len(cliques_py)
- *     ct.cliques = <unsigned long long *> malloc(ct.ncl * sizeof(unsigned long long))
- *     cdef int *counts = <int *> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *     if ct.cliques == NULL or counts == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_counts = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "etdom/_kernel/_fastcore.pyx":525
- *     ct.cliques = <unsigned long long *> malloc(ct.ncl * sizeof(unsigned long long))
- *     cdef int *counts = <int *> malloc(n * sizeof(int))
- *     if ct.cliques == NULL or counts == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     for ci in range(ct.ncl):
-*/
-  __pyx_t_12 = (__pyx_v_ct.cliques == NULL);
-  if (!__pyx_t_12) {
-  } else {
-    __pyx_t_1 = __pyx_t_12;
-    goto __pyx_L7_bool_binop_done;
-  }
-  __pyx_t_12 = (__pyx_v_counts == NULL);
-  __pyx_t_1 = __pyx_t_12;
-  __pyx_L7_bool_binop_done:;
-  if (unlikely(__pyx_t_1)) {
-
-    /* "etdom/_kernel/_fastcore.pyx":526
- *     cdef int *counts = <int *> malloc(n * sizeof(int))
- *     if ct.cliques == NULL or counts == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     for ci in range(ct.ncl):
- *         ct.cliques[ci] = cliques_py[ci]
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 526, __pyx_L1_error)
-
-    /* "etdom/_kernel/_fastcore.pyx":525
- *     ct.cliques = <unsigned long long *> malloc(ct.ncl * sizeof(unsigned long long))
- *     cdef int *counts = <int *> malloc(n * sizeof(int))
- *     if ct.cliques == NULL or counts == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     for ci in range(ct.ncl):
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":527
- *     if ct.cliques == NULL or counts == NULL:
- *         raise MemoryError()
- *     for ci in range(ct.ncl):             # <<<<<<<<<<<<<<
- *         ct.cliques[ci] = cliques_py[ci]
- *     try:
-*/
-  __pyx_t_7 = __pyx_v_ct.ncl;
-  __pyx_t_8 = __pyx_t_7;
-  for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-    __pyx_v_ci = __pyx_t_9;
-
-    /* "etdom/_kernel/_fastcore.pyx":528
- *         raise MemoryError()
- *     for ci in range(ct.ncl):
- *         ct.cliques[ci] = cliques_py[ci]             # <<<<<<<<<<<<<<
- *     try:
- *         for v in range(n):
-*/
-    __pyx_t_2 = __Pyx_GetItemInt(__pyx_v_cliques_py, __pyx_v_ci, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 528, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_10 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_2); if (unlikely((__pyx_t_10 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 528, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    (__pyx_v_ct.cliques[__pyx_v_ci]) = __pyx_t_10;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":529
- *     for ci in range(ct.ncl):
- *         ct.cliques[ci] = cliques_py[ci]
- *     try:             # <<<<<<<<<<<<<<
- *         for v in range(n):
- *             counts[v] = 0
-*/
-  /*try:*/ {
-
-    /* "etdom/_kernel/_fastcore.pyx":530
- *         ct.cliques[ci] = cliques_py[ci]
- *     try:
- *         for v in range(n):             # <<<<<<<<<<<<<<
- *             counts[v] = 0
- *         for ci in range(ct.ncl):
-*/
-    __pyx_t_7 = __pyx_v_n;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_v = __pyx_t_9;
-
-      /* "etdom/_kernel/_fastcore.pyx":531
- *     try:
- *         for v in range(n):
- *             counts[v] = 0             # <<<<<<<<<<<<<<
- *         for ci in range(ct.ncl):
- *             m = ct.cliques[ci]
-*/
-      (__pyx_v_counts[__pyx_v_v]) = 0;
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":532
- *         for v in range(n):
- *             counts[v] = 0
- *         for ci in range(ct.ncl):             # <<<<<<<<<<<<<<
- *             m = ct.cliques[ci]
- *             while m:
-*/
-    __pyx_t_7 = __pyx_v_ct.ncl;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_ci = __pyx_t_9;
-
-      /* "etdom/_kernel/_fastcore.pyx":533
- *             counts[v] = 0
- *         for ci in range(ct.ncl):
- *             m = ct.cliques[ci]             # <<<<<<<<<<<<<<
- *             while m:
- *                 v = ctz64(m)
-*/
-      __pyx_v_m = (__pyx_v_ct.cliques[__pyx_v_ci]);
-
-      /* "etdom/_kernel/_fastcore.pyx":534
- *         for ci in range(ct.ncl):
- *             m = ct.cliques[ci]
- *             while m:             # <<<<<<<<<<<<<<
- *                 v = ctz64(m)
- *                 m &= m - 1
-*/
-      while (1) {
-        __pyx_t_1 = (__pyx_v_m != 0);
-        if (!__pyx_t_1) break;
-
-        /* "etdom/_kernel/_fastcore.pyx":535
- *             m = ct.cliques[ci]
- *             while m:
- *                 v = ctz64(m)             # <<<<<<<<<<<<<<
- *                 m &= m - 1
- *                 counts[v] += 1
-*/
-        __pyx_v_v = ctz64(__pyx_v_m);
-
-        /* "etdom/_kernel/_fastcore.pyx":536
- *             while m:
- *                 v = ctz64(m)
- *                 m &= m - 1             # <<<<<<<<<<<<<<
- *                 counts[v] += 1
- *         ct.member_off[0] = 0
-*/
-        __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-        /* "etdom/_kernel/_fastcore.pyx":537
- *                 v = ctz64(m)
- *                 m &= m - 1
- *                 counts[v] += 1             # <<<<<<<<<<<<<<
- *         ct.member_off[0] = 0
- *         for v in range(n):
-*/
-        __pyx_t_13 = __pyx_v_v;
-        (__pyx_v_counts[__pyx_t_13]) = ((__pyx_v_counts[__pyx_t_13]) + 1);
-      }
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":538
- *                 m &= m - 1
- *                 counts[v] += 1
- *         ct.member_off[0] = 0             # <<<<<<<<<<<<<<
- *         for v in range(n):
- *             ct.member_off[v + 1] = ct.member_off[v] + counts[v]
-*/
-    (__pyx_v_ct.member_off[0]) = 0;
-
-    /* "etdom/_kernel/_fastcore.pyx":539
- *                 counts[v] += 1
- *         ct.member_off[0] = 0
- *         for v in range(n):             # <<<<<<<<<<<<<<
- *             ct.member_off[v + 1] = ct.member_off[v] + counts[v]
- *         ct.member = <int *> malloc(ct.member_off[n] * sizeof(int))
-*/
-    __pyx_t_7 = __pyx_v_n;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_v = __pyx_t_9;
-
-      /* "etdom/_kernel/_fastcore.pyx":540
- *         ct.member_off[0] = 0
- *         for v in range(n):
- *             ct.member_off[v + 1] = ct.member_off[v] + counts[v]             # <<<<<<<<<<<<<<
- *         ct.member = <int *> malloc(ct.member_off[n] * sizeof(int))
- *         if ct.member == NULL:
-*/
-      (__pyx_v_ct.member_off[(__pyx_v_v + 1)]) = ((__pyx_v_ct.member_off[__pyx_v_v]) + (__pyx_v_counts[__pyx_v_v]));
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":541
- *         for v in range(n):
- *             ct.member_off[v + 1] = ct.member_off[v] + counts[v]
- *         ct.member = <int *> malloc(ct.member_off[n] * sizeof(int))             # <<<<<<<<<<<<<<
- *         if ct.member == NULL:
- *             raise MemoryError()
-*/
-    __pyx_v_ct.member = ((int *)malloc(((__pyx_v_ct.member_off[__pyx_v_n]) * (sizeof(int)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":542
- *             ct.member_off[v + 1] = ct.member_off[v] + counts[v]
- *         ct.member = <int *> malloc(ct.member_off[n] * sizeof(int))
- *         if ct.member == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for v in range(n):
-*/
-    __pyx_t_1 = (__pyx_v_ct.member == NULL);
-    if (unlikely(__pyx_t_1)) {
-
-      /* "etdom/_kernel/_fastcore.pyx":543
- *         ct.member = <int *> malloc(ct.member_off[n] * sizeof(int))
- *         if ct.member == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for v in range(n):
- *             counts[v] = 0
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 543, __pyx_L12_error)
-
-      /* "etdom/_kernel/_fastcore.pyx":542
- *             ct.member_off[v + 1] = ct.member_off[v] + counts[v]
- *         ct.member = <int *> malloc(ct.member_off[n] * sizeof(int))
- *         if ct.member == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for v in range(n):
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":544
- *         if ct.member == NULL:
- *             raise MemoryError()
- *         for v in range(n):             # <<<<<<<<<<<<<<
- *             counts[v] = 0
- *         for ci in range(ct.ncl):
-*/
-    __pyx_t_7 = __pyx_v_n;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_v = __pyx_t_9;
-
-      /* "etdom/_kernel/_fastcore.pyx":545
- *             raise MemoryError()
- *         for v in range(n):
- *             counts[v] = 0             # <<<<<<<<<<<<<<
- *         for ci in range(ct.ncl):
- *             m = ct.cliques[ci]
-*/
-      (__pyx_v_counts[__pyx_v_v]) = 0;
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":546
- *         for v in range(n):
- *             counts[v] = 0
- *         for ci in range(ct.ncl):             # <<<<<<<<<<<<<<
- *             m = ct.cliques[ci]
- *             while m:
-*/
-    __pyx_t_7 = __pyx_v_ct.ncl;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_ci = __pyx_t_9;
-
-      /* "etdom/_kernel/_fastcore.pyx":547
- *             counts[v] = 0
- *         for ci in range(ct.ncl):
- *             m = ct.cliques[ci]             # <<<<<<<<<<<<<<
- *             while m:
- *                 v = ctz64(m)
-*/
-      __pyx_v_m = (__pyx_v_ct.cliques[__pyx_v_ci]);
-
-      /* "etdom/_kernel/_fastcore.pyx":548
- *         for ci in range(ct.ncl):
- *             m = ct.cliques[ci]
- *             while m:             # <<<<<<<<<<<<<<
- *                 v = ctz64(m)
- *                 m &= m - 1
-*/
-      while (1) {
-        __pyx_t_1 = (__pyx_v_m != 0);
-        if (!__pyx_t_1) break;
-
-        /* "etdom/_kernel/_fastcore.pyx":549
- *             m = ct.cliques[ci]
- *             while m:
- *                 v = ctz64(m)             # <<<<<<<<<<<<<<
- *                 m &= m - 1
- *                 ct.member[ct.member_off[v] + counts[v]] = ci
-*/
-        __pyx_v_v = ctz64(__pyx_v_m);
-
-        /* "etdom/_kernel/_fastcore.pyx":550
- *             while m:
- *                 v = ctz64(m)
- *                 m &= m - 1             # <<<<<<<<<<<<<<
- *                 ct.member[ct.member_off[v] + counts[v]] = ci
- *                 counts[v] += 1
-*/
-        __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-        /* "etdom/_kernel/_fastcore.pyx":551
- *                 v = ctz64(m)
- *                 m &= m - 1
- *                 ct.member[ct.member_off[v] + counts[v]] = ci             # <<<<<<<<<<<<<<
- *                 counts[v] += 1
- *         covered = 0
-*/
-        (__pyx_v_ct.member[((__pyx_v_ct.member_off[__pyx_v_v]) + (__pyx_v_counts[__pyx_v_v]))]) = __pyx_v_ci;
-
-        /* "etdom/_kernel/_fastcore.pyx":552
- *                 m &= m - 1
- *                 ct.member[ct.member_off[v] + counts[v]] = ci
- *                 counts[v] += 1             # <<<<<<<<<<<<<<
- *         covered = 0
- *         ub = 0
-*/
-        __pyx_t_13 = __pyx_v_v;
-        (__pyx_v_counts[__pyx_t_13]) = ((__pyx_v_counts[__pyx_t_13]) + 1);
-      }
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":553
- *                 ct.member[ct.member_off[v] + counts[v]] = ci
- *                 counts[v] += 1
- *         covered = 0             # <<<<<<<<<<<<<<
- *         ub = 0
- *         while covered != ct.full:
-*/
-    __pyx_v_covered = 0;
-
-    /* "etdom/_kernel/_fastcore.pyx":554
- *                 counts[v] += 1
- *         covered = 0
- *         ub = 0             # <<<<<<<<<<<<<<
- *         while covered != ct.full:
- *             bestc = 0
-*/
-    __pyx_v_ub = 0;
-
-    /* "etdom/_kernel/_fastcore.pyx":555
- *         covered = 0
- *         ub = 0
- *         while covered != ct.full:             # <<<<<<<<<<<<<<
- *             bestc = 0
- *             for ci in range(ct.ncl):
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_covered != __pyx_v_ct.full);
-      if (!__pyx_t_1) break;
-
-      /* "etdom/_kernel/_fastcore.pyx":556
- *         ub = 0
- *         while covered != ct.full:
- *             bestc = 0             # <<<<<<<<<<<<<<
- *             for ci in range(ct.ncl):
- *                 if popcnt64(ct.cliques[ci] & ~covered) > popcnt64(bestc & ~covered):
-*/
-      __pyx_v_bestc = 0;
-
-      /* "etdom/_kernel/_fastcore.pyx":557
- *         while covered != ct.full:
- *             bestc = 0
- *             for ci in range(ct.ncl):             # <<<<<<<<<<<<<<
- *                 if popcnt64(ct.cliques[ci] & ~covered) > popcnt64(bestc & ~covered):
- *                     bestc = ct.cliques[ci]
-*/
-      __pyx_t_7 = __pyx_v_ct.ncl;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_ci = __pyx_t_9;
-
-        /* "etdom/_kernel/_fastcore.pyx":558
- *             bestc = 0
- *             for ci in range(ct.ncl):
- *                 if popcnt64(ct.cliques[ci] & ~covered) > popcnt64(bestc & ~covered):             # <<<<<<<<<<<<<<
- *                     bestc = ct.cliques[ci]
- *             covered |= bestc
-*/
-        __pyx_t_1 = (popcnt64(((__pyx_v_ct.cliques[__pyx_v_ci]) & (~__pyx_v_covered))) > popcnt64((__pyx_v_bestc & (~__pyx_v_covered))));
-        if (__pyx_t_1) {
-
-          /* "etdom/_kernel/_fastcore.pyx":559
- *             for ci in range(ct.ncl):
- *                 if popcnt64(ct.cliques[ci] & ~covered) > popcnt64(bestc & ~covered):
- *                     bestc = ct.cliques[ci]             # <<<<<<<<<<<<<<
- *             covered |= bestc
- *             ub += 1
-*/
-          __pyx_v_bestc = (__pyx_v_ct.cliques[__pyx_v_ci]);
-
-          /* "etdom/_kernel/_fastcore.pyx":558
- *             bestc = 0
- *             for ci in range(ct.ncl):
- *                 if popcnt64(ct.cliques[ci] & ~covered) > popcnt64(bestc & ~covered):             # <<<<<<<<<<<<<<
- *                     bestc = ct.cliques[ci]
- *             covered |= bestc
-*/
-        }
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":560
- *                 if popcnt64(ct.cliques[ci] & ~covered) > popcnt64(bestc & ~covered):
- *                     bestc = ct.cliques[ci]
- *             covered |= bestc             # <<<<<<<<<<<<<<
- *             ub += 1
- *         ct.best = ub
-*/
-      __pyx_v_covered = (__pyx_v_covered | __pyx_v_bestc);
-
-      /* "etdom/_kernel/_fastcore.pyx":561
- *                     bestc = ct.cliques[ci]
- *             covered |= bestc
- *             ub += 1             # <<<<<<<<<<<<<<
- *         ct.best = ub
- *         ct.lb = lb
-*/
-      __pyx_v_ub = (__pyx_v_ub + 1);
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":562
- *             covered |= bestc
- *             ub += 1
- *         ct.best = ub             # <<<<<<<<<<<<<<
- *         ct.lb = lb
- *         gi_lb = _greedy_indep(ct.adj, ct.full)
-*/
-    __pyx_v_ct.best = __pyx_v_ub;
-
-    /* "etdom/_kernel/_fastcore.pyx":563
- *             ub += 1
- *         ct.best = ub
- *         ct.lb = lb             # <<<<<<<<<<<<<<
- *         gi_lb = _greedy_indep(ct.adj, ct.full)
- *         if gi_lb > ct.lb:
-*/
-    __pyx_v_ct.lb = __pyx_v_lb;
-
-    /* "etdom/_kernel/_fastcore.pyx":564
- *         ct.best = ub
- *         ct.lb = lb
- *         gi_lb = _greedy_indep(ct.adj, ct.full)             # <<<<<<<<<<<<<<
- *         if gi_lb > ct.lb:
- *             ct.lb = gi_lb
-*/
-    __pyx_v_gi_lb = __pyx_f_5etdom_7_kernel_9_fastcore__greedy_indep(__pyx_v_ct.adj, __pyx_v_ct.full);
-
-    /* "etdom/_kernel/_fastcore.pyx":565
- *         ct.lb = lb
- *         gi_lb = _greedy_indep(ct.adj, ct.full)
- *         if gi_lb > ct.lb:             # <<<<<<<<<<<<<<
- *             ct.lb = gi_lb
- *         if ct.best > ct.lb:
-*/
-    __pyx_t_1 = (__pyx_v_gi_lb > __pyx_v_ct.lb);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":566
- *         gi_lb = _greedy_indep(ct.adj, ct.full)
- *         if gi_lb > ct.lb:
- *             ct.lb = gi_lb             # <<<<<<<<<<<<<<
- *         if ct.best > ct.lb:
- *             _cover_search(&ct, 0, 0)
-*/
-      __pyx_v_ct.lb = __pyx_v_gi_lb;
-
-      /* "etdom/_kernel/_fastcore.pyx":565
- *         ct.lb = lb
- *         gi_lb = _greedy_indep(ct.adj, ct.full)
- *         if gi_lb > ct.lb:             # <<<<<<<<<<<<<<
- *             ct.lb = gi_lb
- *         if ct.best > ct.lb:
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":567
- *         if gi_lb > ct.lb:
- *             ct.lb = gi_lb
- *         if ct.best > ct.lb:             # <<<<<<<<<<<<<<
- *             _cover_search(&ct, 0, 0)
- *         return ct.best
-*/
-    __pyx_t_1 = (__pyx_v_ct.best > __pyx_v_ct.lb);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":568
- *             ct.lb = gi_lb
- *         if ct.best > ct.lb:
- *             _cover_search(&ct, 0, 0)             # <<<<<<<<<<<<<<
- *         return ct.best
- *     finally:
-*/
-      __pyx_f_5etdom_7_kernel_9_fastcore__cover_search((&__pyx_v_ct), 0, 0);
-
-      /* "etdom/_kernel/_fastcore.pyx":567
- *         if gi_lb > ct.lb:
- *             ct.lb = gi_lb
- *         if ct.best > ct.lb:             # <<<<<<<<<<<<<<
- *             _cover_search(&ct, 0, 0)
- *         return ct.best
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":569
- *         if ct.best > ct.lb:
- *             _cover_search(&ct, 0, 0)
- *         return ct.best             # <<<<<<<<<<<<<<
- *     finally:
- *         free(ct.cliques)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_ct.best); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 569, __pyx_L12_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_r = __pyx_t_2;
-    __pyx_t_2 = 0;
-    goto __pyx_L11_return;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":571
- *         return ct.best
- *     finally:
- *         free(ct.cliques)             # <<<<<<<<<<<<<<
- *         free(counts)
- *         if ct.member != NULL:
-*/
-  /*finally:*/ {
-    __pyx_L12_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17) < 0)) __Pyx_ErrFetch(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __pyx_t_7 = __pyx_lineno; __pyx_t_8 = __pyx_clineno; __pyx_t_14 = __pyx_filename;
-      {
-        free(__pyx_v_ct.cliques);
-
-        /* "etdom/_kernel/_fastcore.pyx":572
- *     finally:
- *         free(ct.cliques)
- *         free(counts)             # <<<<<<<<<<<<<<
- *         if ct.member != NULL:
- *             free(ct.member)
-*/
-        free(__pyx_v_counts);
-
-        /* "etdom/_kernel/_fastcore.pyx":573
- *         free(ct.cliques)
- *         free(counts)
- *         if ct.member != NULL:             # <<<<<<<<<<<<<<
- *             free(ct.member)
- * 
-*/
-        __pyx_t_1 = (__pyx_v_ct.member != NULL);
-        if (__pyx_t_1) {
-
-          /* "etdom/_kernel/_fastcore.pyx":574
- *         free(counts)
- *         if ct.member != NULL:
- *             free(ct.member)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-          free(__pyx_v_ct.member);
-
-          /* "etdom/_kernel/_fastcore.pyx":573
- *         free(ct.cliques)
- *         free(counts)
- *         if ct.member != NULL:             # <<<<<<<<<<<<<<
- *             free(ct.member)
- * 
-*/
-        }
-      }
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_ExceptionReset(__pyx_t_18, __pyx_t_19, __pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_ErrRestore(__pyx_t_15, __pyx_t_16, __pyx_t_17);
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __pyx_lineno = __pyx_t_7; __pyx_clineno = __pyx_t_8; __pyx_filename = __pyx_t_14;
-      goto __pyx_L1_error;
-    }
-    __pyx_L11_return: {
-      __pyx_t_20 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "etdom/_kernel/_fastcore.pyx":571
- *         return ct.best
- *     finally:
- *         free(ct.cliques)             # <<<<<<<<<<<<<<
- *         free(counts)
- *         if ct.member != NULL:
-*/
-      free(__pyx_v_ct.cliques);
-
-      /* "etdom/_kernel/_fastcore.pyx":572
- *     finally:
- *         free(ct.cliques)
- *         free(counts)             # <<<<<<<<<<<<<<
- *         if ct.member != NULL:
- *             free(ct.member)
-*/
-      free(__pyx_v_counts);
-
-      /* "etdom/_kernel/_fastcore.pyx":573
- *         free(ct.cliques)
- *         free(counts)
- *         if ct.member != NULL:             # <<<<<<<<<<<<<<
- *             free(ct.member)
- * 
-*/
-      __pyx_t_1 = (__pyx_v_ct.member != NULL);
-      if (__pyx_t_1) {
-
-        /* "etdom/_kernel/_fastcore.pyx":574
- *         free(counts)
- *         if ct.member != NULL:
- *             free(ct.member)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_ct.member);
-
-        /* "etdom/_kernel/_fastcore.pyx":573
- *         free(ct.cliques)
- *         free(counts)
- *         if ct.member != NULL:             # <<<<<<<<<<<<<<
- *             free(ct.member)
- * 
-*/
-      }
-      __pyx_r = __pyx_t_20;
-      __pyx_t_20 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":510
- * 
- * 
- * def clique_cover(int n, adj, int lb=0):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.clique_cover", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_cliques_py);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":588
- * 
- * 
- * cdef void _dom_init(DomCtx *dc, int n, adj):             # <<<<<<<<<<<<<<
- *     cdef int i
- *     dc.n = n
-*/
-
-static void __pyx_f_5etdom_7_kernel_9_fastcore__dom_init(struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx *__pyx_v_dc, int __pyx_v_n, PyObject *__pyx_v_adj) {
-  int __pyx_v_i;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  unsigned PY_LONG_LONG __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_dom_init", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":590
- * cdef void _dom_init(DomCtx *dc, int n, adj):
- *     cdef int i
- *     dc.n = n             # <<<<<<<<<<<<<<
- *     dc.full = _full_mask(n)
- *     for i in range(n):
-*/
-  __pyx_v_dc->n = __pyx_v_n;
-
-  /* "etdom/_kernel/_fastcore.pyx":591
- *     cdef int i
- *     dc.n = n
- *     dc.full = _full_mask(n)             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         dc.closed[i] = <unsigned long long> adj[i] | (ONE << i)
-*/
-  __pyx_v_dc->full = __pyx_f_5etdom_7_kernel_9_fastcore__full_mask(__pyx_v_n);
-
-  /* "etdom/_kernel/_fastcore.pyx":592
- *     dc.n = n
- *     dc.full = _full_mask(n)
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         dc.closed[i] = <unsigned long long> adj[i] | (ONE << i)
- *     dc.suffix[n] = 0
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "etdom/_kernel/_fastcore.pyx":593
- *     dc.full = _full_mask(n)
- *     for i in range(n):
- *         dc.closed[i] = <unsigned long long> adj[i] | (ONE << i)             # <<<<<<<<<<<<<<
- *     dc.suffix[n] = 0
- *     for i in range(n - 1, -1, -1):
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_adj, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 593, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_4); if (unlikely((__pyx_t_5 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 593, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_dc->closed[__pyx_v_i]) = (((unsigned PY_LONG_LONG)__pyx_t_5) | (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_i));
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":594
- *     for i in range(n):
- *         dc.closed[i] = <unsigned long long> adj[i] | (ONE << i)
- *     dc.suffix[n] = 0             # <<<<<<<<<<<<<<
- *     for i in range(n - 1, -1, -1):
- *         dc.suffix[i] = dc.suffix[i + 1] | dc.closed[i]
-*/
-  (__pyx_v_dc->suffix[__pyx_v_n]) = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":595
- *         dc.closed[i] = <unsigned long long> adj[i] | (ONE << i)
- *     dc.suffix[n] = 0
- *     for i in range(n - 1, -1, -1):             # <<<<<<<<<<<<<<
- *         dc.suffix[i] = dc.suffix[i + 1] | dc.closed[i]
- * 
-*/
-  for (__pyx_t_1 = (__pyx_v_n - 1); __pyx_t_1 > -1; __pyx_t_1-=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "etdom/_kernel/_fastcore.pyx":596
- *     dc.suffix[n] = 0
- *     for i in range(n - 1, -1, -1):
- *         dc.suffix[i] = dc.suffix[i + 1] | dc.closed[i]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    (__pyx_v_dc->suffix[__pyx_v_i]) = ((__pyx_v_dc->suffix[(__pyx_v_i + 1)]) | (__pyx_v_dc->closed[__pyx_v_i]));
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":588
- * 
- * 
- * cdef void _dom_init(DomCtx *dc, int n, adj):             # <<<<<<<<<<<<<<
- *     cdef int i
- *     dc.n = n
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("etdom._kernel._fastcore._dom_init", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "etdom/_kernel/_fastcore.pyx":599
- * 
- * 
- * cdef long long _dom_enum(DomCtx *dc, int i, int left, unsigned long long cov,             # <<<<<<<<<<<<<<
- *                          unsigned long long cur, list out, long long count,
- *                          long long cap) except? -7:
-*/
-
-static PY_LONG_LONG __pyx_f_5etdom_7_kernel_9_fastcore__dom_enum(struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx *__pyx_v_dc, int __pyx_v_i, int __pyx_v_left, unsigned PY_LONG_LONG __pyx_v_cov, unsigned PY_LONG_LONG __pyx_v_cur, PyObject *__pyx_v_out, PY_LONG_LONG __pyx_v_count, PY_LONG_LONG __pyx_v_cap) {
-  PY_LONG_LONG __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_dom_enum", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":602
- *                          unsigned long long cur, list out, long long count,
- *                          long long cap) except? -7:
- *     if (cov | dc.suffix[i]) != dc.full:             # <<<<<<<<<<<<<<
- *         return count
- *     if left == 0:
-*/
-  __pyx_t_1 = ((__pyx_v_cov | (__pyx_v_dc->suffix[__pyx_v_i])) != __pyx_v_dc->full);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":603
- *                          long long cap) except? -7:
- *     if (cov | dc.suffix[i]) != dc.full:
- *         return count             # <<<<<<<<<<<<<<
- *     if left == 0:
- *         if cov == dc.full:
-*/
-    __pyx_r = __pyx_v_count;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":602
- *                          unsigned long long cur, list out, long long count,
- *                          long long cap) except? -7:
- *     if (cov | dc.suffix[i]) != dc.full:             # <<<<<<<<<<<<<<
- *         return count
- *     if left == 0:
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":604
- *     if (cov | dc.suffix[i]) != dc.full:
- *         return count
- *     if left == 0:             # <<<<<<<<<<<<<<
- *         if cov == dc.full:
- *             count += 1
-*/
-  __pyx_t_1 = (__pyx_v_left == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":605
- *         return count
- *     if left == 0:
- *         if cov == dc.full:             # <<<<<<<<<<<<<<
- *             count += 1
- *             if out is not None and count <= cap:
-*/
-    __pyx_t_1 = (__pyx_v_cov == __pyx_v_dc->full);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":606
- *     if left == 0:
- *         if cov == dc.full:
- *             count += 1             # <<<<<<<<<<<<<<
- *             if out is not None and count <= cap:
- *                 out.append(cur)
-*/
-      __pyx_v_count = (__pyx_v_count + 1);
-
-      /* "etdom/_kernel/_fastcore.pyx":607
- *         if cov == dc.full:
- *             count += 1
- *             if out is not None and count <= cap:             # <<<<<<<<<<<<<<
- *                 out.append(cur)
- *         return count
-*/
-      __pyx_t_2 = (__pyx_v_out != ((PyObject*)Py_None));
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L7_bool_binop_done;
-      }
-      __pyx_t_2 = (__pyx_v_count <= __pyx_v_cap);
-      __pyx_t_1 = __pyx_t_2;
-      __pyx_L7_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "etdom/_kernel/_fastcore.pyx":608
- *             count += 1
- *             if out is not None and count <= cap:
- *                 out.append(cur)             # <<<<<<<<<<<<<<
- *         return count
- *     if dc.n - i < left:
-*/
-        if (unlikely(__pyx_v_out == Py_None)) {
-          PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "append");
-          __PYX_ERR(0, 608, __pyx_L1_error)
-        }
-        __pyx_t_3 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_v_cur); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 608, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_4 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_3); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 608, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-        /* "etdom/_kernel/_fastcore.pyx":607
- *         if cov == dc.full:
- *             count += 1
- *             if out is not None and count <= cap:             # <<<<<<<<<<<<<<
- *                 out.append(cur)
- *         return count
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":605
- *         return count
- *     if left == 0:
- *         if cov == dc.full:             # <<<<<<<<<<<<<<
- *             count += 1
- *             if out is not None and count <= cap:
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":609
- *             if out is not None and count <= cap:
- *                 out.append(cur)
- *         return count             # <<<<<<<<<<<<<<
- *     if dc.n - i < left:
- *         return count
-*/
-    __pyx_r = __pyx_v_count;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":604
- *     if (cov | dc.suffix[i]) != dc.full:
- *         return count
- *     if left == 0:             # <<<<<<<<<<<<<<
- *         if cov == dc.full:
- *             count += 1
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":610
- *                 out.append(cur)
- *         return count
- *     if dc.n - i < left:             # <<<<<<<<<<<<<<
- *         return count
- *     count = _dom_enum(dc, i + 1, left - 1, cov | dc.closed[i],
-*/
-  __pyx_t_1 = ((__pyx_v_dc->n - __pyx_v_i) < __pyx_v_left);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":611
- *         return count
- *     if dc.n - i < left:
- *         return count             # <<<<<<<<<<<<<<
- *     count = _dom_enum(dc, i + 1, left - 1, cov | dc.closed[i],
- *                       cur | (ONE << i), out, count, cap)
-*/
-    __pyx_r = __pyx_v_count;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":610
- *                 out.append(cur)
- *         return count
- *     if dc.n - i < left:             # <<<<<<<<<<<<<<
- *         return count
- *     count = _dom_enum(dc, i + 1, left - 1, cov | dc.closed[i],
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":612
- *     if dc.n - i < left:
- *         return count
- *     count = _dom_enum(dc, i + 1, left - 1, cov | dc.closed[i],             # <<<<<<<<<<<<<<
- *                       cur | (ONE << i), out, count, cap)
- *     return _dom_enum(dc, i + 1, left, cov, cur, out, count, cap)
-*/
-  __pyx_t_5 = __pyx_f_5etdom_7_kernel_9_fastcore__dom_enum(__pyx_v_dc, (__pyx_v_i + 1), (__pyx_v_left - 1), (__pyx_v_cov | (__pyx_v_dc->closed[__pyx_v_i])), (__pyx_v_cur | (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_i)), __pyx_v_out, __pyx_v_count, __pyx_v_cap); if (unlikely(__pyx_t_5 == ((PY_LONG_LONG)-7LL) && PyErr_Occurred())) __PYX_ERR(0, 612, __pyx_L1_error)
-  __pyx_v_count = __pyx_t_5;
-
-  /* "etdom/_kernel/_fastcore.pyx":614
- *     count = _dom_enum(dc, i + 1, left - 1, cov | dc.closed[i],
- *                       cur | (ONE << i), out, count, cap)
- *     return _dom_enum(dc, i + 1, left, cov, cur, out, count, cap)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_5 = __pyx_f_5etdom_7_kernel_9_fastcore__dom_enum(__pyx_v_dc, (__pyx_v_i + 1), __pyx_v_left, __pyx_v_cov, __pyx_v_cur, __pyx_v_out, __pyx_v_count, __pyx_v_cap); if (unlikely(__pyx_t_5 == ((PY_LONG_LONG)-7LL) && PyErr_Occurred())) __PYX_ERR(0, 614, __pyx_L1_error)
-  __pyx_r = __pyx_t_5;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":599
- * 
- * 
- * cdef long long _dom_enum(DomCtx *dc, int i, int left, unsigned long long cov,             # <<<<<<<<<<<<<<
- *                          unsigned long long cur, list out, long long count,
- *                          long long cap) except? -7:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("etdom._kernel._fastcore._dom_enum", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -7LL;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":617
- * 
- * 
- * def dominating_sets(int n, adj, int k, long long cap=1 << 26):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return []
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_9dominating_sets(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_9dominating_sets = {"dominating_sets", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_9dominating_sets, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_9dominating_sets(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  int __pyx_v_k;
-  PY_LONG_LONG __pyx_v_cap;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("dominating_sets (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,&__pyx_mstate_global->__pyx_n_u_k,&__pyx_mstate_global->__pyx_n_u_cap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 617, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "dominating_sets", 0) < (0)) __PYX_ERR(0, 617, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("dominating_sets", 0, 3, 4, i); __PYX_ERR(0, 617, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 617, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 617, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 617, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 617, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-    __pyx_v_k = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_k == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 617, __pyx_L3_error)
-    if (values[3]) {
-      __pyx_v_cap = __Pyx_PyLong_As_PY_LONG_LONG(values[3]); if (unlikely((__pyx_v_cap == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 617, __pyx_L3_error)
-    } else {
-      __pyx_v_cap = ((PY_LONG_LONG)((PY_LONG_LONG)0x4000000));
-    }
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("dominating_sets", 0, 3, 4, __pyx_nargs); __PYX_ERR(0, 617, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.dominating_sets", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_8dominating_sets(__pyx_self, __pyx_v_n, __pyx_v_adj, __pyx_v_k, __pyx_v_cap);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_8dominating_sets(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_k, PY_LONG_LONG __pyx_v_cap) {
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx __pyx_v_dc;
-  PyObject *__pyx_v_out = NULL;
-  PY_LONG_LONG __pyx_v_count;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PY_LONG_LONG __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9[5];
-  PyObject *__pyx_t_10 = NULL;
-  size_t __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("dominating_sets", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":618
- * 
- * def dominating_sets(int n, adj, int k, long long cap=1 << 26):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return []
- *     cdef DomCtx dc
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":619
- * def dominating_sets(int n, adj, int k, long long cap=1 << 26):
- *     if n == 0:
- *         return []             # <<<<<<<<<<<<<<
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 619, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_r = __pyx_t_2;
-    __pyx_t_2 = 0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":618
- * 
- * def dominating_sets(int n, adj, int k, long long cap=1 << 26):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return []
- *     cdef DomCtx dc
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":621
- *         return []
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)             # <<<<<<<<<<<<<<
- *     out = []
- *     cdef long long count = _dom_enum(&dc, 0, k, 0, 0, out, 0, cap)
-*/
-  __pyx_f_5etdom_7_kernel_9_fastcore__dom_init((&__pyx_v_dc), __pyx_v_n, __pyx_v_adj); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 621, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":622
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)
- *     out = []             # <<<<<<<<<<<<<<
- *     cdef long long count = _dom_enum(&dc, 0, k, 0, 0, out, 0, cap)
- *     if count > cap:
-*/
-  __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 622, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_v_out = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":623
- *     _dom_init(&dc, n, adj)
- *     out = []
- *     cdef long long count = _dom_enum(&dc, 0, k, 0, 0, out, 0, cap)             # <<<<<<<<<<<<<<
- *     if count > cap:
- *         raise BudgetExceeded(
-*/
-  __pyx_t_3 = __pyx_f_5etdom_7_kernel_9_fastcore__dom_enum((&__pyx_v_dc), 0, __pyx_v_k, 0, 0, __pyx_v_out, 0, __pyx_v_cap); if (unlikely(__pyx_t_3 == ((PY_LONG_LONG)-7LL) && PyErr_Occurred())) __PYX_ERR(0, 623, __pyx_L1_error)
-  __pyx_v_count = __pyx_t_3;
-
-  /* "etdom/_kernel/_fastcore.pyx":624
- *     out = []
- *     cdef long long count = _dom_enum(&dc, 0, k, 0, 0, out, 0, cap)
- *     if count > cap:             # <<<<<<<<<<<<<<
- *         raise BudgetExceeded(
- *             f"{count} dominating {k}-sets exceed the configured cap {cap}", count
-*/
-  __pyx_t_1 = (__pyx_v_count > __pyx_v_cap);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "etdom/_kernel/_fastcore.pyx":625
- *     cdef long long count = _dom_enum(&dc, 0, k, 0, 0, out, 0, cap)
- *     if count > cap:
- *         raise BudgetExceeded(             # <<<<<<<<<<<<<<
- *             f"{count} dominating {k}-sets exceed the configured cap {cap}", count
- *         )
-*/
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_BudgetExceeded); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 625, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-
-    /* "etdom/_kernel/_fastcore.pyx":626
- *     if count > cap:
- *         raise BudgetExceeded(
- *             f"{count} dominating {k}-sets exceed the configured cap {cap}", count             # <<<<<<<<<<<<<<
- *         )
- *     out.sort()
-*/
-    __pyx_t_6 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_count, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 626, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_k, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 626, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cap, 0, ' ', 'd'); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 626, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_t_9[0] = __pyx_t_6;
-    __pyx_t_9[1] = __pyx_mstate_global->__pyx_kp_u_dominating;
-    __pyx_t_9[2] = __pyx_t_7;
-    __pyx_t_9[3] = __pyx_mstate_global->__pyx_kp_u_sets_exceed_the_configured_cap;
-    __pyx_t_9[4] = __pyx_t_8;
-    __pyx_t_10 = __Pyx_PyUnicode_Join(__pyx_t_9, 5, __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 12 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 32 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_8), 127);
-    if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 626, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __pyx_t_8 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_count); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 626, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_t_11 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_11 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[3] = {__pyx_t_4, __pyx_t_10, __pyx_t_8};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_11, (3-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 625, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 625, __pyx_L1_error)
-
-    /* "etdom/_kernel/_fastcore.pyx":624
- *     out = []
- *     cdef long long count = _dom_enum(&dc, 0, k, 0, 0, out, 0, cap)
- *     if count > cap:             # <<<<<<<<<<<<<<
- *         raise BudgetExceeded(
- *             f"{count} dominating {k}-sets exceed the configured cap {cap}", count
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":628
- *             f"{count} dominating {k}-sets exceed the configured cap {cap}", count
- *         )
- *     out.sort()             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-  __pyx_t_12 = PyList_Sort(__pyx_v_out); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 628, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":629
- *         )
- *     out.sort()
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_out);
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":617
- * 
- * 
- * def dominating_sets(int n, adj, int k, long long cap=1 << 26):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return []
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.dominating_sets", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":632
- * 
- * 
- * def count_dominating_sets(int n, adj, int k):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_11count_dominating_sets(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_11count_dominating_sets = {"count_dominating_sets", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_11count_dominating_sets, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_11count_dominating_sets(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  int __pyx_v_k;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("count_dominating_sets (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,&__pyx_mstate_global->__pyx_n_u_k,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 632, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 632, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 632, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 632, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "count_dominating_sets", 0) < (0)) __PYX_ERR(0, 632, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("count_dominating_sets", 1, 3, 3, i); __PYX_ERR(0, 632, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 632, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 632, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 632, __pyx_L3_error)
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 632, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-    __pyx_v_k = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_k == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 632, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("count_dominating_sets", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 632, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.count_dominating_sets", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_10count_dominating_sets(__pyx_self, __pyx_v_n, __pyx_v_adj, __pyx_v_k);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_10count_dominating_sets(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_k) {
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx __pyx_v_dc;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("count_dominating_sets", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":633
- * 
- * def count_dominating_sets(int n, adj, int k):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef DomCtx dc
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":634
- * def count_dominating_sets(int n, adj, int k):
- *     if n == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __pyx_r = __pyx_mstate_global->__pyx_int_0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":633
- * 
- * def count_dominating_sets(int n, adj, int k):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef DomCtx dc
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":636
- *         return 0
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)             # <<<<<<<<<<<<<<
- *     return _dom_enum(&dc, 0, k, 0, 0, None, 0, 0)
- * 
-*/
-  __pyx_f_5etdom_7_kernel_9_fastcore__dom_init((&__pyx_v_dc), __pyx_v_n, __pyx_v_adj); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 636, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":637
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)
- *     return _dom_enum(&dc, 0, k, 0, 0, None, 0, 0)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = __pyx_f_5etdom_7_kernel_9_fastcore__dom_enum((&__pyx_v_dc), 0, __pyx_v_k, 0, 0, ((PyObject*)Py_None), 0, 0); if (unlikely(__pyx_t_2 == ((PY_LONG_LONG)-7LL) && PyErr_Occurred())) __PYX_ERR(0, 637, __pyx_L1_error)
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_t_2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 637, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":632
- * 
- * 
- * def count_dominating_sets(int n, adj, int k):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.count_dominating_sets", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":640
- * 
- * 
- * cdef int _dom_exists(DomCtx *dc, int i, int left, unsigned long long cov) noexcept nogil:             # <<<<<<<<<<<<<<
- *     if cov == dc.full:
- *         return 1
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__dom_exists(struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx *__pyx_v_dc, int __pyx_v_i, int __pyx_v_left, unsigned PY_LONG_LONG __pyx_v_cov) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "etdom/_kernel/_fastcore.pyx":641
- * 
- * cdef int _dom_exists(DomCtx *dc, int i, int left, unsigned long long cov) noexcept nogil:
- *     if cov == dc.full:             # <<<<<<<<<<<<<<
- *         return 1
- *     if left == 0 or (cov | dc.suffix[i]) != dc.full or dc.n - i < left:
-*/
-  __pyx_t_1 = (__pyx_v_cov == __pyx_v_dc->full);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":642
- * cdef int _dom_exists(DomCtx *dc, int i, int left, unsigned long long cov) noexcept nogil:
- *     if cov == dc.full:
- *         return 1             # <<<<<<<<<<<<<<
- *     if left == 0 or (cov | dc.suffix[i]) != dc.full or dc.n - i < left:
- *         return 0
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":641
- * 
- * cdef int _dom_exists(DomCtx *dc, int i, int left, unsigned long long cov) noexcept nogil:
- *     if cov == dc.full:             # <<<<<<<<<<<<<<
- *         return 1
- *     if left == 0 or (cov | dc.suffix[i]) != dc.full or dc.n - i < left:
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":643
- *     if cov == dc.full:
- *         return 1
- *     if left == 0 or (cov | dc.suffix[i]) != dc.full or dc.n - i < left:             # <<<<<<<<<<<<<<
- *         return 0
- *     if _dom_exists(dc, i + 1, left - 1, cov | dc.closed[i]):
-*/
-  __pyx_t_2 = (__pyx_v_left == 0);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_cov | (__pyx_v_dc->suffix[__pyx_v_i])) != __pyx_v_dc->full);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_dc->n - __pyx_v_i) < __pyx_v_left);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L5_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":644
- *         return 1
- *     if left == 0 or (cov | dc.suffix[i]) != dc.full or dc.n - i < left:
- *         return 0             # <<<<<<<<<<<<<<
- *     if _dom_exists(dc, i + 1, left - 1, cov | dc.closed[i]):
- *         return 1
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":643
- *     if cov == dc.full:
- *         return 1
- *     if left == 0 or (cov | dc.suffix[i]) != dc.full or dc.n - i < left:             # <<<<<<<<<<<<<<
- *         return 0
- *     if _dom_exists(dc, i + 1, left - 1, cov | dc.closed[i]):
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":645
- *     if left == 0 or (cov | dc.suffix[i]) != dc.full or dc.n - i < left:
- *         return 0
- *     if _dom_exists(dc, i + 1, left - 1, cov | dc.closed[i]):             # <<<<<<<<<<<<<<
- *         return 1
- *     return _dom_exists(dc, i + 1, left, cov)
-*/
-  __pyx_t_1 = (__pyx_f_5etdom_7_kernel_9_fastcore__dom_exists(__pyx_v_dc, (__pyx_v_i + 1), (__pyx_v_left - 1), (__pyx_v_cov | (__pyx_v_dc->closed[__pyx_v_i]))) != 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":646
- *         return 0
- *     if _dom_exists(dc, i + 1, left - 1, cov | dc.closed[i]):
- *         return 1             # <<<<<<<<<<<<<<
- *     return _dom_exists(dc, i + 1, left, cov)
- * 
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":645
- *     if left == 0 or (cov | dc.suffix[i]) != dc.full or dc.n - i < left:
- *         return 0
- *     if _dom_exists(dc, i + 1, left - 1, cov | dc.closed[i]):             # <<<<<<<<<<<<<<
- *         return 1
- *     return _dom_exists(dc, i + 1, left, cov)
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":647
- *     if _dom_exists(dc, i + 1, left - 1, cov | dc.closed[i]):
- *         return 1
- *     return _dom_exists(dc, i + 1, left, cov)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_5etdom_7_kernel_9_fastcore__dom_exists(__pyx_v_dc, (__pyx_v_i + 1), __pyx_v_left, __pyx_v_cov);
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":640
- * 
- * 
- * cdef int _dom_exists(DomCtx *dc, int i, int left, unsigned long long cov) noexcept nogil:             # <<<<<<<<<<<<<<
- *     if cov == dc.full:
- *         return 1
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":650
- * 
- * 
- * def exists_dominating_set(int n, adj, int k):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return True
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_13exists_dominating_set(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_13exists_dominating_set = {"exists_dominating_set", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_13exists_dominating_set, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_13exists_dominating_set(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  int __pyx_v_k;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("exists_dominating_set (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,&__pyx_mstate_global->__pyx_n_u_k,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 650, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 650, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 650, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 650, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "exists_dominating_set", 0) < (0)) __PYX_ERR(0, 650, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("exists_dominating_set", 1, 3, 3, i); __PYX_ERR(0, 650, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 650, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 650, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 650, __pyx_L3_error)
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 650, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-    __pyx_v_k = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_k == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 650, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("exists_dominating_set", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 650, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.exists_dominating_set", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_12exists_dominating_set(__pyx_self, __pyx_v_n, __pyx_v_adj, __pyx_v_k);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_12exists_dominating_set(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_k) {
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx __pyx_v_dc;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("exists_dominating_set", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":651
- * 
- * def exists_dominating_set(int n, adj, int k):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return True
- *     cdef DomCtx dc
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":652
- * def exists_dominating_set(int n, adj, int k):
- *     if n == 0:
- *         return True             # <<<<<<<<<<<<<<
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(Py_True);
-    __pyx_r = Py_True;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":651
- * 
- * def exists_dominating_set(int n, adj, int k):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return True
- *     cdef DomCtx dc
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":654
- *         return True
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)             # <<<<<<<<<<<<<<
- *     return bool(_dom_exists(&dc, 0, k, 0))
- * 
-*/
-  __pyx_f_5etdom_7_kernel_9_fastcore__dom_init((&__pyx_v_dc), __pyx_v_n, __pyx_v_adj); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 654, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":655
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)
- *     return bool(_dom_exists(&dc, 0, k, 0))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = __Pyx_PyBool_FromLong((!(!(__pyx_f_5etdom_7_kernel_9_fastcore__dom_exists((&__pyx_v_dc), 0, __pyx_v_k, 0) != 0)))); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 655, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":650
- * 
- * 
- * def exists_dominating_set(int n, adj, int k):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return True
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.exists_dominating_set", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":658
- * 
- * 
- * def domination_number(int n, adj):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_15domination_number(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_15domination_number = {"domination_number", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_15domination_number, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_15domination_number(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("domination_number (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 658, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 658, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 658, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "domination_number", 0) < (0)) __PYX_ERR(0, 658, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("domination_number", 1, 2, 2, i); __PYX_ERR(0, 658, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 658, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 658, __pyx_L3_error)
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 658, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("domination_number", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 658, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.domination_number", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_14domination_number(__pyx_self, __pyx_v_n, __pyx_v_adj);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_14domination_number(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj) {
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_DomCtx __pyx_v_dc;
-  int __pyx_v_maxc;
-  int __pyx_v_i;
-  int __pyx_v_k;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("domination_number", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":659
- * 
- * def domination_number(int n, adj):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef DomCtx dc
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":660
- * def domination_number(int n, adj):
- *     if n == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __pyx_r = __pyx_mstate_global->__pyx_int_0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":659
- * 
- * def domination_number(int n, adj):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef DomCtx dc
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":662
- *         return 0
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)             # <<<<<<<<<<<<<<
- *     cdef int maxc = 0, i, k
- *     for i in range(n):
-*/
-  __pyx_f_5etdom_7_kernel_9_fastcore__dom_init((&__pyx_v_dc), __pyx_v_n, __pyx_v_adj); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 662, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":663
- *     cdef DomCtx dc
- *     _dom_init(&dc, n, adj)
- *     cdef int maxc = 0, i, k             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         if popcnt64(dc.closed[i]) > maxc:
-*/
-  __pyx_v_maxc = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":664
- *     _dom_init(&dc, n, adj)
- *     cdef int maxc = 0, i, k
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         if popcnt64(dc.closed[i]) > maxc:
- *             maxc = popcnt64(dc.closed[i])
-*/
-  __pyx_t_2 = __pyx_v_n;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":665
- *     cdef int maxc = 0, i, k
- *     for i in range(n):
- *         if popcnt64(dc.closed[i]) > maxc:             # <<<<<<<<<<<<<<
- *             maxc = popcnt64(dc.closed[i])
- *     k = (n + maxc - 1) // maxc
-*/
-    __pyx_t_1 = (popcnt64((__pyx_v_dc.closed[__pyx_v_i])) > __pyx_v_maxc);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":666
- *     for i in range(n):
- *         if popcnt64(dc.closed[i]) > maxc:
- *             maxc = popcnt64(dc.closed[i])             # <<<<<<<<<<<<<<
- *     k = (n + maxc - 1) // maxc
- *     while not _dom_exists(&dc, 0, k, 0):
-*/
-      __pyx_v_maxc = popcnt64((__pyx_v_dc.closed[__pyx_v_i]));
-
-      /* "etdom/_kernel/_fastcore.pyx":665
- *     cdef int maxc = 0, i, k
- *     for i in range(n):
- *         if popcnt64(dc.closed[i]) > maxc:             # <<<<<<<<<<<<<<
- *             maxc = popcnt64(dc.closed[i])
- *     k = (n + maxc - 1) // maxc
-*/
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":667
- *         if popcnt64(dc.closed[i]) > maxc:
- *             maxc = popcnt64(dc.closed[i])
- *     k = (n + maxc - 1) // maxc             # <<<<<<<<<<<<<<
- *     while not _dom_exists(&dc, 0, k, 0):
- *         k += 1
-*/
-  __pyx_v_k = (((__pyx_v_n + __pyx_v_maxc) - 1) / __pyx_v_maxc);
-
-  /* "etdom/_kernel/_fastcore.pyx":668
- *             maxc = popcnt64(dc.closed[i])
- *     k = (n + maxc - 1) // maxc
- *     while not _dom_exists(&dc, 0, k, 0):             # <<<<<<<<<<<<<<
- *         k += 1
- *     return k
-*/
-  while (1) {
-    __pyx_t_1 = (!(__pyx_f_5etdom_7_kernel_9_fastcore__dom_exists((&__pyx_v_dc), 0, __pyx_v_k, 0) != 0));
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":669
- *     k = (n + maxc - 1) // maxc
- *     while not _dom_exists(&dc, 0, k, 0):
- *         k += 1             # <<<<<<<<<<<<<<
- *     return k
- * 
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":670
- *     while not _dom_exists(&dc, 0, k, 0):
- *         k += 1
- *     return k             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_5 = __Pyx_PyLong_From_int(__pyx_v_k); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 670, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_r = __pyx_t_5;
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":658
- * 
- * 
- * def domination_number(int n, adj):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.domination_number", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":673
- * 
- * 
- * cdef inline long long _ht_lookup(unsigned long long *keys, long long *table,             # <<<<<<<<<<<<<<
- *                                  long long tmask, unsigned long long x) noexcept nogil:
- *     cdef unsigned long long h = x * (<unsigned long long> 0x9E3779B97F4A7C15)
-*/
-
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_5etdom_7_kernel_9_fastcore__ht_lookup(unsigned PY_LONG_LONG *__pyx_v_keys, PY_LONG_LONG *__pyx_v_table, PY_LONG_LONG __pyx_v_tmask, unsigned PY_LONG_LONG __pyx_v_x) {
-  unsigned PY_LONG_LONG __pyx_v_h;
-  PY_LONG_LONG __pyx_v_slot;
-  PY_LONG_LONG __pyx_v_idx;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":675
- * cdef inline long long _ht_lookup(unsigned long long *keys, long long *table,
- *                                  long long tmask, unsigned long long x) noexcept nogil:
- *     cdef unsigned long long h = x * (<unsigned long long> 0x9E3779B97F4A7C15)             # <<<<<<<<<<<<<<
- *     cdef long long slot = <long long> (h & <unsigned long long> tmask)
- *     cdef long long idx
-*/
-  __pyx_v_h = (__pyx_v_x * ((unsigned PY_LONG_LONG)0x9E3779B97F4A7C15));
-
-  /* "etdom/_kernel/_fastcore.pyx":676
- *                                  long long tmask, unsigned long long x) noexcept nogil:
- *     cdef unsigned long long h = x * (<unsigned long long> 0x9E3779B97F4A7C15)
- *     cdef long long slot = <long long> (h & <unsigned long long> tmask)             # <<<<<<<<<<<<<<
- *     cdef long long idx
- *     while True:
-*/
-  __pyx_v_slot = ((PY_LONG_LONG)(__pyx_v_h & ((unsigned PY_LONG_LONG)__pyx_v_tmask)));
-
-  /* "etdom/_kernel/_fastcore.pyx":678
- *     cdef long long slot = <long long> (h & <unsigned long long> tmask)
- *     cdef long long idx
- *     while True:             # <<<<<<<<<<<<<<
- *         idx = table[slot]
- *         if idx == -1:
-*/
-  while (1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":679
- *     cdef long long idx
- *     while True:
- *         idx = table[slot]             # <<<<<<<<<<<<<<
- *         if idx == -1:
- *             return -1
-*/
-    __pyx_v_idx = (__pyx_v_table[__pyx_v_slot]);
-
-    /* "etdom/_kernel/_fastcore.pyx":680
- *     while True:
- *         idx = table[slot]
- *         if idx == -1:             # <<<<<<<<<<<<<<
- *             return -1
- *         if keys[idx] == x:
-*/
-    __pyx_t_1 = (__pyx_v_idx == -1LL);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":681
- *         idx = table[slot]
- *         if idx == -1:
- *             return -1             # <<<<<<<<<<<<<<
- *         if keys[idx] == x:
- *             return idx
-*/
-      __pyx_r = -1LL;
-      goto __pyx_L0;
-
-      /* "etdom/_kernel/_fastcore.pyx":680
- *     while True:
- *         idx = table[slot]
- *         if idx == -1:             # <<<<<<<<<<<<<<
- *             return -1
- *         if keys[idx] == x:
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":682
- *         if idx == -1:
- *             return -1
- *         if keys[idx] == x:             # <<<<<<<<<<<<<<
- *             return idx
- *         slot = (slot + 1) & tmask
-*/
-    __pyx_t_1 = ((__pyx_v_keys[__pyx_v_idx]) == __pyx_v_x);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":683
- *             return -1
- *         if keys[idx] == x:
- *             return idx             # <<<<<<<<<<<<<<
- *         slot = (slot + 1) & tmask
- * 
-*/
-      __pyx_r = __pyx_v_idx;
-      goto __pyx_L0;
-
-      /* "etdom/_kernel/_fastcore.pyx":682
- *         if idx == -1:
- *             return -1
- *         if keys[idx] == x:             # <<<<<<<<<<<<<<
- *             return idx
- *         slot = (slot + 1) & tmask
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":684
- *         if keys[idx] == x:
- *             return idx
- *         slot = (slot + 1) & tmask             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_v_slot = ((__pyx_v_slot + 1) & __pyx_v_tmask);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":673
- * 
- * 
- * cdef inline long long _ht_lookup(unsigned long long *keys, long long *table,             # <<<<<<<<<<<<<<
- *                                  long long tmask, unsigned long long x) noexcept nogil:
- *     cdef unsigned long long h = x * (<unsigned long long> 0x9E3779B97F4A7C15)
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":687
- * 
- * 
- * def eternal_fixpoint(int n, adj, int k, configs):             # <<<<<<<<<<<<<<
- *     """Surviving dominating k-sets under the one-guard defence closure."""
- *     cdef long long m = len(configs)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_17eternal_fixpoint(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_5etdom_7_kernel_9_fastcore_16eternal_fixpoint, "Surviving dominating k-sets under the one-guard defence closure.");
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_17eternal_fixpoint = {"eternal_fixpoint", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_17eternal_fixpoint, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_5etdom_7_kernel_9_fastcore_16eternal_fixpoint};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_17eternal_fixpoint(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  int __pyx_v_k;
-  PyObject *__pyx_v_configs = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("eternal_fixpoint (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,&__pyx_mstate_global->__pyx_n_u_k,&__pyx_mstate_global->__pyx_n_u_configs,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 687, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 687, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 687, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 687, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 687, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "eternal_fixpoint", 0) < (0)) __PYX_ERR(0, 687, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("eternal_fixpoint", 1, 4, 4, i); __PYX_ERR(0, 687, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 4)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 687, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 687, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 687, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 687, __pyx_L3_error)
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 687, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-    __pyx_v_k = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_k == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 687, __pyx_L3_error)
-    __pyx_v_configs = values[3];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("eternal_fixpoint", 1, 4, 4, __pyx_nargs); __PYX_ERR(0, 687, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.eternal_fixpoint", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_16eternal_fixpoint(__pyx_self, __pyx_v_n, __pyx_v_adj, __pyx_v_k, __pyx_v_configs);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_16eternal_fixpoint(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_k, PyObject *__pyx_v_configs) {
-  PY_LONG_LONG __pyx_v_m;
-  unsigned PY_LONG_LONG __pyx_v_full;
-  unsigned PY_LONG_LONG __pyx_v_cadj[64];
-  int __pyx_v_i;
-  PY_LONG_LONG __pyx_v_tsize;
-  PY_LONG_LONG __pyx_v_tmask;
-  unsigned PY_LONG_LONG *__pyx_v_keys;
-  PY_LONG_LONG *__pyx_v_table;
-  short *__pyx_v_counts;
-  char *__pyx_v_alive;
-  PY_LONG_LONG *__pyx_v_dead;
-  PY_LONG_LONG __pyx_v_ci;
-  PY_LONG_LONG __pyx_v_ndead;
-  PY_LONG_LONG __pyx_v_slot;
-  PY_LONG_LONG __pyx_v_xi;
-  unsigned PY_LONG_LONG __pyx_v_hx;
-  unsigned PY_LONG_LONG __pyx_v_xmask;
-  unsigned PY_LONG_LONG __pyx_v_attacks;
-  unsigned PY_LONG_LONG __pyx_v_am;
-  unsigned PY_LONG_LONG __pyx_v_wm;
-  unsigned PY_LONG_LONG __pyx_v_ymask;
-  unsigned PY_LONG_LONG __pyx_v_rest;
-  int __pyx_v_x;
-  int __pyx_v_w;
-  int __pyx_v_c;
-  int __pyx_v_ok;
-  int __pyx_v_v;
-  PY_LONG_LONG __pyx_8genexpr5__pyx_v_ci;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  unsigned PY_LONG_LONG __pyx_t_7;
-  int __pyx_t_8;
-  PY_LONG_LONG __pyx_t_9;
-  PY_LONG_LONG __pyx_t_10;
-  PY_LONG_LONG __pyx_t_11;
-  PyObject *__pyx_t_12 = NULL;
-  char const *__pyx_t_13;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("eternal_fixpoint", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":689
- * def eternal_fixpoint(int n, adj, int k, configs):
- *     """Surviving dominating k-sets under the one-guard defence closure."""
- *     cdef long long m = len(configs)             # <<<<<<<<<<<<<<
- *     if m == 0:
- *         return []
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_configs); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 689, __pyx_L1_error)
-  __pyx_v_m = __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":690
- *     """Surviving dominating k-sets under the one-guard defence closure."""
- *     cdef long long m = len(configs)
- *     if m == 0:             # <<<<<<<<<<<<<<
- *         return []
- *     if k >= n:
-*/
-  __pyx_t_2 = (__pyx_v_m == 0);
-  if (__pyx_t_2) {
-
-    /* "etdom/_kernel/_fastcore.pyx":691
- *     cdef long long m = len(configs)
- *     if m == 0:
- *         return []             # <<<<<<<<<<<<<<
- *     if k >= n:
- *         return list(configs)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 691, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_r = __pyx_t_3;
-    __pyx_t_3 = 0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":690
- *     """Surviving dominating k-sets under the one-guard defence closure."""
- *     cdef long long m = len(configs)
- *     if m == 0:             # <<<<<<<<<<<<<<
- *         return []
- *     if k >= n:
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":692
- *     if m == 0:
- *         return []
- *     if k >= n:             # <<<<<<<<<<<<<<
- *         return list(configs)
- *     cdef unsigned long long full = _full_mask(n)
-*/
-  __pyx_t_2 = (__pyx_v_k >= __pyx_v_n);
-  if (__pyx_t_2) {
-
-    /* "etdom/_kernel/_fastcore.pyx":693
- *         return []
- *     if k >= n:
- *         return list(configs)             # <<<<<<<<<<<<<<
- *     cdef unsigned long long full = _full_mask(n)
- *     cdef unsigned long long cadj[CMAXN]
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_3 = PySequence_List(__pyx_v_configs); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 693, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_r = __pyx_t_3;
-    __pyx_t_3 = 0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":692
- *     if m == 0:
- *         return []
- *     if k >= n:             # <<<<<<<<<<<<<<
- *         return list(configs)
- *     cdef unsigned long long full = _full_mask(n)
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":694
- *     if k >= n:
- *         return list(configs)
- *     cdef unsigned long long full = _full_mask(n)             # <<<<<<<<<<<<<<
- *     cdef unsigned long long cadj[CMAXN]
- *     cdef int i
-*/
-  __pyx_v_full = __pyx_f_5etdom_7_kernel_9_fastcore__full_mask(__pyx_v_n);
-
-  /* "etdom/_kernel/_fastcore.pyx":697
- *     cdef unsigned long long cadj[CMAXN]
- *     cdef int i
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         cadj[i] = adj[i]
- *     cdef long long tsize = 1
-*/
-  __pyx_t_4 = __pyx_v_n;
-  __pyx_t_5 = __pyx_t_4;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-    __pyx_v_i = __pyx_t_6;
-
-    /* "etdom/_kernel/_fastcore.pyx":698
- *     cdef int i
- *     for i in range(n):
- *         cadj[i] = adj[i]             # <<<<<<<<<<<<<<
- *     cdef long long tsize = 1
- *     while tsize < 2 * m:
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_adj, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 698, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_7 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_7 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 698, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cadj[__pyx_v_i]) = __pyx_t_7;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":699
- *     for i in range(n):
- *         cadj[i] = adj[i]
- *     cdef long long tsize = 1             # <<<<<<<<<<<<<<
- *     while tsize < 2 * m:
- *         tsize <<= 1
-*/
-  __pyx_v_tsize = 1;
-
-  /* "etdom/_kernel/_fastcore.pyx":700
- *         cadj[i] = adj[i]
- *     cdef long long tsize = 1
- *     while tsize < 2 * m:             # <<<<<<<<<<<<<<
- *         tsize <<= 1
- *     cdef long long tmask = tsize - 1
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_tsize < (2 * __pyx_v_m));
-    if (!__pyx_t_2) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":701
- *     cdef long long tsize = 1
- *     while tsize < 2 * m:
- *         tsize <<= 1             # <<<<<<<<<<<<<<
- *     cdef long long tmask = tsize - 1
- *     cdef unsigned long long *keys = <unsigned long long *> malloc(
-*/
-    __pyx_v_tsize = (__pyx_v_tsize << 1);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":702
- *     while tsize < 2 * m:
- *         tsize <<= 1
- *     cdef long long tmask = tsize - 1             # <<<<<<<<<<<<<<
- *     cdef unsigned long long *keys = <unsigned long long *> malloc(
- *         m * sizeof(unsigned long long))
-*/
-  __pyx_v_tmask = (__pyx_v_tsize - 1);
-
-  /* "etdom/_kernel/_fastcore.pyx":703
- *         tsize <<= 1
- *     cdef long long tmask = tsize - 1
- *     cdef unsigned long long *keys = <unsigned long long *> malloc(             # <<<<<<<<<<<<<<
- *         m * sizeof(unsigned long long))
- *     cdef long long *table = <long long *> malloc(tsize * sizeof(long long))
-*/
-  __pyx_v_keys = ((unsigned PY_LONG_LONG *)malloc((__pyx_v_m * (sizeof(unsigned PY_LONG_LONG)))));
-
-  /* "etdom/_kernel/_fastcore.pyx":705
- *     cdef unsigned long long *keys = <unsigned long long *> malloc(
- *         m * sizeof(unsigned long long))
- *     cdef long long *table = <long long *> malloc(tsize * sizeof(long long))             # <<<<<<<<<<<<<<
- *     cdef short *counts = <short *> malloc(m * n * sizeof(short))
- *     cdef char *alive = <char *> malloc(m)
-*/
-  __pyx_v_table = ((PY_LONG_LONG *)malloc((__pyx_v_tsize * (sizeof(PY_LONG_LONG)))));
-
-  /* "etdom/_kernel/_fastcore.pyx":706
- *         m * sizeof(unsigned long long))
- *     cdef long long *table = <long long *> malloc(tsize * sizeof(long long))
- *     cdef short *counts = <short *> malloc(m * n * sizeof(short))             # <<<<<<<<<<<<<<
- *     cdef char *alive = <char *> malloc(m)
- *     cdef long long *dead = <long long *> malloc(m * sizeof(long long))
-*/
-  __pyx_v_counts = ((short *)malloc(((__pyx_v_m * __pyx_v_n) * (sizeof(short)))));
-
-  /* "etdom/_kernel/_fastcore.pyx":707
- *     cdef long long *table = <long long *> malloc(tsize * sizeof(long long))
- *     cdef short *counts = <short *> malloc(m * n * sizeof(short))
- *     cdef char *alive = <char *> malloc(m)             # <<<<<<<<<<<<<<
- *     cdef long long *dead = <long long *> malloc(m * sizeof(long long))
- *     if keys == NULL or table == NULL or counts == NULL or alive == NULL or dead == NULL:
-*/
-  __pyx_v_alive = ((char *)malloc(__pyx_v_m));
-
-  /* "etdom/_kernel/_fastcore.pyx":708
- *     cdef short *counts = <short *> malloc(m * n * sizeof(short))
- *     cdef char *alive = <char *> malloc(m)
- *     cdef long long *dead = <long long *> malloc(m * sizeof(long long))             # <<<<<<<<<<<<<<
- *     if keys == NULL or table == NULL or counts == NULL or alive == NULL or dead == NULL:
- *         if keys != NULL: free(keys)
-*/
-  __pyx_v_dead = ((PY_LONG_LONG *)malloc((__pyx_v_m * (sizeof(PY_LONG_LONG)))));
-
-  /* "etdom/_kernel/_fastcore.pyx":709
- *     cdef char *alive = <char *> malloc(m)
- *     cdef long long *dead = <long long *> malloc(m * sizeof(long long))
- *     if keys == NULL or table == NULL or counts == NULL or alive == NULL or dead == NULL:             # <<<<<<<<<<<<<<
- *         if keys != NULL: free(keys)
- *         if table != NULL: free(table)
-*/
-  __pyx_t_8 = (__pyx_v_keys == NULL);
-  if (!__pyx_t_8) {
-  } else {
-    __pyx_t_2 = __pyx_t_8;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_8 = (__pyx_v_table == NULL);
-  if (!__pyx_t_8) {
-  } else {
-    __pyx_t_2 = __pyx_t_8;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_8 = (__pyx_v_counts == NULL);
-  if (!__pyx_t_8) {
-  } else {
-    __pyx_t_2 = __pyx_t_8;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_8 = (__pyx_v_alive == NULL);
-  if (!__pyx_t_8) {
-  } else {
-    __pyx_t_2 = __pyx_t_8;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_8 = (__pyx_v_dead == NULL);
-  __pyx_t_2 = __pyx_t_8;
-  __pyx_L10_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "etdom/_kernel/_fastcore.pyx":710
- *     cdef long long *dead = <long long *> malloc(m * sizeof(long long))
- *     if keys == NULL or table == NULL or counts == NULL or alive == NULL or dead == NULL:
- *         if keys != NULL: free(keys)             # <<<<<<<<<<<<<<
- *         if table != NULL: free(table)
- *         if counts != NULL: free(counts)
-*/
-    __pyx_t_2 = (__pyx_v_keys != NULL);
-    if (__pyx_t_2) {
-      free(__pyx_v_keys);
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":711
- *     if keys == NULL or table == NULL or counts == NULL or alive == NULL or dead == NULL:
- *         if keys != NULL: free(keys)
- *         if table != NULL: free(table)             # <<<<<<<<<<<<<<
- *         if counts != NULL: free(counts)
- *         if alive != NULL: free(alive)
-*/
-    __pyx_t_2 = (__pyx_v_table != NULL);
-    if (__pyx_t_2) {
-      free(__pyx_v_table);
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":712
- *         if keys != NULL: free(keys)
- *         if table != NULL: free(table)
- *         if counts != NULL: free(counts)             # <<<<<<<<<<<<<<
- *         if alive != NULL: free(alive)
- *         if dead != NULL: free(dead)
-*/
-    __pyx_t_2 = (__pyx_v_counts != NULL);
-    if (__pyx_t_2) {
-      free(__pyx_v_counts);
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":713
- *         if table != NULL: free(table)
- *         if counts != NULL: free(counts)
- *         if alive != NULL: free(alive)             # <<<<<<<<<<<<<<
- *         if dead != NULL: free(dead)
- *         raise MemoryError()
-*/
-    __pyx_t_2 = (__pyx_v_alive != NULL);
-    if (__pyx_t_2) {
-      free(__pyx_v_alive);
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":714
- *         if counts != NULL: free(counts)
- *         if alive != NULL: free(alive)
- *         if dead != NULL: free(dead)             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     cdef long long ci, ndead = 0, slot, xi
-*/
-    __pyx_t_2 = (__pyx_v_dead != NULL);
-    if (__pyx_t_2) {
-      free(__pyx_v_dead);
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":715
- *         if alive != NULL: free(alive)
- *         if dead != NULL: free(dead)
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     cdef long long ci, ndead = 0, slot, xi
- *     cdef unsigned long long hx, xmask, attacks, am, wm, ymask, rest
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 715, __pyx_L1_error)
-
-    /* "etdom/_kernel/_fastcore.pyx":709
- *     cdef char *alive = <char *> malloc(m)
- *     cdef long long *dead = <long long *> malloc(m * sizeof(long long))
- *     if keys == NULL or table == NULL or counts == NULL or alive == NULL or dead == NULL:             # <<<<<<<<<<<<<<
- *         if keys != NULL: free(keys)
- *         if table != NULL: free(table)
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":716
- *         if dead != NULL: free(dead)
- *         raise MemoryError()
- *     cdef long long ci, ndead = 0, slot, xi             # <<<<<<<<<<<<<<
- *     cdef unsigned long long hx, xmask, attacks, am, wm, ymask, rest
- *     cdef int x, w, c, ok, v
-*/
-  __pyx_v_ndead = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":719
- *     cdef unsigned long long hx, xmask, attacks, am, wm, ymask, rest
- *     cdef int x, w, c, ok, v
- *     try:             # <<<<<<<<<<<<<<
- *         for ci in range(tsize):
- *             table[ci] = -1
-*/
-  /*try:*/ {
-
-    /* "etdom/_kernel/_fastcore.pyx":720
- *     cdef int x, w, c, ok, v
- *     try:
- *         for ci in range(tsize):             # <<<<<<<<<<<<<<
- *             table[ci] = -1
- *         for ci in range(m):
-*/
-    __pyx_t_9 = __pyx_v_tsize;
-    __pyx_t_10 = __pyx_t_9;
-    for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-      __pyx_v_ci = __pyx_t_11;
-
-      /* "etdom/_kernel/_fastcore.pyx":721
- *     try:
- *         for ci in range(tsize):
- *             table[ci] = -1             # <<<<<<<<<<<<<<
- *         for ci in range(m):
- *             keys[ci] = configs[ci]
-*/
-      (__pyx_v_table[__pyx_v_ci]) = -1LL;
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":722
- *         for ci in range(tsize):
- *             table[ci] = -1
- *         for ci in range(m):             # <<<<<<<<<<<<<<
- *             keys[ci] = configs[ci]
- *         for ci in range(m):
-*/
-    __pyx_t_9 = __pyx_v_m;
-    __pyx_t_10 = __pyx_t_9;
-    for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-      __pyx_v_ci = __pyx_t_11;
-
-      /* "etdom/_kernel/_fastcore.pyx":723
- *             table[ci] = -1
- *         for ci in range(m):
- *             keys[ci] = configs[ci]             # <<<<<<<<<<<<<<
- *         for ci in range(m):
- *             hx = keys[ci] * (<unsigned long long> 0x9E3779B97F4A7C15)
-*/
-      __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_configs, __pyx_v_ci, PY_LONG_LONG, 1, __Pyx_PyLong_From_PY_LONG_LONG, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 723, __pyx_L21_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_7 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_7 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 723, __pyx_L21_error)
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      (__pyx_v_keys[__pyx_v_ci]) = __pyx_t_7;
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":724
- *         for ci in range(m):
- *             keys[ci] = configs[ci]
- *         for ci in range(m):             # <<<<<<<<<<<<<<
- *             hx = keys[ci] * (<unsigned long long> 0x9E3779B97F4A7C15)
- *             slot = <long long> (hx & <unsigned long long> tmask)
-*/
-    __pyx_t_9 = __pyx_v_m;
-    __pyx_t_10 = __pyx_t_9;
-    for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-      __pyx_v_ci = __pyx_t_11;
-
-      /* "etdom/_kernel/_fastcore.pyx":725
- *             keys[ci] = configs[ci]
- *         for ci in range(m):
- *             hx = keys[ci] * (<unsigned long long> 0x9E3779B97F4A7C15)             # <<<<<<<<<<<<<<
- *             slot = <long long> (hx & <unsigned long long> tmask)
- *             while table[slot] != -1:
-*/
-      __pyx_v_hx = ((__pyx_v_keys[__pyx_v_ci]) * ((unsigned PY_LONG_LONG)0x9E3779B97F4A7C15));
-
-      /* "etdom/_kernel/_fastcore.pyx":726
- *         for ci in range(m):
- *             hx = keys[ci] * (<unsigned long long> 0x9E3779B97F4A7C15)
- *             slot = <long long> (hx & <unsigned long long> tmask)             # <<<<<<<<<<<<<<
- *             while table[slot] != -1:
- *                 slot = (slot + 1) & tmask
-*/
-      __pyx_v_slot = ((PY_LONG_LONG)(__pyx_v_hx & ((unsigned PY_LONG_LONG)__pyx_v_tmask)));
-
-      /* "etdom/_kernel/_fastcore.pyx":727
- *             hx = keys[ci] * (<unsigned long long> 0x9E3779B97F4A7C15)
- *             slot = <long long> (hx & <unsigned long long> tmask)
- *             while table[slot] != -1:             # <<<<<<<<<<<<<<
- *                 slot = (slot + 1) & tmask
- *             table[slot] = ci
-*/
-      while (1) {
-        __pyx_t_2 = ((__pyx_v_table[__pyx_v_slot]) != -1LL);
-        if (!__pyx_t_2) break;
-
-        /* "etdom/_kernel/_fastcore.pyx":728
- *             slot = <long long> (hx & <unsigned long long> tmask)
- *             while table[slot] != -1:
- *                 slot = (slot + 1) & tmask             # <<<<<<<<<<<<<<
- *             table[slot] = ci
- *         with nogil:
-*/
-        __pyx_v_slot = ((__pyx_v_slot + 1) & __pyx_v_tmask);
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":729
- *             while table[slot] != -1:
- *                 slot = (slot + 1) & tmask
- *             table[slot] = ci             # <<<<<<<<<<<<<<
- *         with nogil:
- *             for ci in range(m):
-*/
-      (__pyx_v_table[__pyx_v_slot]) = __pyx_v_ci;
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":730
- *                 slot = (slot + 1) & tmask
- *             table[slot] = ci
- *         with nogil:             # <<<<<<<<<<<<<<
- *             for ci in range(m):
- *                 alive[ci] = 1
-*/
-    {
-        PyThreadState * _save;
-        _save = PyEval_SaveThread();
-        __Pyx_FastGIL_Remember();
-        /*try:*/ {
-
-          /* "etdom/_kernel/_fastcore.pyx":731
- *             table[slot] = ci
- *         with nogil:
- *             for ci in range(m):             # <<<<<<<<<<<<<<
- *                 alive[ci] = 1
- *                 xmask = keys[ci]
-*/
-          __pyx_t_9 = __pyx_v_m;
-          __pyx_t_10 = __pyx_t_9;
-          for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-            __pyx_v_ci = __pyx_t_11;
-
-            /* "etdom/_kernel/_fastcore.pyx":732
- *         with nogil:
- *             for ci in range(m):
- *                 alive[ci] = 1             # <<<<<<<<<<<<<<
- *                 xmask = keys[ci]
- *                 ok = 1
-*/
-            (__pyx_v_alive[__pyx_v_ci]) = 1;
-
-            /* "etdom/_kernel/_fastcore.pyx":733
- *             for ci in range(m):
- *                 alive[ci] = 1
- *                 xmask = keys[ci]             # <<<<<<<<<<<<<<
- *                 ok = 1
- *                 attacks = full & ~xmask
-*/
-            __pyx_v_xmask = (__pyx_v_keys[__pyx_v_ci]);
-
-            /* "etdom/_kernel/_fastcore.pyx":734
- *                 alive[ci] = 1
- *                 xmask = keys[ci]
- *                 ok = 1             # <<<<<<<<<<<<<<
- *                 attacks = full & ~xmask
- *                 am = attacks
-*/
-            __pyx_v_ok = 1;
-
-            /* "etdom/_kernel/_fastcore.pyx":735
- *                 xmask = keys[ci]
- *                 ok = 1
- *                 attacks = full & ~xmask             # <<<<<<<<<<<<<<
- *                 am = attacks
- *                 while am:
-*/
-            __pyx_v_attacks = (__pyx_v_full & (~__pyx_v_xmask));
-
-            /* "etdom/_kernel/_fastcore.pyx":736
- *                 ok = 1
- *                 attacks = full & ~xmask
- *                 am = attacks             # <<<<<<<<<<<<<<
- *                 while am:
- *                     x = ctz64(am)
-*/
-            __pyx_v_am = __pyx_v_attacks;
-
-            /* "etdom/_kernel/_fastcore.pyx":737
- *                 attacks = full & ~xmask
- *                 am = attacks
- *                 while am:             # <<<<<<<<<<<<<<
- *                     x = ctz64(am)
- *                     am &= am - 1
-*/
-            while (1) {
-              __pyx_t_2 = (__pyx_v_am != 0);
-              if (!__pyx_t_2) break;
-
-              /* "etdom/_kernel/_fastcore.pyx":738
- *                 am = attacks
- *                 while am:
- *                     x = ctz64(am)             # <<<<<<<<<<<<<<
- *                     am &= am - 1
- *                     c = 0
-*/
-              __pyx_v_x = ctz64(__pyx_v_am);
-
-              /* "etdom/_kernel/_fastcore.pyx":739
- *                 while am:
- *                     x = ctz64(am)
- *                     am &= am - 1             # <<<<<<<<<<<<<<
- *                     c = 0
- *                     wm = cadj[x] & xmask
-*/
-              __pyx_v_am = (__pyx_v_am & (__pyx_v_am - 1));
-
-              /* "etdom/_kernel/_fastcore.pyx":740
- *                     x = ctz64(am)
- *                     am &= am - 1
- *                     c = 0             # <<<<<<<<<<<<<<
- *                     wm = cadj[x] & xmask
- *                     while wm:
-*/
-              __pyx_v_c = 0;
-
-              /* "etdom/_kernel/_fastcore.pyx":741
- *                     am &= am - 1
- *                     c = 0
- *                     wm = cadj[x] & xmask             # <<<<<<<<<<<<<<
- *                     while wm:
- *                         w = ctz64(wm)
-*/
-              __pyx_v_wm = ((__pyx_v_cadj[__pyx_v_x]) & __pyx_v_xmask);
-
-              /* "etdom/_kernel/_fastcore.pyx":742
- *                     c = 0
- *                     wm = cadj[x] & xmask
- *                     while wm:             # <<<<<<<<<<<<<<
- *                         w = ctz64(wm)
- *                         wm &= wm - 1
-*/
-              while (1) {
-                __pyx_t_2 = (__pyx_v_wm != 0);
-                if (!__pyx_t_2) break;
-
-                /* "etdom/_kernel/_fastcore.pyx":743
- *                     wm = cadj[x] & xmask
- *                     while wm:
- *                         w = ctz64(wm)             # <<<<<<<<<<<<<<
- *                         wm &= wm - 1
- *                         if _ht_lookup(keys, table, tmask,
-*/
-                __pyx_v_w = ctz64(__pyx_v_wm);
-
-                /* "etdom/_kernel/_fastcore.pyx":744
- *                     while wm:
- *                         w = ctz64(wm)
- *                         wm &= wm - 1             # <<<<<<<<<<<<<<
- *                         if _ht_lookup(keys, table, tmask,
- *                                       (xmask ^ (ONE << w)) | (ONE << x)) >= 0:
-*/
-                __pyx_v_wm = (__pyx_v_wm & (__pyx_v_wm - 1));
-
-                /* "etdom/_kernel/_fastcore.pyx":746
- *                         wm &= wm - 1
- *                         if _ht_lookup(keys, table, tmask,
- *                                       (xmask ^ (ONE << w)) | (ONE << x)) >= 0:             # <<<<<<<<<<<<<<
- *                             c += 1
- *                     counts[ci * n + x] = <short> c
-*/
-                __pyx_t_2 = (__pyx_f_5etdom_7_kernel_9_fastcore__ht_lookup(__pyx_v_keys, __pyx_v_table, __pyx_v_tmask, ((__pyx_v_xmask ^ (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_w)) | (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_x))) >= 0);
-
-                /* "etdom/_kernel/_fastcore.pyx":745
- *                         w = ctz64(wm)
- *                         wm &= wm - 1
- *                         if _ht_lookup(keys, table, tmask,             # <<<<<<<<<<<<<<
- *                                       (xmask ^ (ONE << w)) | (ONE << x)) >= 0:
- *                             c += 1
-*/
-                if (__pyx_t_2) {
-
-                  /* "etdom/_kernel/_fastcore.pyx":747
- *                         if _ht_lookup(keys, table, tmask,
- *                                       (xmask ^ (ONE << w)) | (ONE << x)) >= 0:
- *                             c += 1             # <<<<<<<<<<<<<<
- *                     counts[ci * n + x] = <short> c
- *                     if c == 0:
-*/
-                  __pyx_v_c = (__pyx_v_c + 1);
-
-                  /* "etdom/_kernel/_fastcore.pyx":745
- *                         w = ctz64(wm)
- *                         wm &= wm - 1
- *                         if _ht_lookup(keys, table, tmask,             # <<<<<<<<<<<<<<
- *                                       (xmask ^ (ONE << w)) | (ONE << x)) >= 0:
- *                             c += 1
-*/
-                }
-              }
-
-              /* "etdom/_kernel/_fastcore.pyx":748
- *                                       (xmask ^ (ONE << w)) | (ONE << x)) >= 0:
- *                             c += 1
- *                     counts[ci * n + x] = <short> c             # <<<<<<<<<<<<<<
- *                     if c == 0:
- *                         ok = 0
-*/
-              (__pyx_v_counts[((__pyx_v_ci * __pyx_v_n) + __pyx_v_x)]) = ((short)__pyx_v_c);
-
-              /* "etdom/_kernel/_fastcore.pyx":749
- *                             c += 1
- *                     counts[ci * n + x] = <short> c
- *                     if c == 0:             # <<<<<<<<<<<<<<
- *                         ok = 0
- *                 if not ok:
-*/
-              __pyx_t_2 = (__pyx_v_c == 0);
-              if (__pyx_t_2) {
-
-                /* "etdom/_kernel/_fastcore.pyx":750
- *                     counts[ci * n + x] = <short> c
- *                     if c == 0:
- *                         ok = 0             # <<<<<<<<<<<<<<
- *                 if not ok:
- *                     alive[ci] = 0
-*/
-                __pyx_v_ok = 0;
-
-                /* "etdom/_kernel/_fastcore.pyx":749
- *                             c += 1
- *                     counts[ci * n + x] = <short> c
- *                     if c == 0:             # <<<<<<<<<<<<<<
- *                         ok = 0
- *                 if not ok:
-*/
-              }
-            }
-
-            /* "etdom/_kernel/_fastcore.pyx":751
- *                     if c == 0:
- *                         ok = 0
- *                 if not ok:             # <<<<<<<<<<<<<<
- *                     alive[ci] = 0
- *                     dead[ndead] = ci
-*/
-            __pyx_t_2 = (!(__pyx_v_ok != 0));
-            if (__pyx_t_2) {
-
-              /* "etdom/_kernel/_fastcore.pyx":752
- *                         ok = 0
- *                 if not ok:
- *                     alive[ci] = 0             # <<<<<<<<<<<<<<
- *                     dead[ndead] = ci
- *                     ndead += 1
-*/
-              (__pyx_v_alive[__pyx_v_ci]) = 0;
-
-              /* "etdom/_kernel/_fastcore.pyx":753
- *                 if not ok:
- *                     alive[ci] = 0
- *                     dead[ndead] = ci             # <<<<<<<<<<<<<<
- *                     ndead += 1
- *             while ndead > 0:
-*/
-              (__pyx_v_dead[__pyx_v_ndead]) = __pyx_v_ci;
-
-              /* "etdom/_kernel/_fastcore.pyx":754
- *                     alive[ci] = 0
- *                     dead[ndead] = ci
- *                     ndead += 1             # <<<<<<<<<<<<<<
- *             while ndead > 0:
- *                 ndead -= 1
-*/
-              __pyx_v_ndead = (__pyx_v_ndead + 1);
-
-              /* "etdom/_kernel/_fastcore.pyx":751
- *                     if c == 0:
- *                         ok = 0
- *                 if not ok:             # <<<<<<<<<<<<<<
- *                     alive[ci] = 0
- *                     dead[ndead] = ci
-*/
-            }
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":755
- *                     dead[ndead] = ci
- *                     ndead += 1
- *             while ndead > 0:             # <<<<<<<<<<<<<<
- *                 ndead -= 1
- *                 ci = dead[ndead]
-*/
-          while (1) {
-            __pyx_t_2 = (__pyx_v_ndead > 0);
-            if (!__pyx_t_2) break;
-
-            /* "etdom/_kernel/_fastcore.pyx":756
- *                     ndead += 1
- *             while ndead > 0:
- *                 ndead -= 1             # <<<<<<<<<<<<<<
- *                 ci = dead[ndead]
- *                 ymask = keys[ci]
-*/
-            __pyx_v_ndead = (__pyx_v_ndead - 1);
-
-            /* "etdom/_kernel/_fastcore.pyx":757
- *             while ndead > 0:
- *                 ndead -= 1
- *                 ci = dead[ndead]             # <<<<<<<<<<<<<<
- *                 ymask = keys[ci]
- *                 am = ymask
-*/
-            __pyx_v_ci = (__pyx_v_dead[__pyx_v_ndead]);
-
-            /* "etdom/_kernel/_fastcore.pyx":758
- *                 ndead -= 1
- *                 ci = dead[ndead]
- *                 ymask = keys[ci]             # <<<<<<<<<<<<<<
- *                 am = ymask
- *                 while am:
-*/
-            __pyx_v_ymask = (__pyx_v_keys[__pyx_v_ci]);
-
-            /* "etdom/_kernel/_fastcore.pyx":759
- *                 ci = dead[ndead]
- *                 ymask = keys[ci]
- *                 am = ymask             # <<<<<<<<<<<<<<
- *                 while am:
- *                     v = ctz64(am)
-*/
-            __pyx_v_am = __pyx_v_ymask;
-
-            /* "etdom/_kernel/_fastcore.pyx":760
- *                 ymask = keys[ci]
- *                 am = ymask
- *                 while am:             # <<<<<<<<<<<<<<
- *                     v = ctz64(am)
- *                     am &= am - 1
-*/
-            while (1) {
-              __pyx_t_2 = (__pyx_v_am != 0);
-              if (!__pyx_t_2) break;
-
-              /* "etdom/_kernel/_fastcore.pyx":761
- *                 am = ymask
- *                 while am:
- *                     v = ctz64(am)             # <<<<<<<<<<<<<<
- *                     am &= am - 1
- *                     rest = ymask ^ (ONE << v)
-*/
-              __pyx_v_v = ctz64(__pyx_v_am);
-
-              /* "etdom/_kernel/_fastcore.pyx":762
- *                 while am:
- *                     v = ctz64(am)
- *                     am &= am - 1             # <<<<<<<<<<<<<<
- *                     rest = ymask ^ (ONE << v)
- *                     wm = cadj[v] & ~ymask
-*/
-              __pyx_v_am = (__pyx_v_am & (__pyx_v_am - 1));
-
-              /* "etdom/_kernel/_fastcore.pyx":763
- *                     v = ctz64(am)
- *                     am &= am - 1
- *                     rest = ymask ^ (ONE << v)             # <<<<<<<<<<<<<<
- *                     wm = cadj[v] & ~ymask
- *                     while wm:
-*/
-              __pyx_v_rest = (__pyx_v_ymask ^ (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_v));
-
-              /* "etdom/_kernel/_fastcore.pyx":764
- *                     am &= am - 1
- *                     rest = ymask ^ (ONE << v)
- *                     wm = cadj[v] & ~ymask             # <<<<<<<<<<<<<<
- *                     while wm:
- *                         w = ctz64(wm)
-*/
-              __pyx_v_wm = ((__pyx_v_cadj[__pyx_v_v]) & (~__pyx_v_ymask));
-
-              /* "etdom/_kernel/_fastcore.pyx":765
- *                     rest = ymask ^ (ONE << v)
- *                     wm = cadj[v] & ~ymask
- *                     while wm:             # <<<<<<<<<<<<<<
- *                         w = ctz64(wm)
- *                         wm &= wm - 1
-*/
-              while (1) {
-                __pyx_t_2 = (__pyx_v_wm != 0);
-                if (!__pyx_t_2) break;
-
-                /* "etdom/_kernel/_fastcore.pyx":766
- *                     wm = cadj[v] & ~ymask
- *                     while wm:
- *                         w = ctz64(wm)             # <<<<<<<<<<<<<<
- *                         wm &= wm - 1
- *                         xi = _ht_lookup(keys, table, tmask, rest | (ONE << w))
-*/
-                __pyx_v_w = ctz64(__pyx_v_wm);
-
-                /* "etdom/_kernel/_fastcore.pyx":767
- *                     while wm:
- *                         w = ctz64(wm)
- *                         wm &= wm - 1             # <<<<<<<<<<<<<<
- *                         xi = _ht_lookup(keys, table, tmask, rest | (ONE << w))
- *                         if xi >= 0 and alive[xi]:
-*/
-                __pyx_v_wm = (__pyx_v_wm & (__pyx_v_wm - 1));
-
-                /* "etdom/_kernel/_fastcore.pyx":768
- *                         w = ctz64(wm)
- *                         wm &= wm - 1
- *                         xi = _ht_lookup(keys, table, tmask, rest | (ONE << w))             # <<<<<<<<<<<<<<
- *                         if xi >= 0 and alive[xi]:
- *                             counts[xi * n + v] -= 1
-*/
-                __pyx_v_xi = __pyx_f_5etdom_7_kernel_9_fastcore__ht_lookup(__pyx_v_keys, __pyx_v_table, __pyx_v_tmask, (__pyx_v_rest | (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_w)));
-
-                /* "etdom/_kernel/_fastcore.pyx":769
- *                         wm &= wm - 1
- *                         xi = _ht_lookup(keys, table, tmask, rest | (ONE << w))
- *                         if xi >= 0 and alive[xi]:             # <<<<<<<<<<<<<<
- *                             counts[xi * n + v] -= 1
- *                             if counts[xi * n + v] == 0:
-*/
-                __pyx_t_8 = (__pyx_v_xi >= 0);
-                if (__pyx_t_8) {
-                } else {
-                  __pyx_t_2 = __pyx_t_8;
-                  goto __pyx_L50_bool_binop_done;
-                }
-                __pyx_t_8 = ((__pyx_v_alive[__pyx_v_xi]) != 0);
-                __pyx_t_2 = __pyx_t_8;
-                __pyx_L50_bool_binop_done:;
-                if (__pyx_t_2) {
-
-                  /* "etdom/_kernel/_fastcore.pyx":770
- *                         xi = _ht_lookup(keys, table, tmask, rest | (ONE << w))
- *                         if xi >= 0 and alive[xi]:
- *                             counts[xi * n + v] -= 1             # <<<<<<<<<<<<<<
- *                             if counts[xi * n + v] == 0:
- *                                 alive[xi] = 0
-*/
-                  __pyx_t_9 = ((__pyx_v_xi * __pyx_v_n) + __pyx_v_v);
-                  (__pyx_v_counts[__pyx_t_9]) = ((__pyx_v_counts[__pyx_t_9]) - 1);
-
-                  /* "etdom/_kernel/_fastcore.pyx":771
- *                         if xi >= 0 and alive[xi]:
- *                             counts[xi * n + v] -= 1
- *                             if counts[xi * n + v] == 0:             # <<<<<<<<<<<<<<
- *                                 alive[xi] = 0
- *                                 dead[ndead] = xi
-*/
-                  __pyx_t_2 = ((__pyx_v_counts[((__pyx_v_xi * __pyx_v_n) + __pyx_v_v)]) == 0);
-                  if (__pyx_t_2) {
-
-                    /* "etdom/_kernel/_fastcore.pyx":772
- *                             counts[xi * n + v] -= 1
- *                             if counts[xi * n + v] == 0:
- *                                 alive[xi] = 0             # <<<<<<<<<<<<<<
- *                                 dead[ndead] = xi
- *                                 ndead += 1
-*/
-                    (__pyx_v_alive[__pyx_v_xi]) = 0;
-
-                    /* "etdom/_kernel/_fastcore.pyx":773
- *                             if counts[xi * n + v] == 0:
- *                                 alive[xi] = 0
- *                                 dead[ndead] = xi             # <<<<<<<<<<<<<<
- *                                 ndead += 1
- *         return [configs[ci] for ci in range(m) if alive[ci]]
-*/
-                    (__pyx_v_dead[__pyx_v_ndead]) = __pyx_v_xi;
-
-                    /* "etdom/_kernel/_fastcore.pyx":774
- *                                 alive[xi] = 0
- *                                 dead[ndead] = xi
- *                                 ndead += 1             # <<<<<<<<<<<<<<
- *         return [configs[ci] for ci in range(m) if alive[ci]]
- *     finally:
-*/
-                    __pyx_v_ndead = (__pyx_v_ndead + 1);
-
-                    /* "etdom/_kernel/_fastcore.pyx":771
- *                         if xi >= 0 and alive[xi]:
- *                             counts[xi * n + v] -= 1
- *                             if counts[xi * n + v] == 0:             # <<<<<<<<<<<<<<
- *                                 alive[xi] = 0
- *                                 dead[ndead] = xi
-*/
-                  }
-
-                  /* "etdom/_kernel/_fastcore.pyx":769
- *                         wm &= wm - 1
- *                         xi = _ht_lookup(keys, table, tmask, rest | (ONE << w))
- *                         if xi >= 0 and alive[xi]:             # <<<<<<<<<<<<<<
- *                             counts[xi * n + v] -= 1
- *                             if counts[xi * n + v] == 0:
-*/
-                }
-              }
-            }
-          }
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":730
- *                 slot = (slot + 1) & tmask
- *             table[slot] = ci
- *         with nogil:             # <<<<<<<<<<<<<<
- *             for ci in range(m):
- *                 alive[ci] = 1
-*/
-        /*finally:*/ {
-          /*normal exit:*/{
-            __Pyx_FastGIL_Forget();
-            PyEval_RestoreThread(_save);
-            goto __pyx_L33;
-          }
-          __pyx_L33:;
-        }
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":775
- *                                 dead[ndead] = xi
- *                                 ndead += 1
- *         return [configs[ci] for ci in range(m) if alive[ci]]             # <<<<<<<<<<<<<<
- *     finally:
- *         free(keys)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    { /* enter inner scope */
-      __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 775, __pyx_L21_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_9 = __pyx_v_m;
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_8genexpr5__pyx_v_ci = __pyx_t_11;
-        __pyx_t_2 = ((__pyx_v_alive[__pyx_8genexpr5__pyx_v_ci]) != 0);
-        if (__pyx_t_2) {
-          __pyx_t_12 = __Pyx_GetItemInt(__pyx_v_configs, __pyx_8genexpr5__pyx_v_ci, PY_LONG_LONG, 1, __Pyx_PyLong_From_PY_LONG_LONG, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 775, __pyx_L21_error)
-          __Pyx_GOTREF(__pyx_t_12);
-          if (unlikely(__Pyx_ListComp_Append(__pyx_t_3, (PyObject*)__pyx_t_12))) __PYX_ERR(0, 775, __pyx_L21_error)
-          __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-        }
-      }
-    } /* exit inner scope */
-    __pyx_r = __pyx_t_3;
-    __pyx_t_3 = 0;
-    goto __pyx_L20_return;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":777
- *         return [configs[ci] for ci in range(m) if alive[ci]]
- *     finally:
- *         free(keys)             # <<<<<<<<<<<<<<
- *         free(table)
- *         free(counts)
-*/
-  /*finally:*/ {
-    __pyx_L21_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0;
-      __Pyx_XDECREF(__pyx_t_12); __pyx_t_12 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_17, &__pyx_t_18, &__pyx_t_19);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_14, &__pyx_t_15, &__pyx_t_16) < 0)) __Pyx_ErrFetch(&__pyx_t_14, &__pyx_t_15, &__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_14);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __pyx_t_4 = __pyx_lineno; __pyx_t_5 = __pyx_clineno; __pyx_t_13 = __pyx_filename;
-      {
-        free(__pyx_v_keys);
-
-        /* "etdom/_kernel/_fastcore.pyx":778
- *     finally:
- *         free(keys)
- *         free(table)             # <<<<<<<<<<<<<<
- *         free(counts)
- *         free(alive)
-*/
-        free(__pyx_v_table);
-
-        /* "etdom/_kernel/_fastcore.pyx":779
- *         free(keys)
- *         free(table)
- *         free(counts)             # <<<<<<<<<<<<<<
- *         free(alive)
- *         free(dead)
-*/
-        free(__pyx_v_counts);
-
-        /* "etdom/_kernel/_fastcore.pyx":780
- *         free(table)
- *         free(counts)
- *         free(alive)             # <<<<<<<<<<<<<<
- *         free(dead)
- * 
-*/
-        free(__pyx_v_alive);
-
-        /* "etdom/_kernel/_fastcore.pyx":781
- *         free(counts)
- *         free(alive)
- *         free(dead)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_dead);
-      }
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_ExceptionReset(__pyx_t_17, __pyx_t_18, __pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_14);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_ErrRestore(__pyx_t_14, __pyx_t_15, __pyx_t_16);
-      __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0;
-      __pyx_lineno = __pyx_t_4; __pyx_clineno = __pyx_t_5; __pyx_filename = __pyx_t_13;
-      goto __pyx_L1_error;
-    }
-    __pyx_L20_return: {
-      __pyx_t_19 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "etdom/_kernel/_fastcore.pyx":777
- *         return [configs[ci] for ci in range(m) if alive[ci]]
- *     finally:
- *         free(keys)             # <<<<<<<<<<<<<<
- *         free(table)
- *         free(counts)
-*/
-      free(__pyx_v_keys);
-
-      /* "etdom/_kernel/_fastcore.pyx":778
- *     finally:
- *         free(keys)
- *         free(table)             # <<<<<<<<<<<<<<
- *         free(counts)
- *         free(alive)
-*/
-      free(__pyx_v_table);
-
-      /* "etdom/_kernel/_fastcore.pyx":779
- *         free(keys)
- *         free(table)
- *         free(counts)             # <<<<<<<<<<<<<<
- *         free(alive)
- *         free(dead)
-*/
-      free(__pyx_v_counts);
-
-      /* "etdom/_kernel/_fastcore.pyx":780
- *         free(table)
- *         free(counts)
- *         free(alive)             # <<<<<<<<<<<<<<
- *         free(dead)
- * 
-*/
-      free(__pyx_v_alive);
-
-      /* "etdom/_kernel/_fastcore.pyx":781
- *         free(counts)
- *         free(alive)
- *         free(dead)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_dead);
-      __pyx_r = __pyx_t_19;
-      __pyx_t_19 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":687
- * 
- * 
- * def eternal_fixpoint(int n, adj, int k, configs):             # <<<<<<<<<<<<<<
- *     """Surviving dominating k-sets under the one-guard defence closure."""
- *     cdef long long m = len(configs)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.eternal_fixpoint", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":788
- * # ---------------------------------------------------------------------------
- * 
- * def max_matching(int n, adj):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_19max_matching(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_19max_matching = {"max_matching", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_19max_matching, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_19max_matching(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("max_matching (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 788, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 788, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 788, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "max_matching", 0) < (0)) __PYX_ERR(0, 788, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("max_matching", 1, 2, 2, i); __PYX_ERR(0, 788, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 788, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 788, __pyx_L3_error)
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 788, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("max_matching", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 788, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.max_matching", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_18max_matching(__pyx_self, __pyx_v_n, __pyx_v_adj);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_18max_matching(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj) {
-  unsigned PY_LONG_LONG __pyx_v_cadj[64];
-  int __pyx_v_match[64];
-  int __pyx_v_parent[64];
-  int __pyx_v_base[64];
-  int __pyx_v_queue[64];
-  char __pyx_v_used[64];
-  char __pyx_v_flag[64];
-  char __pyx_v_seen[64];
-  int __pyx_v_i;
-  int __pyx_v_v;
-  int __pyx_v_u;
-  int __pyx_v_root;
-  int __pyx_v_qh;
-  int __pyx_v_qt;
-  int __pyx_v_to;
-  int __pyx_v_a;
-  int __pyx_v_b;
-  int __pyx_v_anchor;
-  int __pyx_v_child;
-  int __pyx_v_pv;
-  int __pyx_v_ppv;
-  int __pyx_v_size;
-  int __pyx_v_augmented;
-  unsigned PY_LONG_LONG __pyx_v_m;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  unsigned PY_LONG_LONG __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("max_matching", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":789
- * 
- * def max_matching(int n, adj):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef unsigned long long cadj[CMAXN]
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":790
- * def max_matching(int n, adj):
- *     if n == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     cdef unsigned long long cadj[CMAXN]
- *     cdef int match[CMAXN]
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __pyx_r = __pyx_mstate_global->__pyx_int_0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":789
- * 
- * def max_matching(int n, adj):
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef unsigned long long cadj[CMAXN]
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":802
- *     cdef int augmented
- *     cdef unsigned long long m
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         cadj[i] = adj[i]
- *         match[i] = -1
-*/
-  __pyx_t_2 = __pyx_v_n;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":803
- *     cdef unsigned long long m
- *     for i in range(n):
- *         cadj[i] = adj[i]             # <<<<<<<<<<<<<<
- *         match[i] = -1
- *     for v in range(n):
-*/
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_adj, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 803, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_5); if (unlikely((__pyx_t_6 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 803, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    (__pyx_v_cadj[__pyx_v_i]) = __pyx_t_6;
-
-    /* "etdom/_kernel/_fastcore.pyx":804
- *     for i in range(n):
- *         cadj[i] = adj[i]
- *         match[i] = -1             # <<<<<<<<<<<<<<
- *     for v in range(n):
- *         if match[v] == -1:
-*/
-    (__pyx_v_match[__pyx_v_i]) = -1;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":805
- *         cadj[i] = adj[i]
- *         match[i] = -1
- *     for v in range(n):             # <<<<<<<<<<<<<<
- *         if match[v] == -1:
- *             m = cadj[v]
-*/
-  __pyx_t_2 = __pyx_v_n;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_v = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":806
- *         match[i] = -1
- *     for v in range(n):
- *         if match[v] == -1:             # <<<<<<<<<<<<<<
- *             m = cadj[v]
- *             while m:
-*/
-    __pyx_t_1 = ((__pyx_v_match[__pyx_v_v]) == -1L);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":807
- *     for v in range(n):
- *         if match[v] == -1:
- *             m = cadj[v]             # <<<<<<<<<<<<<<
- *             while m:
- *                 u = ctz64(m)
-*/
-      __pyx_v_m = (__pyx_v_cadj[__pyx_v_v]);
-
-      /* "etdom/_kernel/_fastcore.pyx":808
- *         if match[v] == -1:
- *             m = cadj[v]
- *             while m:             # <<<<<<<<<<<<<<
- *                 u = ctz64(m)
- *                 m &= m - 1
-*/
-      while (1) {
-        __pyx_t_1 = (__pyx_v_m != 0);
-        if (!__pyx_t_1) break;
-
-        /* "etdom/_kernel/_fastcore.pyx":809
- *             m = cadj[v]
- *             while m:
- *                 u = ctz64(m)             # <<<<<<<<<<<<<<
- *                 m &= m - 1
- *                 if match[u] == -1:
-*/
-        __pyx_v_u = ctz64(__pyx_v_m);
-
-        /* "etdom/_kernel/_fastcore.pyx":810
- *             while m:
- *                 u = ctz64(m)
- *                 m &= m - 1             # <<<<<<<<<<<<<<
- *                 if match[u] == -1:
- *                     match[v] = u
-*/
-        __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-        /* "etdom/_kernel/_fastcore.pyx":811
- *                 u = ctz64(m)
- *                 m &= m - 1
- *                 if match[u] == -1:             # <<<<<<<<<<<<<<
- *                     match[v] = u
- *                     match[u] = v
-*/
-        __pyx_t_1 = ((__pyx_v_match[__pyx_v_u]) == -1L);
-        if (__pyx_t_1) {
-
-          /* "etdom/_kernel/_fastcore.pyx":812
- *                 m &= m - 1
- *                 if match[u] == -1:
- *                     match[v] = u             # <<<<<<<<<<<<<<
- *                     match[u] = v
- *                     break
-*/
-          (__pyx_v_match[__pyx_v_v]) = __pyx_v_u;
-
-          /* "etdom/_kernel/_fastcore.pyx":813
- *                 if match[u] == -1:
- *                     match[v] = u
- *                     match[u] = v             # <<<<<<<<<<<<<<
- *                     break
- *     size = 0
-*/
-          (__pyx_v_match[__pyx_v_u]) = __pyx_v_v;
-
-          /* "etdom/_kernel/_fastcore.pyx":814
- *                     match[v] = u
- *                     match[u] = v
- *                     break             # <<<<<<<<<<<<<<
- *     size = 0
- *     for v in range(n):
-*/
-          goto __pyx_L10_break;
-
-          /* "etdom/_kernel/_fastcore.pyx":811
- *                 u = ctz64(m)
- *                 m &= m - 1
- *                 if match[u] == -1:             # <<<<<<<<<<<<<<
- *                     match[v] = u
- *                     match[u] = v
-*/
-        }
-      }
-      __pyx_L10_break:;
-
-      /* "etdom/_kernel/_fastcore.pyx":806
- *         match[i] = -1
- *     for v in range(n):
- *         if match[v] == -1:             # <<<<<<<<<<<<<<
- *             m = cadj[v]
- *             while m:
-*/
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":815
- *                     match[u] = v
- *                     break
- *     size = 0             # <<<<<<<<<<<<<<
- *     for v in range(n):
- *         if match[v] != -1:
-*/
-  __pyx_v_size = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":816
- *                     break
- *     size = 0
- *     for v in range(n):             # <<<<<<<<<<<<<<
- *         if match[v] != -1:
- *             size += 1
-*/
-  __pyx_t_2 = __pyx_v_n;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_v = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":817
- *     size = 0
- *     for v in range(n):
- *         if match[v] != -1:             # <<<<<<<<<<<<<<
- *             size += 1
- *     size //= 2
-*/
-    __pyx_t_1 = ((__pyx_v_match[__pyx_v_v]) != -1L);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":818
- *     for v in range(n):
- *         if match[v] != -1:
- *             size += 1             # <<<<<<<<<<<<<<
- *     size //= 2
- *     for root in range(n):
-*/
-      __pyx_v_size = (__pyx_v_size + 1);
-
-      /* "etdom/_kernel/_fastcore.pyx":817
- *     size = 0
- *     for v in range(n):
- *         if match[v] != -1:             # <<<<<<<<<<<<<<
- *             size += 1
- *     size //= 2
-*/
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":819
- *         if match[v] != -1:
- *             size += 1
- *     size //= 2             # <<<<<<<<<<<<<<
- *     for root in range(n):
- *         if match[root] != -1:
-*/
-  __pyx_v_size = (__pyx_v_size / 2);
-
-  /* "etdom/_kernel/_fastcore.pyx":820
- *             size += 1
- *     size //= 2
- *     for root in range(n):             # <<<<<<<<<<<<<<
- *         if match[root] != -1:
- *             continue
-*/
-  __pyx_t_2 = __pyx_v_n;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_root = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":821
- *     size //= 2
- *     for root in range(n):
- *         if match[root] != -1:             # <<<<<<<<<<<<<<
- *             continue
- *         for i in range(n):
-*/
-    __pyx_t_1 = ((__pyx_v_match[__pyx_v_root]) != -1L);
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":822
- *     for root in range(n):
- *         if match[root] != -1:
- *             continue             # <<<<<<<<<<<<<<
- *         for i in range(n):
- *             parent[i] = -1
-*/
-      goto __pyx_L15_continue;
-
-      /* "etdom/_kernel/_fastcore.pyx":821
- *     size //= 2
- *     for root in range(n):
- *         if match[root] != -1:             # <<<<<<<<<<<<<<
- *             continue
- *         for i in range(n):
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":823
- *         if match[root] != -1:
- *             continue
- *         for i in range(n):             # <<<<<<<<<<<<<<
- *             parent[i] = -1
- *             base[i] = i
-*/
-    __pyx_t_7 = __pyx_v_n;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_i = __pyx_t_9;
-
-      /* "etdom/_kernel/_fastcore.pyx":824
- *             continue
- *         for i in range(n):
- *             parent[i] = -1             # <<<<<<<<<<<<<<
- *             base[i] = i
- *             used[i] = 0
-*/
-      (__pyx_v_parent[__pyx_v_i]) = -1;
-
-      /* "etdom/_kernel/_fastcore.pyx":825
- *         for i in range(n):
- *             parent[i] = -1
- *             base[i] = i             # <<<<<<<<<<<<<<
- *             used[i] = 0
- *         used[root] = 1
-*/
-      (__pyx_v_base[__pyx_v_i]) = __pyx_v_i;
-
-      /* "etdom/_kernel/_fastcore.pyx":826
- *             parent[i] = -1
- *             base[i] = i
- *             used[i] = 0             # <<<<<<<<<<<<<<
- *         used[root] = 1
- *         queue[0] = root
-*/
-      (__pyx_v_used[__pyx_v_i]) = 0;
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":827
- *             base[i] = i
- *             used[i] = 0
- *         used[root] = 1             # <<<<<<<<<<<<<<
- *         queue[0] = root
- *         qh = 0
-*/
-    (__pyx_v_used[__pyx_v_root]) = 1;
-
-    /* "etdom/_kernel/_fastcore.pyx":828
- *             used[i] = 0
- *         used[root] = 1
- *         queue[0] = root             # <<<<<<<<<<<<<<
- *         qh = 0
- *         qt = 1
-*/
-    (__pyx_v_queue[0]) = __pyx_v_root;
-
-    /* "etdom/_kernel/_fastcore.pyx":829
- *         used[root] = 1
- *         queue[0] = root
- *         qh = 0             # <<<<<<<<<<<<<<
- *         qt = 1
- *         augmented = 0
-*/
-    __pyx_v_qh = 0;
-
-    /* "etdom/_kernel/_fastcore.pyx":830
- *         queue[0] = root
- *         qh = 0
- *         qt = 1             # <<<<<<<<<<<<<<
- *         augmented = 0
- *         while qh < qt and not augmented:
-*/
-    __pyx_v_qt = 1;
-
-    /* "etdom/_kernel/_fastcore.pyx":831
- *         qh = 0
- *         qt = 1
- *         augmented = 0             # <<<<<<<<<<<<<<
- *         while qh < qt and not augmented:
- *             v = queue[qh]
-*/
-    __pyx_v_augmented = 0;
-
-    /* "etdom/_kernel/_fastcore.pyx":832
- *         qt = 1
- *         augmented = 0
- *         while qh < qt and not augmented:             # <<<<<<<<<<<<<<
- *             v = queue[qh]
- *             qh += 1
-*/
-    while (1) {
-      __pyx_t_10 = (__pyx_v_qh < __pyx_v_qt);
-      if (__pyx_t_10) {
-      } else {
-        __pyx_t_1 = __pyx_t_10;
-        goto __pyx_L22_bool_binop_done;
-      }
-      __pyx_t_10 = (!(__pyx_v_augmented != 0));
-      __pyx_t_1 = __pyx_t_10;
-      __pyx_L22_bool_binop_done:;
-      if (!__pyx_t_1) break;
-
-      /* "etdom/_kernel/_fastcore.pyx":833
- *         augmented = 0
- *         while qh < qt and not augmented:
- *             v = queue[qh]             # <<<<<<<<<<<<<<
- *             qh += 1
- *             m = cadj[v]
-*/
-      __pyx_v_v = (__pyx_v_queue[__pyx_v_qh]);
-
-      /* "etdom/_kernel/_fastcore.pyx":834
- *         while qh < qt and not augmented:
- *             v = queue[qh]
- *             qh += 1             # <<<<<<<<<<<<<<
- *             m = cadj[v]
- *             while m:
-*/
-      __pyx_v_qh = (__pyx_v_qh + 1);
-
-      /* "etdom/_kernel/_fastcore.pyx":835
- *             v = queue[qh]
- *             qh += 1
- *             m = cadj[v]             # <<<<<<<<<<<<<<
- *             while m:
- *                 to = ctz64(m)
-*/
-      __pyx_v_m = (__pyx_v_cadj[__pyx_v_v]);
-
-      /* "etdom/_kernel/_fastcore.pyx":836
- *             qh += 1
- *             m = cadj[v]
- *             while m:             # <<<<<<<<<<<<<<
- *                 to = ctz64(m)
- *                 m &= m - 1
-*/
-      while (1) {
-        __pyx_t_1 = (__pyx_v_m != 0);
-        if (!__pyx_t_1) break;
-
-        /* "etdom/_kernel/_fastcore.pyx":837
- *             m = cadj[v]
- *             while m:
- *                 to = ctz64(m)             # <<<<<<<<<<<<<<
- *                 m &= m - 1
- *                 if base[v] == base[to] or match[v] == to:
-*/
-        __pyx_v_to = ctz64(__pyx_v_m);
-
-        /* "etdom/_kernel/_fastcore.pyx":838
- *             while m:
- *                 to = ctz64(m)
- *                 m &= m - 1             # <<<<<<<<<<<<<<
- *                 if base[v] == base[to] or match[v] == to:
- *                     continue
-*/
-        __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-        /* "etdom/_kernel/_fastcore.pyx":839
- *                 to = ctz64(m)
- *                 m &= m - 1
- *                 if base[v] == base[to] or match[v] == to:             # <<<<<<<<<<<<<<
- *                     continue
- *                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
-*/
-        __pyx_t_10 = ((__pyx_v_base[__pyx_v_v]) == (__pyx_v_base[__pyx_v_to]));
-        if (!__pyx_t_10) {
-        } else {
-          __pyx_t_1 = __pyx_t_10;
-          goto __pyx_L27_bool_binop_done;
-        }
-        __pyx_t_10 = ((__pyx_v_match[__pyx_v_v]) == __pyx_v_to);
-        __pyx_t_1 = __pyx_t_10;
-        __pyx_L27_bool_binop_done:;
-        if (__pyx_t_1) {
-
-          /* "etdom/_kernel/_fastcore.pyx":840
- *                 m &= m - 1
- *                 if base[v] == base[to] or match[v] == to:
- *                     continue             # <<<<<<<<<<<<<<
- *                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
- *                     for i in range(n):
-*/
-          goto __pyx_L24_continue;
-
-          /* "etdom/_kernel/_fastcore.pyx":839
- *                 to = ctz64(m)
- *                 m &= m - 1
- *                 if base[v] == base[to] or match[v] == to:             # <<<<<<<<<<<<<<
- *                     continue
- *                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
-*/
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":841
- *                 if base[v] == base[to] or match[v] == to:
- *                     continue
- *                 if to == root or (match[to] != -1 and parent[match[to]] != -1):             # <<<<<<<<<<<<<<
- *                     for i in range(n):
- *                         seen[i] = 0
-*/
-        __pyx_t_10 = (__pyx_v_to == __pyx_v_root);
-        if (!__pyx_t_10) {
-        } else {
-          __pyx_t_1 = __pyx_t_10;
-          goto __pyx_L30_bool_binop_done;
-        }
-        __pyx_t_10 = ((__pyx_v_match[__pyx_v_to]) != -1L);
-        if (__pyx_t_10) {
-        } else {
-          __pyx_t_1 = __pyx_t_10;
-          goto __pyx_L30_bool_binop_done;
-        }
-        __pyx_t_10 = ((__pyx_v_parent[(__pyx_v_match[__pyx_v_to])]) != -1L);
-        __pyx_t_1 = __pyx_t_10;
-        __pyx_L30_bool_binop_done:;
-        if (__pyx_t_1) {
-
-          /* "etdom/_kernel/_fastcore.pyx":842
- *                     continue
- *                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
- *                     for i in range(n):             # <<<<<<<<<<<<<<
- *                         seen[i] = 0
- *                     a = v
-*/
-          __pyx_t_7 = __pyx_v_n;
-          __pyx_t_8 = __pyx_t_7;
-          for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-            __pyx_v_i = __pyx_t_9;
-
-            /* "etdom/_kernel/_fastcore.pyx":843
- *                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
- *                     for i in range(n):
- *                         seen[i] = 0             # <<<<<<<<<<<<<<
- *                     a = v
- *                     while True:
-*/
-            (__pyx_v_seen[__pyx_v_i]) = 0;
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":844
- *                     for i in range(n):
- *                         seen[i] = 0
- *                     a = v             # <<<<<<<<<<<<<<
- *                     while True:
- *                         a = base[a]
-*/
-          __pyx_v_a = __pyx_v_v;
-
-          /* "etdom/_kernel/_fastcore.pyx":845
- *                         seen[i] = 0
- *                     a = v
- *                     while True:             # <<<<<<<<<<<<<<
- *                         a = base[a]
- *                         seen[a] = 1
-*/
-          while (1) {
-
-            /* "etdom/_kernel/_fastcore.pyx":846
- *                     a = v
- *                     while True:
- *                         a = base[a]             # <<<<<<<<<<<<<<
- *                         seen[a] = 1
- *                         if match[a] == -1:
-*/
-            __pyx_v_a = (__pyx_v_base[__pyx_v_a]);
-
-            /* "etdom/_kernel/_fastcore.pyx":847
- *                     while True:
- *                         a = base[a]
- *                         seen[a] = 1             # <<<<<<<<<<<<<<
- *                         if match[a] == -1:
- *                             break
-*/
-            (__pyx_v_seen[__pyx_v_a]) = 1;
-
-            /* "etdom/_kernel/_fastcore.pyx":848
- *                         a = base[a]
- *                         seen[a] = 1
- *                         if match[a] == -1:             # <<<<<<<<<<<<<<
- *                             break
- *                         a = parent[match[a]]
-*/
-            __pyx_t_1 = ((__pyx_v_match[__pyx_v_a]) == -1L);
-            if (__pyx_t_1) {
-
-              /* "etdom/_kernel/_fastcore.pyx":849
- *                         seen[a] = 1
- *                         if match[a] == -1:
- *                             break             # <<<<<<<<<<<<<<
- *                         a = parent[match[a]]
- *                     b = to
-*/
-              goto __pyx_L36_break;
-
-              /* "etdom/_kernel/_fastcore.pyx":848
- *                         a = base[a]
- *                         seen[a] = 1
- *                         if match[a] == -1:             # <<<<<<<<<<<<<<
- *                             break
- *                         a = parent[match[a]]
-*/
-            }
-
-            /* "etdom/_kernel/_fastcore.pyx":850
- *                         if match[a] == -1:
- *                             break
- *                         a = parent[match[a]]             # <<<<<<<<<<<<<<
- *                     b = to
- *                     while True:
-*/
-            __pyx_v_a = (__pyx_v_parent[(__pyx_v_match[__pyx_v_a])]);
-          }
-          __pyx_L36_break:;
-
-          /* "etdom/_kernel/_fastcore.pyx":851
- *                             break
- *                         a = parent[match[a]]
- *                     b = to             # <<<<<<<<<<<<<<
- *                     while True:
- *                         b = base[b]
-*/
-          __pyx_v_b = __pyx_v_to;
-
-          /* "etdom/_kernel/_fastcore.pyx":852
- *                         a = parent[match[a]]
- *                     b = to
- *                     while True:             # <<<<<<<<<<<<<<
- *                         b = base[b]
- *                         if seen[b]:
-*/
-          while (1) {
-
-            /* "etdom/_kernel/_fastcore.pyx":853
- *                     b = to
- *                     while True:
- *                         b = base[b]             # <<<<<<<<<<<<<<
- *                         if seen[b]:
- *                             anchor = b
-*/
-            __pyx_v_b = (__pyx_v_base[__pyx_v_b]);
-
-            /* "etdom/_kernel/_fastcore.pyx":854
- *                     while True:
- *                         b = base[b]
- *                         if seen[b]:             # <<<<<<<<<<<<<<
- *                             anchor = b
- *                             break
-*/
-            __pyx_t_1 = ((__pyx_v_seen[__pyx_v_b]) != 0);
-            if (__pyx_t_1) {
-
-              /* "etdom/_kernel/_fastcore.pyx":855
- *                         b = base[b]
- *                         if seen[b]:
- *                             anchor = b             # <<<<<<<<<<<<<<
- *                             break
- *                         b = parent[match[b]]
-*/
-              __pyx_v_anchor = __pyx_v_b;
-
-              /* "etdom/_kernel/_fastcore.pyx":856
- *                         if seen[b]:
- *                             anchor = b
- *                             break             # <<<<<<<<<<<<<<
- *                         b = parent[match[b]]
- *                     for i in range(n):
-*/
-              goto __pyx_L39_break;
-
-              /* "etdom/_kernel/_fastcore.pyx":854
- *                     while True:
- *                         b = base[b]
- *                         if seen[b]:             # <<<<<<<<<<<<<<
- *                             anchor = b
- *                             break
-*/
-            }
-
-            /* "etdom/_kernel/_fastcore.pyx":857
- *                             anchor = b
- *                             break
- *                         b = parent[match[b]]             # <<<<<<<<<<<<<<
- *                     for i in range(n):
- *                         flag[i] = 0
-*/
-            __pyx_v_b = (__pyx_v_parent[(__pyx_v_match[__pyx_v_b])]);
-          }
-          __pyx_L39_break:;
-
-          /* "etdom/_kernel/_fastcore.pyx":858
- *                             break
- *                         b = parent[match[b]]
- *                     for i in range(n):             # <<<<<<<<<<<<<<
- *                         flag[i] = 0
- *                     a = v
-*/
-          __pyx_t_7 = __pyx_v_n;
-          __pyx_t_8 = __pyx_t_7;
-          for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-            __pyx_v_i = __pyx_t_9;
-
-            /* "etdom/_kernel/_fastcore.pyx":859
- *                         b = parent[match[b]]
- *                     for i in range(n):
- *                         flag[i] = 0             # <<<<<<<<<<<<<<
- *                     a = v
- *                     child = to
-*/
-            (__pyx_v_flag[__pyx_v_i]) = 0;
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":860
- *                     for i in range(n):
- *                         flag[i] = 0
- *                     a = v             # <<<<<<<<<<<<<<
- *                     child = to
- *                     while base[a] != anchor:
-*/
-          __pyx_v_a = __pyx_v_v;
-
-          /* "etdom/_kernel/_fastcore.pyx":861
- *                         flag[i] = 0
- *                     a = v
- *                     child = to             # <<<<<<<<<<<<<<
- *                     while base[a] != anchor:
- *                         flag[base[a]] = 1
-*/
-          __pyx_v_child = __pyx_v_to;
-
-          /* "etdom/_kernel/_fastcore.pyx":862
- *                     a = v
- *                     child = to
- *                     while base[a] != anchor:             # <<<<<<<<<<<<<<
- *                         flag[base[a]] = 1
- *                         flag[base[match[a]]] = 1
-*/
-          while (1) {
-            __pyx_t_1 = ((__pyx_v_base[__pyx_v_a]) != __pyx_v_anchor);
-            if (!__pyx_t_1) break;
-
-            /* "etdom/_kernel/_fastcore.pyx":863
- *                     child = to
- *                     while base[a] != anchor:
- *                         flag[base[a]] = 1             # <<<<<<<<<<<<<<
- *                         flag[base[match[a]]] = 1
- *                         parent[a] = child
-*/
-            (__pyx_v_flag[(__pyx_v_base[__pyx_v_a])]) = 1;
-
-            /* "etdom/_kernel/_fastcore.pyx":864
- *                     while base[a] != anchor:
- *                         flag[base[a]] = 1
- *                         flag[base[match[a]]] = 1             # <<<<<<<<<<<<<<
- *                         parent[a] = child
- *                         child = match[a]
-*/
-            (__pyx_v_flag[(__pyx_v_base[(__pyx_v_match[__pyx_v_a])])]) = 1;
-
-            /* "etdom/_kernel/_fastcore.pyx":865
- *                         flag[base[a]] = 1
- *                         flag[base[match[a]]] = 1
- *                         parent[a] = child             # <<<<<<<<<<<<<<
- *                         child = match[a]
- *                         a = parent[match[a]]
-*/
-            (__pyx_v_parent[__pyx_v_a]) = __pyx_v_child;
-
-            /* "etdom/_kernel/_fastcore.pyx":866
- *                         flag[base[match[a]]] = 1
- *                         parent[a] = child
- *                         child = match[a]             # <<<<<<<<<<<<<<
- *                         a = parent[match[a]]
- *                     a = to
-*/
-            __pyx_v_child = (__pyx_v_match[__pyx_v_a]);
-
-            /* "etdom/_kernel/_fastcore.pyx":867
- *                         parent[a] = child
- *                         child = match[a]
- *                         a = parent[match[a]]             # <<<<<<<<<<<<<<
- *                     a = to
- *                     child = v
-*/
-            __pyx_v_a = (__pyx_v_parent[(__pyx_v_match[__pyx_v_a])]);
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":868
- *                         child = match[a]
- *                         a = parent[match[a]]
- *                     a = to             # <<<<<<<<<<<<<<
- *                     child = v
- *                     while base[a] != anchor:
-*/
-          __pyx_v_a = __pyx_v_to;
-
-          /* "etdom/_kernel/_fastcore.pyx":869
- *                         a = parent[match[a]]
- *                     a = to
- *                     child = v             # <<<<<<<<<<<<<<
- *                     while base[a] != anchor:
- *                         flag[base[a]] = 1
-*/
-          __pyx_v_child = __pyx_v_v;
-
-          /* "etdom/_kernel/_fastcore.pyx":870
- *                     a = to
- *                     child = v
- *                     while base[a] != anchor:             # <<<<<<<<<<<<<<
- *                         flag[base[a]] = 1
- *                         flag[base[match[a]]] = 1
-*/
-          while (1) {
-            __pyx_t_1 = ((__pyx_v_base[__pyx_v_a]) != __pyx_v_anchor);
-            if (!__pyx_t_1) break;
-
-            /* "etdom/_kernel/_fastcore.pyx":871
- *                     child = v
- *                     while base[a] != anchor:
- *                         flag[base[a]] = 1             # <<<<<<<<<<<<<<
- *                         flag[base[match[a]]] = 1
- *                         parent[a] = child
-*/
-            (__pyx_v_flag[(__pyx_v_base[__pyx_v_a])]) = 1;
-
-            /* "etdom/_kernel/_fastcore.pyx":872
- *                     while base[a] != anchor:
- *                         flag[base[a]] = 1
- *                         flag[base[match[a]]] = 1             # <<<<<<<<<<<<<<
- *                         parent[a] = child
- *                         child = match[a]
-*/
-            (__pyx_v_flag[(__pyx_v_base[(__pyx_v_match[__pyx_v_a])])]) = 1;
-
-            /* "etdom/_kernel/_fastcore.pyx":873
- *                         flag[base[a]] = 1
- *                         flag[base[match[a]]] = 1
- *                         parent[a] = child             # <<<<<<<<<<<<<<
- *                         child = match[a]
- *                         a = parent[match[a]]
-*/
-            (__pyx_v_parent[__pyx_v_a]) = __pyx_v_child;
-
-            /* "etdom/_kernel/_fastcore.pyx":874
- *                         flag[base[match[a]]] = 1
- *                         parent[a] = child
- *                         child = match[a]             # <<<<<<<<<<<<<<
- *                         a = parent[match[a]]
- *                     for i in range(n):
-*/
-            __pyx_v_child = (__pyx_v_match[__pyx_v_a]);
-
-            /* "etdom/_kernel/_fastcore.pyx":875
- *                         parent[a] = child
- *                         child = match[a]
- *                         a = parent[match[a]]             # <<<<<<<<<<<<<<
- *                     for i in range(n):
- *                         if flag[base[i]]:
-*/
-            __pyx_v_a = (__pyx_v_parent[(__pyx_v_match[__pyx_v_a])]);
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":876
- *                         child = match[a]
- *                         a = parent[match[a]]
- *                     for i in range(n):             # <<<<<<<<<<<<<<
- *                         if flag[base[i]]:
- *                             base[i] = anchor
-*/
-          __pyx_t_7 = __pyx_v_n;
-          __pyx_t_8 = __pyx_t_7;
-          for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-            __pyx_v_i = __pyx_t_9;
-
-            /* "etdom/_kernel/_fastcore.pyx":877
- *                         a = parent[match[a]]
- *                     for i in range(n):
- *                         if flag[base[i]]:             # <<<<<<<<<<<<<<
- *                             base[i] = anchor
- *                             if not used[i]:
-*/
-            __pyx_t_1 = ((__pyx_v_flag[(__pyx_v_base[__pyx_v_i])]) != 0);
-            if (__pyx_t_1) {
-
-              /* "etdom/_kernel/_fastcore.pyx":878
- *                     for i in range(n):
- *                         if flag[base[i]]:
- *                             base[i] = anchor             # <<<<<<<<<<<<<<
- *                             if not used[i]:
- *                                 used[i] = 1
-*/
-              (__pyx_v_base[__pyx_v_i]) = __pyx_v_anchor;
-
-              /* "etdom/_kernel/_fastcore.pyx":879
- *                         if flag[base[i]]:
- *                             base[i] = anchor
- *                             if not used[i]:             # <<<<<<<<<<<<<<
- *                                 used[i] = 1
- *                                 queue[qt] = i
-*/
-              __pyx_t_1 = (!((__pyx_v_used[__pyx_v_i]) != 0));
-              if (__pyx_t_1) {
-
-                /* "etdom/_kernel/_fastcore.pyx":880
- *                             base[i] = anchor
- *                             if not used[i]:
- *                                 used[i] = 1             # <<<<<<<<<<<<<<
- *                                 queue[qt] = i
- *                                 qt += 1
-*/
-                (__pyx_v_used[__pyx_v_i]) = 1;
-
-                /* "etdom/_kernel/_fastcore.pyx":881
- *                             if not used[i]:
- *                                 used[i] = 1
- *                                 queue[qt] = i             # <<<<<<<<<<<<<<
- *                                 qt += 1
- *                 elif parent[to] == -1:
-*/
-                (__pyx_v_queue[__pyx_v_qt]) = __pyx_v_i;
-
-                /* "etdom/_kernel/_fastcore.pyx":882
- *                                 used[i] = 1
- *                                 queue[qt] = i
- *                                 qt += 1             # <<<<<<<<<<<<<<
- *                 elif parent[to] == -1:
- *                     parent[to] = v
-*/
-                __pyx_v_qt = (__pyx_v_qt + 1);
-
-                /* "etdom/_kernel/_fastcore.pyx":879
- *                         if flag[base[i]]:
- *                             base[i] = anchor
- *                             if not used[i]:             # <<<<<<<<<<<<<<
- *                                 used[i] = 1
- *                                 queue[qt] = i
-*/
-              }
-
-              /* "etdom/_kernel/_fastcore.pyx":877
- *                         a = parent[match[a]]
- *                     for i in range(n):
- *                         if flag[base[i]]:             # <<<<<<<<<<<<<<
- *                             base[i] = anchor
- *                             if not used[i]:
-*/
-            }
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":841
- *                 if base[v] == base[to] or match[v] == to:
- *                     continue
- *                 if to == root or (match[to] != -1 and parent[match[to]] != -1):             # <<<<<<<<<<<<<<
- *                     for i in range(n):
- *                         seen[i] = 0
-*/
-          goto __pyx_L29;
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":883
- *                                 queue[qt] = i
- *                                 qt += 1
- *                 elif parent[to] == -1:             # <<<<<<<<<<<<<<
- *                     parent[to] = v
- *                     if match[to] == -1:
-*/
-        __pyx_t_1 = ((__pyx_v_parent[__pyx_v_to]) == -1L);
-        if (__pyx_t_1) {
-
-          /* "etdom/_kernel/_fastcore.pyx":884
- *                                 qt += 1
- *                 elif parent[to] == -1:
- *                     parent[to] = v             # <<<<<<<<<<<<<<
- *                     if match[to] == -1:
- *                         u = to
-*/
-          (__pyx_v_parent[__pyx_v_to]) = __pyx_v_v;
-
-          /* "etdom/_kernel/_fastcore.pyx":885
- *                 elif parent[to] == -1:
- *                     parent[to] = v
- *                     if match[to] == -1:             # <<<<<<<<<<<<<<
- *                         u = to
- *                         while u != -1:
-*/
-          __pyx_t_1 = ((__pyx_v_match[__pyx_v_to]) == -1L);
-          if (__pyx_t_1) {
-
-            /* "etdom/_kernel/_fastcore.pyx":886
- *                     parent[to] = v
- *                     if match[to] == -1:
- *                         u = to             # <<<<<<<<<<<<<<
- *                         while u != -1:
- *                             pv = parent[u]
-*/
-            __pyx_v_u = __pyx_v_to;
-
-            /* "etdom/_kernel/_fastcore.pyx":887
- *                     if match[to] == -1:
- *                         u = to
- *                         while u != -1:             # <<<<<<<<<<<<<<
- *                             pv = parent[u]
- *                             ppv = match[pv]
-*/
-            while (1) {
-              __pyx_t_1 = (__pyx_v_u != -1L);
-              if (!__pyx_t_1) break;
-
-              /* "etdom/_kernel/_fastcore.pyx":888
- *                         u = to
- *                         while u != -1:
- *                             pv = parent[u]             # <<<<<<<<<<<<<<
- *                             ppv = match[pv]
- *                             match[u] = pv
-*/
-              __pyx_v_pv = (__pyx_v_parent[__pyx_v_u]);
-
-              /* "etdom/_kernel/_fastcore.pyx":889
- *                         while u != -1:
- *                             pv = parent[u]
- *                             ppv = match[pv]             # <<<<<<<<<<<<<<
- *                             match[u] = pv
- *                             match[pv] = u
-*/
-              __pyx_v_ppv = (__pyx_v_match[__pyx_v_pv]);
-
-              /* "etdom/_kernel/_fastcore.pyx":890
- *                             pv = parent[u]
- *                             ppv = match[pv]
- *                             match[u] = pv             # <<<<<<<<<<<<<<
- *                             match[pv] = u
- *                             u = ppv
-*/
-              (__pyx_v_match[__pyx_v_u]) = __pyx_v_pv;
-
-              /* "etdom/_kernel/_fastcore.pyx":891
- *                             ppv = match[pv]
- *                             match[u] = pv
- *                             match[pv] = u             # <<<<<<<<<<<<<<
- *                             u = ppv
- *                         size += 1
-*/
-              (__pyx_v_match[__pyx_v_pv]) = __pyx_v_u;
-
-              /* "etdom/_kernel/_fastcore.pyx":892
- *                             match[u] = pv
- *                             match[pv] = u
- *                             u = ppv             # <<<<<<<<<<<<<<
- *                         size += 1
- *                         augmented = 1
-*/
-              __pyx_v_u = __pyx_v_ppv;
-            }
-
-            /* "etdom/_kernel/_fastcore.pyx":893
- *                             match[pv] = u
- *                             u = ppv
- *                         size += 1             # <<<<<<<<<<<<<<
- *                         augmented = 1
- *                         break
-*/
-            __pyx_v_size = (__pyx_v_size + 1);
-
-            /* "etdom/_kernel/_fastcore.pyx":894
- *                             u = ppv
- *                         size += 1
- *                         augmented = 1             # <<<<<<<<<<<<<<
- *                         break
- *                     used[match[to]] = 1
-*/
-            __pyx_v_augmented = 1;
-
-            /* "etdom/_kernel/_fastcore.pyx":895
- *                         size += 1
- *                         augmented = 1
- *                         break             # <<<<<<<<<<<<<<
- *                     used[match[to]] = 1
- *                     queue[qt] = match[to]
-*/
-            goto __pyx_L25_break;
-
-            /* "etdom/_kernel/_fastcore.pyx":885
- *                 elif parent[to] == -1:
- *                     parent[to] = v
- *                     if match[to] == -1:             # <<<<<<<<<<<<<<
- *                         u = to
- *                         while u != -1:
-*/
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":896
- *                         augmented = 1
- *                         break
- *                     used[match[to]] = 1             # <<<<<<<<<<<<<<
- *                     queue[qt] = match[to]
- *                     qt += 1
-*/
-          (__pyx_v_used[(__pyx_v_match[__pyx_v_to])]) = 1;
-
-          /* "etdom/_kernel/_fastcore.pyx":897
- *                         break
- *                     used[match[to]] = 1
- *                     queue[qt] = match[to]             # <<<<<<<<<<<<<<
- *                     qt += 1
- *     return size
-*/
-          (__pyx_v_queue[__pyx_v_qt]) = (__pyx_v_match[__pyx_v_to]);
-
-          /* "etdom/_kernel/_fastcore.pyx":898
- *                     used[match[to]] = 1
- *                     queue[qt] = match[to]
- *                     qt += 1             # <<<<<<<<<<<<<<
- *     return size
- * 
-*/
-          __pyx_v_qt = (__pyx_v_qt + 1);
-
-          /* "etdom/_kernel/_fastcore.pyx":883
- *                                 queue[qt] = i
- *                                 qt += 1
- *                 elif parent[to] == -1:             # <<<<<<<<<<<<<<
- *                     parent[to] = v
- *                     if match[to] == -1:
-*/
-        }
-        __pyx_L29:;
-        __pyx_L24_continue:;
-      }
-      __pyx_L25_break:;
-    }
-    __pyx_L15_continue:;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":899
- *                     queue[qt] = match[to]
- *                     qt += 1
- *     return size             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_5 = __Pyx_PyLong_From_int(__pyx_v_size); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 899, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_r = __pyx_t_5;
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":788
- * # ---------------------------------------------------------------------------
- * 
- * def max_matching(int n, adj):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.max_matching", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":906
- * # ---------------------------------------------------------------------------
- * 
- * cdef int _key_cmp(unsigned long long *adj, int *degs, int v, int w) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Compare invariant keys (degree, sorted neighbour degrees)."""
- *     cdef unsigned char kv[CMAXN + 1]
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__key_cmp(unsigned PY_LONG_LONG *__pyx_v_adj, int *__pyx_v_degs, int __pyx_v_v, int __pyx_v_w) {
-  unsigned char __pyx_v_kv[(64 + 1)];
-  unsigned char __pyx_v_kw[(64 + 1)];
-  int __pyx_v_lv;
-  int __pyx_v_lw;
-  int __pyx_v_i;
-  int __pyx_v_j;
-  unsigned PY_LONG_LONG __pyx_v_mm;
-  unsigned char __pyx_v_tmp;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-
-  /* "etdom/_kernel/_fastcore.pyx":910
- *     cdef unsigned char kv[CMAXN + 1]
- *     cdef unsigned char kw[CMAXN + 1]
- *     cdef int lv = 0, lw = 0, i, j             # <<<<<<<<<<<<<<
- *     cdef unsigned long long mm
- *     cdef unsigned char tmp
-*/
-  __pyx_v_lv = 0;
-  __pyx_v_lw = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":913
- *     cdef unsigned long long mm
- *     cdef unsigned char tmp
- *     if degs[v] != degs[w]:             # <<<<<<<<<<<<<<
- *         return -1 if degs[v] < degs[w] else 1
- *     mm = adj[v]
-*/
-  __pyx_t_1 = ((__pyx_v_degs[__pyx_v_v]) != (__pyx_v_degs[__pyx_v_w]));
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":914
- *     cdef unsigned char tmp
- *     if degs[v] != degs[w]:
- *         return -1 if degs[v] < degs[w] else 1             # <<<<<<<<<<<<<<
- *     mm = adj[v]
- *     while mm:
-*/
-    __pyx_t_1 = ((__pyx_v_degs[__pyx_v_v]) < (__pyx_v_degs[__pyx_v_w]));
-    if (__pyx_t_1) {
-      __pyx_t_2 = -1;
-    } else {
-      __pyx_t_2 = 1;
-    }
-    __pyx_r = __pyx_t_2;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":913
- *     cdef unsigned long long mm
- *     cdef unsigned char tmp
- *     if degs[v] != degs[w]:             # <<<<<<<<<<<<<<
- *         return -1 if degs[v] < degs[w] else 1
- *     mm = adj[v]
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":915
- *     if degs[v] != degs[w]:
- *         return -1 if degs[v] < degs[w] else 1
- *     mm = adj[v]             # <<<<<<<<<<<<<<
- *     while mm:
- *         i = ctz64(mm)
-*/
-  __pyx_v_mm = (__pyx_v_adj[__pyx_v_v]);
-
-  /* "etdom/_kernel/_fastcore.pyx":916
- *         return -1 if degs[v] < degs[w] else 1
- *     mm = adj[v]
- *     while mm:             # <<<<<<<<<<<<<<
- *         i = ctz64(mm)
- *         mm &= mm - 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_mm != 0);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":917
- *     mm = adj[v]
- *     while mm:
- *         i = ctz64(mm)             # <<<<<<<<<<<<<<
- *         mm &= mm - 1
- *         kv[lv] = <unsigned char> degs[i]
-*/
-    __pyx_v_i = ctz64(__pyx_v_mm);
-
-    /* "etdom/_kernel/_fastcore.pyx":918
- *     while mm:
- *         i = ctz64(mm)
- *         mm &= mm - 1             # <<<<<<<<<<<<<<
- *         kv[lv] = <unsigned char> degs[i]
- *         lv += 1
-*/
-    __pyx_v_mm = (__pyx_v_mm & (__pyx_v_mm - 1));
-
-    /* "etdom/_kernel/_fastcore.pyx":919
- *         i = ctz64(mm)
- *         mm &= mm - 1
- *         kv[lv] = <unsigned char> degs[i]             # <<<<<<<<<<<<<<
- *         lv += 1
- *     mm = adj[w]
-*/
-    (__pyx_v_kv[__pyx_v_lv]) = ((unsigned char)(__pyx_v_degs[__pyx_v_i]));
-
-    /* "etdom/_kernel/_fastcore.pyx":920
- *         mm &= mm - 1
- *         kv[lv] = <unsigned char> degs[i]
- *         lv += 1             # <<<<<<<<<<<<<<
- *     mm = adj[w]
- *     while mm:
-*/
-    __pyx_v_lv = (__pyx_v_lv + 1);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":921
- *         kv[lv] = <unsigned char> degs[i]
- *         lv += 1
- *     mm = adj[w]             # <<<<<<<<<<<<<<
- *     while mm:
- *         i = ctz64(mm)
-*/
-  __pyx_v_mm = (__pyx_v_adj[__pyx_v_w]);
-
-  /* "etdom/_kernel/_fastcore.pyx":922
- *         lv += 1
- *     mm = adj[w]
- *     while mm:             # <<<<<<<<<<<<<<
- *         i = ctz64(mm)
- *         mm &= mm - 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_mm != 0);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":923
- *     mm = adj[w]
- *     while mm:
- *         i = ctz64(mm)             # <<<<<<<<<<<<<<
- *         mm &= mm - 1
- *         kw[lw] = <unsigned char> degs[i]
-*/
-    __pyx_v_i = ctz64(__pyx_v_mm);
-
-    /* "etdom/_kernel/_fastcore.pyx":924
- *     while mm:
- *         i = ctz64(mm)
- *         mm &= mm - 1             # <<<<<<<<<<<<<<
- *         kw[lw] = <unsigned char> degs[i]
- *         lw += 1
-*/
-    __pyx_v_mm = (__pyx_v_mm & (__pyx_v_mm - 1));
-
-    /* "etdom/_kernel/_fastcore.pyx":925
- *         i = ctz64(mm)
- *         mm &= mm - 1
- *         kw[lw] = <unsigned char> degs[i]             # <<<<<<<<<<<<<<
- *         lw += 1
- *     for i in range(1, lv):
-*/
-    (__pyx_v_kw[__pyx_v_lw]) = ((unsigned char)(__pyx_v_degs[__pyx_v_i]));
-
-    /* "etdom/_kernel/_fastcore.pyx":926
- *         mm &= mm - 1
- *         kw[lw] = <unsigned char> degs[i]
- *         lw += 1             # <<<<<<<<<<<<<<
- *     for i in range(1, lv):
- *         tmp = kv[i]
-*/
-    __pyx_v_lw = (__pyx_v_lw + 1);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":927
- *         kw[lw] = <unsigned char> degs[i]
- *         lw += 1
- *     for i in range(1, lv):             # <<<<<<<<<<<<<<
- *         tmp = kv[i]
- *         j = i - 1
-*/
-  __pyx_t_2 = __pyx_v_lv;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 1; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":928
- *         lw += 1
- *     for i in range(1, lv):
- *         tmp = kv[i]             # <<<<<<<<<<<<<<
- *         j = i - 1
- *         while j >= 0 and kv[j] > tmp:
-*/
-    __pyx_v_tmp = (__pyx_v_kv[__pyx_v_i]);
-
-    /* "etdom/_kernel/_fastcore.pyx":929
- *     for i in range(1, lv):
- *         tmp = kv[i]
- *         j = i - 1             # <<<<<<<<<<<<<<
- *         while j >= 0 and kv[j] > tmp:
- *             kv[j + 1] = kv[j]
-*/
-    __pyx_v_j = (__pyx_v_i - 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":930
- *         tmp = kv[i]
- *         j = i - 1
- *         while j >= 0 and kv[j] > tmp:             # <<<<<<<<<<<<<<
- *             kv[j + 1] = kv[j]
- *             j -= 1
-*/
-    while (1) {
-      __pyx_t_5 = (__pyx_v_j >= 0);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_1 = __pyx_t_5;
-        goto __pyx_L12_bool_binop_done;
-      }
-      __pyx_t_5 = ((__pyx_v_kv[__pyx_v_j]) > __pyx_v_tmp);
-      __pyx_t_1 = __pyx_t_5;
-      __pyx_L12_bool_binop_done:;
-      if (!__pyx_t_1) break;
-
-      /* "etdom/_kernel/_fastcore.pyx":931
- *         j = i - 1
- *         while j >= 0 and kv[j] > tmp:
- *             kv[j + 1] = kv[j]             # <<<<<<<<<<<<<<
- *             j -= 1
- *         kv[j + 1] = tmp
-*/
-      (__pyx_v_kv[(__pyx_v_j + 1)]) = (__pyx_v_kv[__pyx_v_j]);
-
-      /* "etdom/_kernel/_fastcore.pyx":932
- *         while j >= 0 and kv[j] > tmp:
- *             kv[j + 1] = kv[j]
- *             j -= 1             # <<<<<<<<<<<<<<
- *         kv[j + 1] = tmp
- *     for i in range(1, lw):
-*/
-      __pyx_v_j = (__pyx_v_j - 1);
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":933
- *             kv[j + 1] = kv[j]
- *             j -= 1
- *         kv[j + 1] = tmp             # <<<<<<<<<<<<<<
- *     for i in range(1, lw):
- *         tmp = kw[i]
-*/
-    (__pyx_v_kv[(__pyx_v_j + 1)]) = __pyx_v_tmp;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":934
- *             j -= 1
- *         kv[j + 1] = tmp
- *     for i in range(1, lw):             # <<<<<<<<<<<<<<
- *         tmp = kw[i]
- *         j = i - 1
-*/
-  __pyx_t_2 = __pyx_v_lw;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 1; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":935
- *         kv[j + 1] = tmp
- *     for i in range(1, lw):
- *         tmp = kw[i]             # <<<<<<<<<<<<<<
- *         j = i - 1
- *         while j >= 0 and kw[j] > tmp:
-*/
-    __pyx_v_tmp = (__pyx_v_kw[__pyx_v_i]);
-
-    /* "etdom/_kernel/_fastcore.pyx":936
- *     for i in range(1, lw):
- *         tmp = kw[i]
- *         j = i - 1             # <<<<<<<<<<<<<<
- *         while j >= 0 and kw[j] > tmp:
- *             kw[j + 1] = kw[j]
-*/
-    __pyx_v_j = (__pyx_v_i - 1);
-
-    /* "etdom/_kernel/_fastcore.pyx":937
- *         tmp = kw[i]
- *         j = i - 1
- *         while j >= 0 and kw[j] > tmp:             # <<<<<<<<<<<<<<
- *             kw[j + 1] = kw[j]
- *             j -= 1
-*/
-    while (1) {
-      __pyx_t_5 = (__pyx_v_j >= 0);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_1 = __pyx_t_5;
-        goto __pyx_L18_bool_binop_done;
-      }
-      __pyx_t_5 = ((__pyx_v_kw[__pyx_v_j]) > __pyx_v_tmp);
-      __pyx_t_1 = __pyx_t_5;
-      __pyx_L18_bool_binop_done:;
-      if (!__pyx_t_1) break;
-
-      /* "etdom/_kernel/_fastcore.pyx":938
- *         j = i - 1
- *         while j >= 0 and kw[j] > tmp:
- *             kw[j + 1] = kw[j]             # <<<<<<<<<<<<<<
- *             j -= 1
- *         kw[j + 1] = tmp
-*/
-      (__pyx_v_kw[(__pyx_v_j + 1)]) = (__pyx_v_kw[__pyx_v_j]);
-
-      /* "etdom/_kernel/_fastcore.pyx":939
- *         while j >= 0 and kw[j] > tmp:
- *             kw[j + 1] = kw[j]
- *             j -= 1             # <<<<<<<<<<<<<<
- *         kw[j + 1] = tmp
- *     for i in range(lv):
-*/
-      __pyx_v_j = (__pyx_v_j - 1);
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":940
- *             kw[j + 1] = kw[j]
- *             j -= 1
- *         kw[j + 1] = tmp             # <<<<<<<<<<<<<<
- *     for i in range(lv):
- *         if kv[i] != kw[i]:
-*/
-    (__pyx_v_kw[(__pyx_v_j + 1)]) = __pyx_v_tmp;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":941
- *             j -= 1
- *         kw[j + 1] = tmp
- *     for i in range(lv):             # <<<<<<<<<<<<<<
- *         if kv[i] != kw[i]:
- *             return -1 if kv[i] < kw[i] else 1
-*/
-  __pyx_t_2 = __pyx_v_lv;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "etdom/_kernel/_fastcore.pyx":942
- *         kw[j + 1] = tmp
- *     for i in range(lv):
- *         if kv[i] != kw[i]:             # <<<<<<<<<<<<<<
- *             return -1 if kv[i] < kw[i] else 1
- *     return 0
-*/
-    __pyx_t_1 = ((__pyx_v_kv[__pyx_v_i]) != (__pyx_v_kw[__pyx_v_i]));
-    if (__pyx_t_1) {
-
-      /* "etdom/_kernel/_fastcore.pyx":943
- *     for i in range(lv):
- *         if kv[i] != kw[i]:
- *             return -1 if kv[i] < kw[i] else 1             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-      __pyx_t_1 = ((__pyx_v_kv[__pyx_v_i]) < (__pyx_v_kw[__pyx_v_i]));
-      if (__pyx_t_1) {
-        __pyx_t_6 = -1;
-      } else {
-        __pyx_t_6 = 1;
-      }
-      __pyx_r = __pyx_t_6;
-      goto __pyx_L0;
-
-      /* "etdom/_kernel/_fastcore.pyx":942
- *         kw[j + 1] = tmp
- *     for i in range(lv):
- *         if kv[i] != kw[i]:             # <<<<<<<<<<<<<<
- *             return -1 if kv[i] < kw[i] else 1
- *     return 0
-*/
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":944
- *         if kv[i] != kw[i]:
- *             return -1 if kv[i] < kw[i] else 1
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":906
- * # ---------------------------------------------------------------------------
- * 
- * cdef int _key_cmp(unsigned long long *adj, int *degs, int v, int w) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Compare invariant keys (degree, sorted neighbour degrees)."""
- *     cdef unsigned char kv[CMAXN + 1]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":947
- * 
- * 
- * cdef int _is_connected_masks(int n, unsigned long long *adj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef unsigned long long seen = 1, frontier = adj[0], nxt, m
- *     cdef int v
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__is_connected_masks(int __pyx_v_n, unsigned PY_LONG_LONG *__pyx_v_adj) {
-  unsigned PY_LONG_LONG __pyx_v_seen;
-  unsigned PY_LONG_LONG __pyx_v_frontier;
-  unsigned PY_LONG_LONG __pyx_v_nxt;
-  unsigned PY_LONG_LONG __pyx_v_m;
-  int __pyx_v_v;
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":948
- * 
- * cdef int _is_connected_masks(int n, unsigned long long *adj) noexcept nogil:
- *     cdef unsigned long long seen = 1, frontier = adj[0], nxt, m             # <<<<<<<<<<<<<<
- *     cdef int v
- *     if n == 0:
-*/
-  __pyx_v_seen = 1;
-  __pyx_v_frontier = (__pyx_v_adj[0]);
-
-  /* "etdom/_kernel/_fastcore.pyx":950
- *     cdef unsigned long long seen = 1, frontier = adj[0], nxt, m
- *     cdef int v
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     while frontier & ~seen:
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "etdom/_kernel/_fastcore.pyx":951
- *     cdef int v
- *     if n == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     while frontier & ~seen:
- *         seen |= frontier
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "etdom/_kernel/_fastcore.pyx":950
- *     cdef unsigned long long seen = 1, frontier = adj[0], nxt, m
- *     cdef int v
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     while frontier & ~seen:
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":952
- *     if n == 0:
- *         return 0
- *     while frontier & ~seen:             # <<<<<<<<<<<<<<
- *         seen |= frontier
- *         nxt = 0
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_frontier & (~__pyx_v_seen)) != 0);
-    if (!__pyx_t_1) break;
-
-    /* "etdom/_kernel/_fastcore.pyx":953
- *         return 0
- *     while frontier & ~seen:
- *         seen |= frontier             # <<<<<<<<<<<<<<
- *         nxt = 0
- *         m = frontier
-*/
-    __pyx_v_seen = (__pyx_v_seen | __pyx_v_frontier);
-
-    /* "etdom/_kernel/_fastcore.pyx":954
- *     while frontier & ~seen:
- *         seen |= frontier
- *         nxt = 0             # <<<<<<<<<<<<<<
- *         m = frontier
- *         while m:
-*/
-    __pyx_v_nxt = 0;
-
-    /* "etdom/_kernel/_fastcore.pyx":955
- *         seen |= frontier
- *         nxt = 0
- *         m = frontier             # <<<<<<<<<<<<<<
- *         while m:
- *             v = ctz64(m)
-*/
-    __pyx_v_m = __pyx_v_frontier;
-
-    /* "etdom/_kernel/_fastcore.pyx":956
- *         nxt = 0
- *         m = frontier
- *         while m:             # <<<<<<<<<<<<<<
- *             v = ctz64(m)
- *             m &= m - 1
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_m != 0);
-      if (!__pyx_t_1) break;
-
-      /* "etdom/_kernel/_fastcore.pyx":957
- *         m = frontier
- *         while m:
- *             v = ctz64(m)             # <<<<<<<<<<<<<<
- *             m &= m - 1
- *             nxt |= adj[v]
-*/
-      __pyx_v_v = ctz64(__pyx_v_m);
-
-      /* "etdom/_kernel/_fastcore.pyx":958
- *         while m:
- *             v = ctz64(m)
- *             m &= m - 1             # <<<<<<<<<<<<<<
- *             nxt |= adj[v]
- *         frontier = nxt & ~seen
-*/
-      __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-
-      /* "etdom/_kernel/_fastcore.pyx":959
- *             v = ctz64(m)
- *             m &= m - 1
- *             nxt |= adj[v]             # <<<<<<<<<<<<<<
- *         frontier = nxt & ~seen
- *     return (seen | frontier) == _full_mask(n)
-*/
-      __pyx_v_nxt = (__pyx_v_nxt | (__pyx_v_adj[__pyx_v_v]));
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":960
- *             m &= m - 1
- *             nxt |= adj[v]
- *         frontier = nxt & ~seen             # <<<<<<<<<<<<<<
- *     return (seen | frontier) == _full_mask(n)
- * 
-*/
-    __pyx_v_frontier = (__pyx_v_nxt & (~__pyx_v_seen));
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":961
- *             nxt |= adj[v]
- *         frontier = nxt & ~seen
- *     return (seen | frontier) == _full_mask(n)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_v_seen | __pyx_v_frontier) == __pyx_f_5etdom_7_kernel_9_fastcore__full_mask(__pyx_v_n));
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":947
- * 
- * 
- * cdef int _is_connected_masks(int n, unsigned long long *adj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef unsigned long long seen = 1, frontier = adj[0], nxt, m
- *     cdef int v
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":964
- * 
- * 
- * cdef int _is_mtf_masks(int n, unsigned long long *adj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int u, v
- *     cdef unsigned long long au, common
-*/
-
-static int __pyx_f_5etdom_7_kernel_9_fastcore__is_mtf_masks(int __pyx_v_n, unsigned PY_LONG_LONG *__pyx_v_adj) {
-  int __pyx_v_u;
-  int __pyx_v_v;
-  unsigned PY_LONG_LONG __pyx_v_au;
-  unsigned PY_LONG_LONG __pyx_v_common;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-
-  /* "etdom/_kernel/_fastcore.pyx":967
- *     cdef int u, v
- *     cdef unsigned long long au, common
- *     for u in range(n):             # <<<<<<<<<<<<<<
- *         au = adj[u]
- *         for v in range(u + 1, n):
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_u = __pyx_t_3;
-
-    /* "etdom/_kernel/_fastcore.pyx":968
- *     cdef unsigned long long au, common
- *     for u in range(n):
- *         au = adj[u]             # <<<<<<<<<<<<<<
- *         for v in range(u + 1, n):
- *             common = au & adj[v]
-*/
-    __pyx_v_au = (__pyx_v_adj[__pyx_v_u]);
-
-    /* "etdom/_kernel/_fastcore.pyx":969
- *     for u in range(n):
- *         au = adj[u]
- *         for v in range(u + 1, n):             # <<<<<<<<<<<<<<
- *             common = au & adj[v]
- *             if (au >> v) & 1:
-*/
-    __pyx_t_4 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = (__pyx_v_u + 1); __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_v = __pyx_t_6;
-
-      /* "etdom/_kernel/_fastcore.pyx":970
- *         au = adj[u]
- *         for v in range(u + 1, n):
- *             common = au & adj[v]             # <<<<<<<<<<<<<<
- *             if (au >> v) & 1:
- *                 if common:
-*/
-      __pyx_v_common = (__pyx_v_au & (__pyx_v_adj[__pyx_v_v]));
-
-      /* "etdom/_kernel/_fastcore.pyx":971
- *         for v in range(u + 1, n):
- *             common = au & adj[v]
- *             if (au >> v) & 1:             # <<<<<<<<<<<<<<
- *                 if common:
- *                     return 0
-*/
-      __pyx_t_7 = (((__pyx_v_au >> __pyx_v_v) & 1) != 0);
-      if (__pyx_t_7) {
-
-        /* "etdom/_kernel/_fastcore.pyx":972
- *             common = au & adj[v]
- *             if (au >> v) & 1:
- *                 if common:             # <<<<<<<<<<<<<<
- *                     return 0
- *             elif common == 0:
-*/
-        __pyx_t_7 = (__pyx_v_common != 0);
-        if (__pyx_t_7) {
-
-          /* "etdom/_kernel/_fastcore.pyx":973
- *             if (au >> v) & 1:
- *                 if common:
- *                     return 0             # <<<<<<<<<<<<<<
- *             elif common == 0:
- *                 return 0
-*/
-          __pyx_r = 0;
-          goto __pyx_L0;
-
-          /* "etdom/_kernel/_fastcore.pyx":972
- *             common = au & adj[v]
- *             if (au >> v) & 1:
- *                 if common:             # <<<<<<<<<<<<<<
- *                     return 0
- *             elif common == 0:
-*/
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":971
- *         for v in range(u + 1, n):
- *             common = au & adj[v]
- *             if (au >> v) & 1:             # <<<<<<<<<<<<<<
- *                 if common:
- *                     return 0
-*/
-        goto __pyx_L7;
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":974
- *                 if common:
- *                     return 0
- *             elif common == 0:             # <<<<<<<<<<<<<<
- *                 return 0
- *     return 1
-*/
-      __pyx_t_7 = (__pyx_v_common == 0);
-      if (__pyx_t_7) {
-
-        /* "etdom/_kernel/_fastcore.pyx":975
- *                     return 0
- *             elif common == 0:
- *                 return 0             # <<<<<<<<<<<<<<
- *     return 1
- * 
-*/
-        __pyx_r = 0;
-        goto __pyx_L0;
-
-        /* "etdom/_kernel/_fastcore.pyx":974
- *                 if common:
- *                     return 0
- *             elif common == 0:             # <<<<<<<<<<<<<<
- *                 return 0
- *     return 1
-*/
-      }
-      __pyx_L7:;
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":976
- *             elif common == 0:
- *                 return 0
- *     return 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "etdom/_kernel/_fastcore.pyx":964
- * 
- * 
- * cdef int _is_mtf_masks(int n, unsigned long long *adj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int u, v
- *     cdef unsigned long long au, common
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":979
- * 
- * 
- * def augment(int n, adj, int mode, emit_connected=False, emit_mtf=False):             # <<<<<<<<<<<<<<
- *     """Isomorph-free children of one parent (see the pure backend docs)."""
- *     cdef int want_conn = 1 if emit_connected else 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_21augment(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_5etdom_7_kernel_9_fastcore_20augment, "Isomorph-free children of one parent (see the pure backend docs).");
-static PyMethodDef __pyx_mdef_5etdom_7_kernel_9_fastcore_21augment = {"augment", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5etdom_7_kernel_9_fastcore_21augment, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_5etdom_7_kernel_9_fastcore_20augment};
-static PyObject *__pyx_pw_5etdom_7_kernel_9_fastcore_21augment(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_adj = 0;
-  int __pyx_v_mode;
-  PyObject *__pyx_v_emit_connected = 0;
-  PyObject *__pyx_v_emit_mtf = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("augment (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_adj,&__pyx_mstate_global->__pyx_n_u_mode,&__pyx_mstate_global->__pyx_n_u_emit_connected,&__pyx_mstate_global->__pyx_n_u_emit_mtf,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 979, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 979, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 979, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 979, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 979, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 979, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "augment", 0) < (0)) __PYX_ERR(0, 979, __pyx_L3_error)
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)((PyObject*)Py_False)));
-      if (!values[4]) values[4] = __Pyx_NewRef(((PyObject *)((PyObject*)Py_False)));
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("augment", 0, 3, 5, i); __PYX_ERR(0, 979, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 979, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 979, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 979, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 979, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 979, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)((PyObject*)Py_False)));
-      if (!values[4]) values[4] = __Pyx_NewRef(((PyObject *)((PyObject*)Py_False)));
-    }
-    __pyx_v_n = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_n == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 979, __pyx_L3_error)
-    __pyx_v_adj = values[1];
-    __pyx_v_mode = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_mode == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 979, __pyx_L3_error)
-    __pyx_v_emit_connected = values[3];
-    __pyx_v_emit_mtf = values[4];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("augment", 0, 3, 5, __pyx_nargs); __PYX_ERR(0, 979, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("etdom._kernel._fastcore.augment", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5etdom_7_kernel_9_fastcore_20augment(__pyx_self, __pyx_v_n, __pyx_v_adj, __pyx_v_mode, __pyx_v_emit_connected, __pyx_v_emit_mtf);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_5etdom_7_kernel_9_fastcore_7augment_2generator1(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "etdom/_kernel/_fastcore.pyx":1114
- *                         vstar = v
- *             if crep[n] == crep[vstar]:
- *                 out.append(tuple(cst.best_cert[i] for i in range(nc)))             # <<<<<<<<<<<<<<
- *             free(cst.gens)
- *         return out
-*/
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_7augment_genexpr(PyObject *__pyx_self, int __pyx_genexpr_arg_0) {
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *)__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr(__pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 1114, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_outer_scope = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment *) __pyx_self;
-  __Pyx_INCREF((PyObject *)__pyx_cur_scope->__pyx_outer_scope);
-  __Pyx_GIVEREF((PyObject *)__pyx_cur_scope->__pyx_outer_scope);
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_5etdom_7_kernel_9_fastcore_7augment_2generator1, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_augment_locals_genexpr, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore); if (unlikely(!gen)) __PYX_ERR(0, 1114, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("etdom._kernel._fastcore.augment.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_5etdom_7_kernel_9_fastcore_7augment_2generator1(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
-{
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *__pyx_cur_scope = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 1114, __pyx_L1_error)
-  }
-  __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_cur_scope->__pyx_v_i = __pyx_t_3;
-    __pyx_t_4 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_cur_scope->__pyx_outer_scope->__pyx_v_cst.best_cert[__pyx_cur_scope->__pyx_v_i])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 1114, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 1114, __pyx_L1_error)
-  }
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "etdom/_kernel/_fastcore.pyx":979
- * 
- * 
- * def augment(int n, adj, int mode, emit_connected=False, emit_mtf=False):             # <<<<<<<<<<<<<<
- *     """Isomorph-free children of one parent (see the pure backend docs)."""
- *     cdef int want_conn = 1 if emit_connected else 0
-*/
-
-static PyObject *__pyx_pf_5etdom_7_kernel_9_fastcore_20augment(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_mode, PyObject *__pyx_v_emit_connected, PyObject *__pyx_v_emit_mtf) {
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment *__pyx_cur_scope;
-  int __pyx_v_want_conn;
-  int __pyx_v_want_mtf;
-  unsigned PY_LONG_LONG __pyx_v_padj[64];
-  unsigned PY_LONG_LONG __pyx_v_cadj[64];
-  int __pyx_v_parent_degs[64];
-  int __pyx_v_degs[64];
-  int __pyx_v_i;
-  int __pyx_v_v;
-  int __pyx_v_nc;
-  int __pyx_v_dmin;
-  int __pyx_v_ok;
-  int __pyx_v_gi;
-  int __pyx_v_in_s;
-  unsigned PY_LONG_LONG __pyx_v_s;
-  unsigned PY_LONG_LONG __pyx_v_mm;
-  unsigned PY_LONG_LONG __pyx_v_img;
-  unsigned PY_LONG_LONG __pyx_v_nbit;
-  unsigned PY_LONG_LONG __pyx_v_total;
-  struct __pyx_t_5etdom_7_kernel_9_fastcore_CState __pyx_v_pst;
-  int __pyx_v_pngens;
-  int *__pyx_v_pgens;
-  PY_LONG_LONG *__pyx_v_srep;
-  PY_LONG_LONG __pyx_v_aa;
-  PY_LONG_LONG __pyx_v_bb;
-  PY_LONG_LONG __pyx_v_root;
-  PY_LONG_LONG __pyx_v_x;
-  PY_LONG_LONG __pyx_v_si;
-  PyObject *__pyx_v_out = NULL;
-  int __pyx_v_crep[64];
-  int __pyx_v_vstar;
-  int __pyx_v_vstar_pos;
-  int __pyx_v_reject;
-  PyObject *__pyx_gb_5etdom_7_kernel_9_fastcore_7augment_2generator1 = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7[3];
-  PyObject *__pyx_t_8 = NULL;
-  size_t __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  unsigned PY_LONG_LONG __pyx_t_12;
-  PY_LONG_LONG __pyx_t_13;
-  PY_LONG_LONG __pyx_t_14;
-  PY_LONG_LONG __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  char const *__pyx_t_19;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("augment", 0);
-  __pyx_cur_scope = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment *)__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment(__pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 979, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":981
- * def augment(int n, adj, int mode, emit_connected=False, emit_mtf=False):
- *     """Isomorph-free children of one parent (see the pure backend docs)."""
- *     cdef int want_conn = 1 if emit_connected else 0             # <<<<<<<<<<<<<<
- *     cdef int want_mtf = 1 if emit_mtf else 0
- *     if n >= 22:
-*/
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_v_emit_connected); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 981, __pyx_L1_error)
-  if (__pyx_t_2) {
-    __pyx_t_1 = 1;
-  } else {
-    __pyx_t_1 = 0;
-  }
-  __pyx_v_want_conn = __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":982
- *     """Isomorph-free children of one parent (see the pure backend docs)."""
- *     cdef int want_conn = 1 if emit_connected else 0
- *     cdef int want_mtf = 1 if emit_mtf else 0             # <<<<<<<<<<<<<<
- *     if n >= 22:
- *         raise BudgetExceeded(f"augmentation over 2^{n} subsets refused", 1 << n)
-*/
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_v_emit_mtf); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 982, __pyx_L1_error)
-  if (__pyx_t_2) {
-    __pyx_t_1 = 1;
-  } else {
-    __pyx_t_1 = 0;
-  }
-  __pyx_v_want_mtf = __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":983
- *     cdef int want_conn = 1 if emit_connected else 0
- *     cdef int want_mtf = 1 if emit_mtf else 0
- *     if n >= 22:             # <<<<<<<<<<<<<<
- *         raise BudgetExceeded(f"augmentation over 2^{n} subsets refused", 1 << n)
- *     cdef unsigned long long padj[CMAXN]
-*/
-  __pyx_t_2 = (__pyx_v_n >= 22);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "etdom/_kernel/_fastcore.pyx":984
- *     cdef int want_mtf = 1 if emit_mtf else 0
- *     if n >= 22:
- *         raise BudgetExceeded(f"augmentation over 2^{n} subsets refused", 1 << n)             # <<<<<<<<<<<<<<
- *     cdef unsigned long long padj[CMAXN]
- *     cdef unsigned long long cadj[CMAXN]
-*/
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_BudgetExceeded); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 984, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 984, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7[0] = __pyx_mstate_global->__pyx_kp_u_augmentation_over_2;
-    __pyx_t_7[1] = __pyx_t_6;
-    __pyx_t_7[2] = __pyx_mstate_global->__pyx_kp_u_subsets_refused;
-    __pyx_t_8 = __Pyx_PyUnicode_Join(__pyx_t_7, 3, 20 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 16, 127);
-    if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 984, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_6 = __Pyx_PyLong_From_long((1 << __pyx_v_n)); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 984, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_9 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_5))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-      __pyx_t_9 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[3] = {__pyx_t_4, __pyx_t_8, __pyx_t_6};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_9, (3-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 984, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 984, __pyx_L1_error)
-
-    /* "etdom/_kernel/_fastcore.pyx":983
- *     cdef int want_conn = 1 if emit_connected else 0
- *     cdef int want_mtf = 1 if emit_mtf else 0
- *     if n >= 22:             # <<<<<<<<<<<<<<
- *         raise BudgetExceeded(f"augmentation over 2^{n} subsets refused", 1 << n)
- *     cdef unsigned long long padj[CMAXN]
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":989
- *     cdef int parent_degs[CMAXN]
- *     cdef int degs[CMAXN]
- *     cdef int i, v, nc = n + 1, dmin, ok, gi, in_s             # <<<<<<<<<<<<<<
- *     cdef unsigned long long s, mm, img
- *     cdef unsigned long long nbit = ONE << n
-*/
-  __pyx_v_nc = (__pyx_v_n + 1);
-
-  /* "etdom/_kernel/_fastcore.pyx":991
- *     cdef int i, v, nc = n + 1, dmin, ok, gi, in_s
- *     cdef unsigned long long s, mm, img
- *     cdef unsigned long long nbit = ONE << n             # <<<<<<<<<<<<<<
- *     cdef unsigned long long total = ONE << n
- *     for i in range(n):
-*/
-  __pyx_v_nbit = (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_n);
-
-  /* "etdom/_kernel/_fastcore.pyx":992
- *     cdef unsigned long long s, mm, img
- *     cdef unsigned long long nbit = ONE << n
- *     cdef unsigned long long total = ONE << n             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         padj[i] = adj[i]
-*/
-  __pyx_v_total = (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << __pyx_v_n);
-
-  /* "etdom/_kernel/_fastcore.pyx":993
- *     cdef unsigned long long nbit = ONE << n
- *     cdef unsigned long long total = ONE << n
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         padj[i] = adj[i]
- *         parent_degs[i] = popcnt64(padj[i])
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_10 = __pyx_t_1;
-  for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-    __pyx_v_i = __pyx_t_11;
-
-    /* "etdom/_kernel/_fastcore.pyx":994
- *     cdef unsigned long long total = ONE << n
- *     for i in range(n):
- *         padj[i] = adj[i]             # <<<<<<<<<<<<<<
- *         parent_degs[i] = popcnt64(padj[i])
- *     cdef CState pst
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_adj, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 994, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_12 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_12 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 994, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_padj[__pyx_v_i]) = __pyx_t_12;
-
-    /* "etdom/_kernel/_fastcore.pyx":995
- *     for i in range(n):
- *         padj[i] = adj[i]
- *         parent_degs[i] = popcnt64(padj[i])             # <<<<<<<<<<<<<<
- *     cdef CState pst
- *     _canon_retry(n, padj, &pst)
-*/
-    (__pyx_v_parent_degs[__pyx_v_i]) = popcnt64((__pyx_v_padj[__pyx_v_i]));
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":997
- *         parent_degs[i] = popcnt64(padj[i])
- *     cdef CState pst
- *     _canon_retry(n, padj, &pst)             # <<<<<<<<<<<<<<
- *     cdef int pngens = pst.ngens
- *     cdef int *pgens = NULL
-*/
-  __pyx_t_1 = __pyx_f_5etdom_7_kernel_9_fastcore__canon_retry(__pyx_v_n, __pyx_v_padj, (&__pyx_v_pst)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 997, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":998
- *     cdef CState pst
- *     _canon_retry(n, padj, &pst)
- *     cdef int pngens = pst.ngens             # <<<<<<<<<<<<<<
- *     cdef int *pgens = NULL
- *     if pngens:
-*/
-  __pyx_t_1 = __pyx_v_pst.ngens;
-  __pyx_v_pngens = __pyx_t_1;
-
-  /* "etdom/_kernel/_fastcore.pyx":999
- *     _canon_retry(n, padj, &pst)
- *     cdef int pngens = pst.ngens
- *     cdef int *pgens = NULL             # <<<<<<<<<<<<<<
- *     if pngens:
- *         pgens = <int *> malloc(pngens * CMAXN * sizeof(int))
-*/
-  __pyx_v_pgens = NULL;
-
-  /* "etdom/_kernel/_fastcore.pyx":1000
- *     cdef int pngens = pst.ngens
- *     cdef int *pgens = NULL
- *     if pngens:             # <<<<<<<<<<<<<<
- *         pgens = <int *> malloc(pngens * CMAXN * sizeof(int))
- *         if pgens == NULL:
-*/
-  __pyx_t_2 = (__pyx_v_pngens != 0);
-  if (__pyx_t_2) {
-
-    /* "etdom/_kernel/_fastcore.pyx":1001
- *     cdef int *pgens = NULL
- *     if pngens:
- *         pgens = <int *> malloc(pngens * CMAXN * sizeof(int))             # <<<<<<<<<<<<<<
- *         if pgens == NULL:
- *             free(pst.gens)
-*/
-    __pyx_v_pgens = ((int *)malloc(((__pyx_v_pngens * 64) * (sizeof(int)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":1002
- *     if pngens:
- *         pgens = <int *> malloc(pngens * CMAXN * sizeof(int))
- *         if pgens == NULL:             # <<<<<<<<<<<<<<
- *             free(pst.gens)
- *             raise MemoryError()
-*/
-    __pyx_t_2 = (__pyx_v_pgens == NULL);
-    if (unlikely(__pyx_t_2)) {
-
-      /* "etdom/_kernel/_fastcore.pyx":1003
- *         pgens = <int *> malloc(pngens * CMAXN * sizeof(int))
- *         if pgens == NULL:
- *             free(pst.gens)             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         memcpy(pgens, pst.gens, pngens * CMAXN * sizeof(int))
-*/
-      free(__pyx_v_pst.gens);
-
-      /* "etdom/_kernel/_fastcore.pyx":1004
- *         if pgens == NULL:
- *             free(pst.gens)
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         memcpy(pgens, pst.gens, pngens * CMAXN * sizeof(int))
- *     free(pst.gens)
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 1004, __pyx_L1_error)
-
-      /* "etdom/_kernel/_fastcore.pyx":1002
- *     if pngens:
- *         pgens = <int *> malloc(pngens * CMAXN * sizeof(int))
- *         if pgens == NULL:             # <<<<<<<<<<<<<<
- *             free(pst.gens)
- *             raise MemoryError()
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":1005
- *             free(pst.gens)
- *             raise MemoryError()
- *         memcpy(pgens, pst.gens, pngens * CMAXN * sizeof(int))             # <<<<<<<<<<<<<<
- *     free(pst.gens)
- * 
-*/
-    (void)(memcpy(__pyx_v_pgens, __pyx_v_pst.gens, ((__pyx_v_pngens * 64) * (sizeof(int)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":1000
- *     cdef int pngens = pst.ngens
- *     cdef int *pgens = NULL
- *     if pngens:             # <<<<<<<<<<<<<<
- *         pgens = <int *> malloc(pngens * CMAXN * sizeof(int))
- *         if pgens == NULL:
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":1006
- *             raise MemoryError()
- *         memcpy(pgens, pst.gens, pngens * CMAXN * sizeof(int))
- *     free(pst.gens)             # <<<<<<<<<<<<<<
- * 
- *     cdef long long *srep = NULL
-*/
-  free(__pyx_v_pst.gens);
-
-  /* "etdom/_kernel/_fastcore.pyx":1008
- *     free(pst.gens)
- * 
- *     cdef long long *srep = NULL             # <<<<<<<<<<<<<<
- *     cdef long long aa, bb, root, x, si
- *     if pngens:
-*/
-  __pyx_v_srep = NULL;
-
-  /* "etdom/_kernel/_fastcore.pyx":1010
- *     cdef long long *srep = NULL
- *     cdef long long aa, bb, root, x, si
- *     if pngens:             # <<<<<<<<<<<<<<
- *         srep = <long long *> malloc(total * sizeof(long long))
- *         if srep == NULL:
-*/
-  __pyx_t_2 = (__pyx_v_pngens != 0);
-  if (__pyx_t_2) {
-
-    /* "etdom/_kernel/_fastcore.pyx":1011
- *     cdef long long aa, bb, root, x, si
- *     if pngens:
- *         srep = <long long *> malloc(total * sizeof(long long))             # <<<<<<<<<<<<<<
- *         if srep == NULL:
- *             free(pgens)
-*/
-    __pyx_v_srep = ((PY_LONG_LONG *)malloc((__pyx_v_total * (sizeof(PY_LONG_LONG)))));
-
-    /* "etdom/_kernel/_fastcore.pyx":1012
- *     if pngens:
- *         srep = <long long *> malloc(total * sizeof(long long))
- *         if srep == NULL:             # <<<<<<<<<<<<<<
- *             free(pgens)
- *             raise MemoryError()
-*/
-    __pyx_t_2 = (__pyx_v_srep == NULL);
-    if (unlikely(__pyx_t_2)) {
-
-      /* "etdom/_kernel/_fastcore.pyx":1013
- *         srep = <long long *> malloc(total * sizeof(long long))
- *         if srep == NULL:
- *             free(pgens)             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for si in range(<long long> total):
-*/
-      free(__pyx_v_pgens);
-
-      /* "etdom/_kernel/_fastcore.pyx":1014
- *         if srep == NULL:
- *             free(pgens)
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for si in range(<long long> total):
- *             srep[si] = si
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 1014, __pyx_L1_error)
-
-      /* "etdom/_kernel/_fastcore.pyx":1012
- *     if pngens:
- *         srep = <long long *> malloc(total * sizeof(long long))
- *         if srep == NULL:             # <<<<<<<<<<<<<<
- *             free(pgens)
- *             raise MemoryError()
-*/
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":1015
- *             free(pgens)
- *             raise MemoryError()
- *         for si in range(<long long> total):             # <<<<<<<<<<<<<<
- *             srep[si] = si
- *         for gi in range(pngens):
-*/
-    __pyx_t_13 = ((PY_LONG_LONG)__pyx_v_total);
-    __pyx_t_14 = __pyx_t_13;
-    for (__pyx_t_15 = 0; __pyx_t_15 < __pyx_t_14; __pyx_t_15+=1) {
-      __pyx_v_si = __pyx_t_15;
-
-      /* "etdom/_kernel/_fastcore.pyx":1016
- *             raise MemoryError()
- *         for si in range(<long long> total):
- *             srep[si] = si             # <<<<<<<<<<<<<<
- *         for gi in range(pngens):
- *             for si in range(<long long> total):
-*/
-      (__pyx_v_srep[__pyx_v_si]) = __pyx_v_si;
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":1017
- *         for si in range(<long long> total):
- *             srep[si] = si
- *         for gi in range(pngens):             # <<<<<<<<<<<<<<
- *             for si in range(<long long> total):
- *                 img = 0
-*/
-    __pyx_t_1 = __pyx_v_pngens;
-    __pyx_t_10 = __pyx_t_1;
-    for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-      __pyx_v_gi = __pyx_t_11;
-
-      /* "etdom/_kernel/_fastcore.pyx":1018
- *             srep[si] = si
- *         for gi in range(pngens):
- *             for si in range(<long long> total):             # <<<<<<<<<<<<<<
- *                 img = 0
- *                 mm = <unsigned long long> si
-*/
-      __pyx_t_13 = ((PY_LONG_LONG)__pyx_v_total);
-      __pyx_t_14 = __pyx_t_13;
-      for (__pyx_t_15 = 0; __pyx_t_15 < __pyx_t_14; __pyx_t_15+=1) {
-        __pyx_v_si = __pyx_t_15;
-
-        /* "etdom/_kernel/_fastcore.pyx":1019
- *         for gi in range(pngens):
- *             for si in range(<long long> total):
- *                 img = 0             # <<<<<<<<<<<<<<
- *                 mm = <unsigned long long> si
- *                 while mm:
-*/
-        __pyx_v_img = 0;
-
-        /* "etdom/_kernel/_fastcore.pyx":1020
- *             for si in range(<long long> total):
- *                 img = 0
- *                 mm = <unsigned long long> si             # <<<<<<<<<<<<<<
- *                 while mm:
- *                     v = ctz64(mm)
-*/
-        __pyx_v_mm = ((unsigned PY_LONG_LONG)__pyx_v_si);
-
-        /* "etdom/_kernel/_fastcore.pyx":1021
- *                 img = 0
- *                 mm = <unsigned long long> si
- *                 while mm:             # <<<<<<<<<<<<<<
- *                     v = ctz64(mm)
- *                     mm &= mm - 1
-*/
-        while (1) {
-          __pyx_t_2 = (__pyx_v_mm != 0);
-          if (!__pyx_t_2) break;
-
-          /* "etdom/_kernel/_fastcore.pyx":1022
- *                 mm = <unsigned long long> si
- *                 while mm:
- *                     v = ctz64(mm)             # <<<<<<<<<<<<<<
- *                     mm &= mm - 1
- *                     img |= ONE << pgens[gi * CMAXN + v]
-*/
-          __pyx_v_v = ctz64(__pyx_v_mm);
-
-          /* "etdom/_kernel/_fastcore.pyx":1023
- *                 while mm:
- *                     v = ctz64(mm)
- *                     mm &= mm - 1             # <<<<<<<<<<<<<<
- *                     img |= ONE << pgens[gi * CMAXN + v]
- *                 aa = si
-*/
-          __pyx_v_mm = (__pyx_v_mm & (__pyx_v_mm - 1));
-
-          /* "etdom/_kernel/_fastcore.pyx":1024
- *                     v = ctz64(mm)
- *                     mm &= mm - 1
- *                     img |= ONE << pgens[gi * CMAXN + v]             # <<<<<<<<<<<<<<
- *                 aa = si
- *                 while srep[aa] != aa:
-*/
-          __pyx_v_img = (__pyx_v_img | (__pyx_v_5etdom_7_kernel_9_fastcore_ONE << (__pyx_v_pgens[((__pyx_v_gi * 64) + __pyx_v_v)])));
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":1025
- *                     mm &= mm - 1
- *                     img |= ONE << pgens[gi * CMAXN + v]
- *                 aa = si             # <<<<<<<<<<<<<<
- *                 while srep[aa] != aa:
- *                     aa = srep[aa]
-*/
-        __pyx_v_aa = __pyx_v_si;
-
-        /* "etdom/_kernel/_fastcore.pyx":1026
- *                     img |= ONE << pgens[gi * CMAXN + v]
- *                 aa = si
- *                 while srep[aa] != aa:             # <<<<<<<<<<<<<<
- *                     aa = srep[aa]
- *                 bb = <long long> img
-*/
-        while (1) {
-          __pyx_t_2 = ((__pyx_v_srep[__pyx_v_aa]) != __pyx_v_aa);
-          if (!__pyx_t_2) break;
-
-          /* "etdom/_kernel/_fastcore.pyx":1027
- *                 aa = si
- *                 while srep[aa] != aa:
- *                     aa = srep[aa]             # <<<<<<<<<<<<<<
- *                 bb = <long long> img
- *                 while srep[bb] != bb:
-*/
-          __pyx_v_aa = (__pyx_v_srep[__pyx_v_aa]);
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":1028
- *                 while srep[aa] != aa:
- *                     aa = srep[aa]
- *                 bb = <long long> img             # <<<<<<<<<<<<<<
- *                 while srep[bb] != bb:
- *                     bb = srep[bb]
-*/
-        __pyx_v_bb = ((PY_LONG_LONG)__pyx_v_img);
-
-        /* "etdom/_kernel/_fastcore.pyx":1029
- *                     aa = srep[aa]
- *                 bb = <long long> img
- *                 while srep[bb] != bb:             # <<<<<<<<<<<<<<
- *                     bb = srep[bb]
- *                 if aa != bb:
-*/
-        while (1) {
-          __pyx_t_2 = ((__pyx_v_srep[__pyx_v_bb]) != __pyx_v_bb);
-          if (!__pyx_t_2) break;
-
-          /* "etdom/_kernel/_fastcore.pyx":1030
- *                 bb = <long long> img
- *                 while srep[bb] != bb:
- *                     bb = srep[bb]             # <<<<<<<<<<<<<<
- *                 if aa != bb:
- *                     if aa < bb:
-*/
-          __pyx_v_bb = (__pyx_v_srep[__pyx_v_bb]);
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":1031
- *                 while srep[bb] != bb:
- *                     bb = srep[bb]
- *                 if aa != bb:             # <<<<<<<<<<<<<<
- *                     if aa < bb:
- *                         srep[bb] = aa
-*/
-        __pyx_t_2 = (__pyx_v_aa != __pyx_v_bb);
-        if (__pyx_t_2) {
-
-          /* "etdom/_kernel/_fastcore.pyx":1032
- *                     bb = srep[bb]
- *                 if aa != bb:
- *                     if aa < bb:             # <<<<<<<<<<<<<<
- *                         srep[bb] = aa
- *                     else:
-*/
-          __pyx_t_2 = (__pyx_v_aa < __pyx_v_bb);
-          if (__pyx_t_2) {
-
-            /* "etdom/_kernel/_fastcore.pyx":1033
- *                 if aa != bb:
- *                     if aa < bb:
- *                         srep[bb] = aa             # <<<<<<<<<<<<<<
- *                     else:
- *                         srep[aa] = bb
-*/
-            (__pyx_v_srep[__pyx_v_bb]) = __pyx_v_aa;
-
-            /* "etdom/_kernel/_fastcore.pyx":1032
- *                     bb = srep[bb]
- *                 if aa != bb:
- *                     if aa < bb:             # <<<<<<<<<<<<<<
- *                         srep[bb] = aa
- *                     else:
-*/
-            goto __pyx_L23;
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":1035
- *                         srep[bb] = aa
- *                     else:
- *                         srep[aa] = bb             # <<<<<<<<<<<<<<
- *         for si in range(<long long> total):
- *             root = si
-*/
-          /*else*/ {
-            (__pyx_v_srep[__pyx_v_aa]) = __pyx_v_bb;
-          }
-          __pyx_L23:;
-
-          /* "etdom/_kernel/_fastcore.pyx":1031
- *                 while srep[bb] != bb:
- *                     bb = srep[bb]
- *                 if aa != bb:             # <<<<<<<<<<<<<<
- *                     if aa < bb:
- *                         srep[bb] = aa
-*/
-        }
-      }
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":1036
- *                     else:
- *                         srep[aa] = bb
- *         for si in range(<long long> total):             # <<<<<<<<<<<<<<
- *             root = si
- *             while srep[root] != root:
-*/
-    __pyx_t_13 = ((PY_LONG_LONG)__pyx_v_total);
-    __pyx_t_14 = __pyx_t_13;
-    for (__pyx_t_15 = 0; __pyx_t_15 < __pyx_t_14; __pyx_t_15+=1) {
-      __pyx_v_si = __pyx_t_15;
-
-      /* "etdom/_kernel/_fastcore.pyx":1037
- *                         srep[aa] = bb
- *         for si in range(<long long> total):
- *             root = si             # <<<<<<<<<<<<<<
- *             while srep[root] != root:
- *                 root = srep[root]
-*/
-      __pyx_v_root = __pyx_v_si;
-
-      /* "etdom/_kernel/_fastcore.pyx":1038
- *         for si in range(<long long> total):
- *             root = si
- *             while srep[root] != root:             # <<<<<<<<<<<<<<
- *                 root = srep[root]
- *             x = si
-*/
-      while (1) {
-        __pyx_t_2 = ((__pyx_v_srep[__pyx_v_root]) != __pyx_v_root);
-        if (!__pyx_t_2) break;
-
-        /* "etdom/_kernel/_fastcore.pyx":1039
- *             root = si
- *             while srep[root] != root:
- *                 root = srep[root]             # <<<<<<<<<<<<<<
- *             x = si
- *             while srep[x] != root:
-*/
-        __pyx_v_root = (__pyx_v_srep[__pyx_v_root]);
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1040
- *             while srep[root] != root:
- *                 root = srep[root]
- *             x = si             # <<<<<<<<<<<<<<
- *             while srep[x] != root:
- *                 aa = srep[x]
-*/
-      __pyx_v_x = __pyx_v_si;
-
-      /* "etdom/_kernel/_fastcore.pyx":1041
- *                 root = srep[root]
- *             x = si
- *             while srep[x] != root:             # <<<<<<<<<<<<<<
- *                 aa = srep[x]
- *                 srep[x] = root
-*/
-      while (1) {
-        __pyx_t_2 = ((__pyx_v_srep[__pyx_v_x]) != __pyx_v_root);
-        if (!__pyx_t_2) break;
-
-        /* "etdom/_kernel/_fastcore.pyx":1042
- *             x = si
- *             while srep[x] != root:
- *                 aa = srep[x]             # <<<<<<<<<<<<<<
- *                 srep[x] = root
- *                 x = aa
-*/
-        __pyx_v_aa = (__pyx_v_srep[__pyx_v_x]);
-
-        /* "etdom/_kernel/_fastcore.pyx":1043
- *             while srep[x] != root:
- *                 aa = srep[x]
- *                 srep[x] = root             # <<<<<<<<<<<<<<
- *                 x = aa
- *     if pgens != NULL:
-*/
-        (__pyx_v_srep[__pyx_v_x]) = __pyx_v_root;
-
-        /* "etdom/_kernel/_fastcore.pyx":1044
- *                 aa = srep[x]
- *                 srep[x] = root
- *                 x = aa             # <<<<<<<<<<<<<<
- *     if pgens != NULL:
- *         free(pgens)
-*/
-        __pyx_v_x = __pyx_v_aa;
-      }
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":1010
- *     cdef long long *srep = NULL
- *     cdef long long aa, bb, root, x, si
- *     if pngens:             # <<<<<<<<<<<<<<
- *         srep = <long long *> malloc(total * sizeof(long long))
- *         if srep == NULL:
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":1045
- *                 srep[x] = root
- *                 x = aa
- *     if pgens != NULL:             # <<<<<<<<<<<<<<
- *         free(pgens)
- * 
-*/
-  __pyx_t_2 = (__pyx_v_pgens != NULL);
-  if (__pyx_t_2) {
-
-    /* "etdom/_kernel/_fastcore.pyx":1046
- *                 x = aa
- *     if pgens != NULL:
- *         free(pgens)             # <<<<<<<<<<<<<<
- * 
- *     out = []
-*/
-    free(__pyx_v_pgens);
-
-    /* "etdom/_kernel/_fastcore.pyx":1045
- *                 srep[x] = root
- *                 x = aa
- *     if pgens != NULL:             # <<<<<<<<<<<<<<
- *         free(pgens)
- * 
-*/
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":1048
- *         free(pgens)
- * 
- *     out = []             # <<<<<<<<<<<<<<
- *     cdef CState cst
- *     cdef int crep[CMAXN]
-*/
-  __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 1048, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_v_out = ((PyObject*)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":1052
- *     cdef int crep[CMAXN]
- *     cdef int vstar, vstar_pos, reject
- *     try:             # <<<<<<<<<<<<<<
- *         for si in range(<long long> total):
- *             s = <unsigned long long> si
-*/
-  /*try:*/ {
-
-    /* "etdom/_kernel/_fastcore.pyx":1053
- *     cdef int vstar, vstar_pos, reject
- *     try:
- *         for si in range(<long long> total):             # <<<<<<<<<<<<<<
- *             s = <unsigned long long> si
- *             if mode == MODE_TRIANGLE_FREE:
-*/
-    __pyx_t_13 = ((PY_LONG_LONG)__pyx_v_total);
-    __pyx_t_14 = __pyx_t_13;
-    for (__pyx_t_15 = 0; __pyx_t_15 < __pyx_t_14; __pyx_t_15+=1) {
-      __pyx_v_si = __pyx_t_15;
-
-      /* "etdom/_kernel/_fastcore.pyx":1054
- *     try:
- *         for si in range(<long long> total):
- *             s = <unsigned long long> si             # <<<<<<<<<<<<<<
- *             if mode == MODE_TRIANGLE_FREE:
- *                 ok = 1
-*/
-      __pyx_v_s = ((unsigned PY_LONG_LONG)__pyx_v_si);
-
-      /* "etdom/_kernel/_fastcore.pyx":1055
- *         for si in range(<long long> total):
- *             s = <unsigned long long> si
- *             if mode == MODE_TRIANGLE_FREE:             # <<<<<<<<<<<<<<
- *                 ok = 1
- *                 mm = s
-*/
-      __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_mode); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 1055, __pyx_L32_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_MODE_TRIANGLE_FREE); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 1055, __pyx_L32_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_6 = PyObject_RichCompare(__pyx_t_3, __pyx_t_5, Py_EQ); __Pyx_XGOTREF(__pyx_t_6); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 1055, __pyx_L32_error)
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_6); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 1055, __pyx_L32_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (__pyx_t_2) {
-
-        /* "etdom/_kernel/_fastcore.pyx":1056
- *             s = <unsigned long long> si
- *             if mode == MODE_TRIANGLE_FREE:
- *                 ok = 1             # <<<<<<<<<<<<<<
- *                 mm = s
- *                 while mm:
-*/
-        __pyx_v_ok = 1;
-
-        /* "etdom/_kernel/_fastcore.pyx":1057
- *             if mode == MODE_TRIANGLE_FREE:
- *                 ok = 1
- *                 mm = s             # <<<<<<<<<<<<<<
- *                 while mm:
- *                     v = ctz64(mm)
-*/
-        __pyx_v_mm = __pyx_v_s;
-
-        /* "etdom/_kernel/_fastcore.pyx":1058
- *                 ok = 1
- *                 mm = s
- *                 while mm:             # <<<<<<<<<<<<<<
- *                     v = ctz64(mm)
- *                     mm &= mm - 1
-*/
-        while (1) {
-          __pyx_t_2 = (__pyx_v_mm != 0);
-          if (!__pyx_t_2) break;
-
-          /* "etdom/_kernel/_fastcore.pyx":1059
- *                 mm = s
- *                 while mm:
- *                     v = ctz64(mm)             # <<<<<<<<<<<<<<
- *                     mm &= mm - 1
- *                     if padj[v] & s:
-*/
-          __pyx_v_v = ctz64(__pyx_v_mm);
-
-          /* "etdom/_kernel/_fastcore.pyx":1060
- *                 while mm:
- *                     v = ctz64(mm)
- *                     mm &= mm - 1             # <<<<<<<<<<<<<<
- *                     if padj[v] & s:
- *                         ok = 0
-*/
-          __pyx_v_mm = (__pyx_v_mm & (__pyx_v_mm - 1));
-
-          /* "etdom/_kernel/_fastcore.pyx":1061
- *                     v = ctz64(mm)
- *                     mm &= mm - 1
- *                     if padj[v] & s:             # <<<<<<<<<<<<<<
- *                         ok = 0
- *                         break
-*/
-          __pyx_t_2 = (((__pyx_v_padj[__pyx_v_v]) & __pyx_v_s) != 0);
-          if (__pyx_t_2) {
-
-            /* "etdom/_kernel/_fastcore.pyx":1062
- *                     mm &= mm - 1
- *                     if padj[v] & s:
- *                         ok = 0             # <<<<<<<<<<<<<<
- *                         break
- *                 if not ok:
-*/
-            __pyx_v_ok = 0;
-
-            /* "etdom/_kernel/_fastcore.pyx":1063
- *                     if padj[v] & s:
- *                         ok = 0
- *                         break             # <<<<<<<<<<<<<<
- *                 if not ok:
- *                     continue
-*/
-            goto __pyx_L38_break;
-
-            /* "etdom/_kernel/_fastcore.pyx":1061
- *                     v = ctz64(mm)
- *                     mm &= mm - 1
- *                     if padj[v] & s:             # <<<<<<<<<<<<<<
- *                         ok = 0
- *                         break
-*/
-          }
-        }
-        __pyx_L38_break:;
-
-        /* "etdom/_kernel/_fastcore.pyx":1064
- *                         ok = 0
- *                         break
- *                 if not ok:             # <<<<<<<<<<<<<<
- *                     continue
- *             elif mode == MODE_MAX_DEGREE_3:
-*/
-        __pyx_t_2 = (!(__pyx_v_ok != 0));
-        if (__pyx_t_2) {
-
-          /* "etdom/_kernel/_fastcore.pyx":1065
- *                         break
- *                 if not ok:
- *                     continue             # <<<<<<<<<<<<<<
- *             elif mode == MODE_MAX_DEGREE_3:
- *                 if popcnt64(s) > 3:
-*/
-          goto __pyx_L34_continue;
-
-          /* "etdom/_kernel/_fastcore.pyx":1064
- *                         ok = 0
- *                         break
- *                 if not ok:             # <<<<<<<<<<<<<<
- *                     continue
- *             elif mode == MODE_MAX_DEGREE_3:
-*/
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":1055
- *         for si in range(<long long> total):
- *             s = <unsigned long long> si
- *             if mode == MODE_TRIANGLE_FREE:             # <<<<<<<<<<<<<<
- *                 ok = 1
- *                 mm = s
-*/
-        goto __pyx_L36;
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1066
- *                 if not ok:
- *                     continue
- *             elif mode == MODE_MAX_DEGREE_3:             # <<<<<<<<<<<<<<
- *                 if popcnt64(s) > 3:
- *                     continue
-*/
-      __pyx_t_6 = __Pyx_PyLong_From_int(__pyx_v_mode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 1066, __pyx_L32_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_MODE_MAX_DEGREE_3); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 1066, __pyx_L32_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_3 = PyObject_RichCompare(__pyx_t_6, __pyx_t_5, Py_EQ); __Pyx_XGOTREF(__pyx_t_3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 1066, __pyx_L32_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_3); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 1066, __pyx_L32_error)
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      if (__pyx_t_2) {
-
-        /* "etdom/_kernel/_fastcore.pyx":1067
- *                     continue
- *             elif mode == MODE_MAX_DEGREE_3:
- *                 if popcnt64(s) > 3:             # <<<<<<<<<<<<<<
- *                     continue
- *                 ok = 1
-*/
-        __pyx_t_2 = (popcnt64(__pyx_v_s) > 3);
-        if (__pyx_t_2) {
-
-          /* "etdom/_kernel/_fastcore.pyx":1068
- *             elif mode == MODE_MAX_DEGREE_3:
- *                 if popcnt64(s) > 3:
- *                     continue             # <<<<<<<<<<<<<<
- *                 ok = 1
- *                 mm = s
-*/
-          goto __pyx_L34_continue;
-
-          /* "etdom/_kernel/_fastcore.pyx":1067
- *                     continue
- *             elif mode == MODE_MAX_DEGREE_3:
- *                 if popcnt64(s) > 3:             # <<<<<<<<<<<<<<
- *                     continue
- *                 ok = 1
-*/
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":1069
- *                 if popcnt64(s) > 3:
- *                     continue
- *                 ok = 1             # <<<<<<<<<<<<<<
- *                 mm = s
- *                 while mm:
-*/
-        __pyx_v_ok = 1;
-
-        /* "etdom/_kernel/_fastcore.pyx":1070
- *                     continue
- *                 ok = 1
- *                 mm = s             # <<<<<<<<<<<<<<
- *                 while mm:
- *                     v = ctz64(mm)
-*/
-        __pyx_v_mm = __pyx_v_s;
-
-        /* "etdom/_kernel/_fastcore.pyx":1071
- *                 ok = 1
- *                 mm = s
- *                 while mm:             # <<<<<<<<<<<<<<
- *                     v = ctz64(mm)
- *                     mm &= mm - 1
-*/
-        while (1) {
-          __pyx_t_2 = (__pyx_v_mm != 0);
-          if (!__pyx_t_2) break;
-
-          /* "etdom/_kernel/_fastcore.pyx":1072
- *                 mm = s
- *                 while mm:
- *                     v = ctz64(mm)             # <<<<<<<<<<<<<<
- *                     mm &= mm - 1
- *                     if parent_degs[v] >= 3:
-*/
-          __pyx_v_v = ctz64(__pyx_v_mm);
-
-          /* "etdom/_kernel/_fastcore.pyx":1073
- *                 while mm:
- *                     v = ctz64(mm)
- *                     mm &= mm - 1             # <<<<<<<<<<<<<<
- *                     if parent_degs[v] >= 3:
- *                         ok = 0
-*/
-          __pyx_v_mm = (__pyx_v_mm & (__pyx_v_mm - 1));
-
-          /* "etdom/_kernel/_fastcore.pyx":1074
- *                     v = ctz64(mm)
- *                     mm &= mm - 1
- *                     if parent_degs[v] >= 3:             # <<<<<<<<<<<<<<
- *                         ok = 0
- *                         break
-*/
-          __pyx_t_2 = ((__pyx_v_parent_degs[__pyx_v_v]) >= 3);
-          if (__pyx_t_2) {
-
-            /* "etdom/_kernel/_fastcore.pyx":1075
- *                     mm &= mm - 1
- *                     if parent_degs[v] >= 3:
- *                         ok = 0             # <<<<<<<<<<<<<<
- *                         break
- *                 if not ok:
-*/
-            __pyx_v_ok = 0;
-
-            /* "etdom/_kernel/_fastcore.pyx":1076
- *                     if parent_degs[v] >= 3:
- *                         ok = 0
- *                         break             # <<<<<<<<<<<<<<
- *                 if not ok:
- *                     continue
-*/
-            goto __pyx_L43_break;
-
-            /* "etdom/_kernel/_fastcore.pyx":1074
- *                     v = ctz64(mm)
- *                     mm &= mm - 1
- *                     if parent_degs[v] >= 3:             # <<<<<<<<<<<<<<
- *                         ok = 0
- *                         break
-*/
-          }
-        }
-        __pyx_L43_break:;
-
-        /* "etdom/_kernel/_fastcore.pyx":1077
- *                         ok = 0
- *                         break
- *                 if not ok:             # <<<<<<<<<<<<<<
- *                     continue
- *             if srep != NULL and srep[si] != si:
-*/
-        __pyx_t_2 = (!(__pyx_v_ok != 0));
-        if (__pyx_t_2) {
-
-          /* "etdom/_kernel/_fastcore.pyx":1078
- *                         break
- *                 if not ok:
- *                     continue             # <<<<<<<<<<<<<<
- *             if srep != NULL and srep[si] != si:
- *                 continue
-*/
-          goto __pyx_L34_continue;
-
-          /* "etdom/_kernel/_fastcore.pyx":1077
- *                         ok = 0
- *                         break
- *                 if not ok:             # <<<<<<<<<<<<<<
- *                     continue
- *             if srep != NULL and srep[si] != si:
-*/
-        }
-
-        /* "etdom/_kernel/_fastcore.pyx":1066
- *                 if not ok:
- *                     continue
- *             elif mode == MODE_MAX_DEGREE_3:             # <<<<<<<<<<<<<<
- *                 if popcnt64(s) > 3:
- *                     continue
-*/
-      }
-      __pyx_L36:;
-
-      /* "etdom/_kernel/_fastcore.pyx":1079
- *                 if not ok:
- *                     continue
- *             if srep != NULL and srep[si] != si:             # <<<<<<<<<<<<<<
- *                 continue
- *             for i in range(n):
-*/
-      __pyx_t_16 = (__pyx_v_srep != NULL);
-      if (__pyx_t_16) {
-      } else {
-        __pyx_t_2 = __pyx_t_16;
-        goto __pyx_L47_bool_binop_done;
-      }
-      __pyx_t_16 = ((__pyx_v_srep[__pyx_v_si]) != __pyx_v_si);
-      __pyx_t_2 = __pyx_t_16;
-      __pyx_L47_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "etdom/_kernel/_fastcore.pyx":1080
- *                     continue
- *             if srep != NULL and srep[si] != si:
- *                 continue             # <<<<<<<<<<<<<<
- *             for i in range(n):
- *                 in_s = 1 if (s >> i) & 1 else 0
-*/
-        goto __pyx_L34_continue;
-
-        /* "etdom/_kernel/_fastcore.pyx":1079
- *                 if not ok:
- *                     continue
- *             if srep != NULL and srep[si] != si:             # <<<<<<<<<<<<<<
- *                 continue
- *             for i in range(n):
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1081
- *             if srep != NULL and srep[si] != si:
- *                 continue
- *             for i in range(n):             # <<<<<<<<<<<<<<
- *                 in_s = 1 if (s >> i) & 1 else 0
- *                 cadj[i] = padj[i] | nbit if in_s else padj[i]
-*/
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_10 = __pyx_t_1;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_i = __pyx_t_11;
-
-        /* "etdom/_kernel/_fastcore.pyx":1082
- *                 continue
- *             for i in range(n):
- *                 in_s = 1 if (s >> i) & 1 else 0             # <<<<<<<<<<<<<<
- *                 cadj[i] = padj[i] | nbit if in_s else padj[i]
- *                 degs[i] = parent_degs[i] + in_s
-*/
-        __pyx_t_2 = (((__pyx_v_s >> __pyx_v_i) & 1) != 0);
-        if (__pyx_t_2) {
-          __pyx_t_17 = 1;
-        } else {
-          __pyx_t_17 = 0;
-        }
-        __pyx_v_in_s = __pyx_t_17;
-
-        /* "etdom/_kernel/_fastcore.pyx":1083
- *             for i in range(n):
- *                 in_s = 1 if (s >> i) & 1 else 0
- *                 cadj[i] = padj[i] | nbit if in_s else padj[i]             # <<<<<<<<<<<<<<
- *                 degs[i] = parent_degs[i] + in_s
- *             cadj[n] = s
-*/
-        __pyx_t_2 = (__pyx_v_in_s != 0);
-        if (__pyx_t_2) {
-          __pyx_t_12 = ((__pyx_v_padj[__pyx_v_i]) | __pyx_v_nbit);
-        } else {
-          __pyx_t_12 = (__pyx_v_padj[__pyx_v_i]);
-        }
-        (__pyx_v_cadj[__pyx_v_i]) = __pyx_t_12;
-
-        /* "etdom/_kernel/_fastcore.pyx":1084
- *                 in_s = 1 if (s >> i) & 1 else 0
- *                 cadj[i] = padj[i] | nbit if in_s else padj[i]
- *                 degs[i] = parent_degs[i] + in_s             # <<<<<<<<<<<<<<
- *             cadj[n] = s
- *             degs[n] = popcnt64(s)
-*/
-        (__pyx_v_degs[__pyx_v_i]) = ((__pyx_v_parent_degs[__pyx_v_i]) + __pyx_v_in_s);
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1085
- *                 cadj[i] = padj[i] | nbit if in_s else padj[i]
- *                 degs[i] = parent_degs[i] + in_s
- *             cadj[n] = s             # <<<<<<<<<<<<<<
- *             degs[n] = popcnt64(s)
- *             dmin = degs[n]
-*/
-      (__pyx_v_cadj[__pyx_v_n]) = __pyx_v_s;
-
-      /* "etdom/_kernel/_fastcore.pyx":1086
- *                 degs[i] = parent_degs[i] + in_s
- *             cadj[n] = s
- *             degs[n] = popcnt64(s)             # <<<<<<<<<<<<<<
- *             dmin = degs[n]
- *             for i in range(n):
-*/
-      (__pyx_v_degs[__pyx_v_n]) = popcnt64(__pyx_v_s);
-
-      /* "etdom/_kernel/_fastcore.pyx":1087
- *             cadj[n] = s
- *             degs[n] = popcnt64(s)
- *             dmin = degs[n]             # <<<<<<<<<<<<<<
- *             for i in range(n):
- *                 if degs[i] < dmin:
-*/
-      __pyx_v_dmin = (__pyx_v_degs[__pyx_v_n]);
-
-      /* "etdom/_kernel/_fastcore.pyx":1088
- *             degs[n] = popcnt64(s)
- *             dmin = degs[n]
- *             for i in range(n):             # <<<<<<<<<<<<<<
- *                 if degs[i] < dmin:
- *                     dmin = degs[i]
-*/
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_10 = __pyx_t_1;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_i = __pyx_t_11;
-
-        /* "etdom/_kernel/_fastcore.pyx":1089
- *             dmin = degs[n]
- *             for i in range(n):
- *                 if degs[i] < dmin:             # <<<<<<<<<<<<<<
- *                     dmin = degs[i]
- *             if degs[n] != dmin:
-*/
-        __pyx_t_2 = ((__pyx_v_degs[__pyx_v_i]) < __pyx_v_dmin);
-        if (__pyx_t_2) {
-
-          /* "etdom/_kernel/_fastcore.pyx":1090
- *             for i in range(n):
- *                 if degs[i] < dmin:
- *                     dmin = degs[i]             # <<<<<<<<<<<<<<
- *             if degs[n] != dmin:
- *                 continue
-*/
-          __pyx_v_dmin = (__pyx_v_degs[__pyx_v_i]);
-
-          /* "etdom/_kernel/_fastcore.pyx":1089
- *             dmin = degs[n]
- *             for i in range(n):
- *                 if degs[i] < dmin:             # <<<<<<<<<<<<<<
- *                     dmin = degs[i]
- *             if degs[n] != dmin:
-*/
-        }
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1091
- *                 if degs[i] < dmin:
- *                     dmin = degs[i]
- *             if degs[n] != dmin:             # <<<<<<<<<<<<<<
- *                 continue
- *             reject = 0
-*/
-      __pyx_t_2 = ((__pyx_v_degs[__pyx_v_n]) != __pyx_v_dmin);
-      if (__pyx_t_2) {
-
-        /* "etdom/_kernel/_fastcore.pyx":1092
- *                     dmin = degs[i]
- *             if degs[n] != dmin:
- *                 continue             # <<<<<<<<<<<<<<
- *             reject = 0
- *             for v in range(n):
-*/
-        goto __pyx_L34_continue;
-
-        /* "etdom/_kernel/_fastcore.pyx":1091
- *                 if degs[i] < dmin:
- *                     dmin = degs[i]
- *             if degs[n] != dmin:             # <<<<<<<<<<<<<<
- *                 continue
- *             reject = 0
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1093
- *             if degs[n] != dmin:
- *                 continue
- *             reject = 0             # <<<<<<<<<<<<<<
- *             for v in range(n):
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) < 0:
-*/
-      __pyx_v_reject = 0;
-
-      /* "etdom/_kernel/_fastcore.pyx":1094
- *                 continue
- *             reject = 0
- *             for v in range(n):             # <<<<<<<<<<<<<<
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) < 0:
- *                     reject = 1
-*/
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_10 = __pyx_t_1;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_v = __pyx_t_11;
-
-        /* "etdom/_kernel/_fastcore.pyx":1095
- *             reject = 0
- *             for v in range(n):
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) < 0:             # <<<<<<<<<<<<<<
- *                     reject = 1
- *                     break
-*/
-        __pyx_t_16 = ((__pyx_v_degs[__pyx_v_v]) == __pyx_v_dmin);
-        if (__pyx_t_16) {
-        } else {
-          __pyx_t_2 = __pyx_t_16;
-          goto __pyx_L58_bool_binop_done;
-        }
-        __pyx_t_16 = (__pyx_f_5etdom_7_kernel_9_fastcore__key_cmp(__pyx_v_cadj, __pyx_v_degs, __pyx_v_v, __pyx_v_n) < 0);
-        __pyx_t_2 = __pyx_t_16;
-        __pyx_L58_bool_binop_done:;
-        if (__pyx_t_2) {
-
-          /* "etdom/_kernel/_fastcore.pyx":1096
- *             for v in range(n):
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) < 0:
- *                     reject = 1             # <<<<<<<<<<<<<<
- *                     break
- *             if reject:
-*/
-          __pyx_v_reject = 1;
-
-          /* "etdom/_kernel/_fastcore.pyx":1097
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) < 0:
- *                     reject = 1
- *                     break             # <<<<<<<<<<<<<<
- *             if reject:
- *                 continue
-*/
-          goto __pyx_L56_break;
-
-          /* "etdom/_kernel/_fastcore.pyx":1095
- *             reject = 0
- *             for v in range(n):
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) < 0:             # <<<<<<<<<<<<<<
- *                     reject = 1
- *                     break
-*/
-        }
-      }
-      __pyx_L56_break:;
-
-      /* "etdom/_kernel/_fastcore.pyx":1098
- *                     reject = 1
- *                     break
- *             if reject:             # <<<<<<<<<<<<<<
- *                 continue
- *             if want_conn and not _is_connected_masks(nc, cadj):
-*/
-      __pyx_t_2 = (__pyx_v_reject != 0);
-      if (__pyx_t_2) {
-
-        /* "etdom/_kernel/_fastcore.pyx":1099
- *                     break
- *             if reject:
- *                 continue             # <<<<<<<<<<<<<<
- *             if want_conn and not _is_connected_masks(nc, cadj):
- *                 continue
-*/
-        goto __pyx_L34_continue;
-
-        /* "etdom/_kernel/_fastcore.pyx":1098
- *                     reject = 1
- *                     break
- *             if reject:             # <<<<<<<<<<<<<<
- *                 continue
- *             if want_conn and not _is_connected_masks(nc, cadj):
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1100
- *             if reject:
- *                 continue
- *             if want_conn and not _is_connected_masks(nc, cadj):             # <<<<<<<<<<<<<<
- *                 continue
- *             if want_mtf and not _is_mtf_masks(nc, cadj):
-*/
-      __pyx_t_16 = (__pyx_v_want_conn != 0);
-      if (__pyx_t_16) {
-      } else {
-        __pyx_t_2 = __pyx_t_16;
-        goto __pyx_L62_bool_binop_done;
-      }
-      __pyx_t_16 = (!(__pyx_f_5etdom_7_kernel_9_fastcore__is_connected_masks(__pyx_v_nc, __pyx_v_cadj) != 0));
-      __pyx_t_2 = __pyx_t_16;
-      __pyx_L62_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "etdom/_kernel/_fastcore.pyx":1101
- *                 continue
- *             if want_conn and not _is_connected_masks(nc, cadj):
- *                 continue             # <<<<<<<<<<<<<<
- *             if want_mtf and not _is_mtf_masks(nc, cadj):
- *                 continue
-*/
-        goto __pyx_L34_continue;
-
-        /* "etdom/_kernel/_fastcore.pyx":1100
- *             if reject:
- *                 continue
- *             if want_conn and not _is_connected_masks(nc, cadj):             # <<<<<<<<<<<<<<
- *                 continue
- *             if want_mtf and not _is_mtf_masks(nc, cadj):
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1102
- *             if want_conn and not _is_connected_masks(nc, cadj):
- *                 continue
- *             if want_mtf and not _is_mtf_masks(nc, cadj):             # <<<<<<<<<<<<<<
- *                 continue
- *             _canon_retry(nc, cadj, &cst)
-*/
-      __pyx_t_16 = (__pyx_v_want_mtf != 0);
-      if (__pyx_t_16) {
-      } else {
-        __pyx_t_2 = __pyx_t_16;
-        goto __pyx_L65_bool_binop_done;
-      }
-      __pyx_t_16 = (!(__pyx_f_5etdom_7_kernel_9_fastcore__is_mtf_masks(__pyx_v_nc, __pyx_v_cadj) != 0));
-      __pyx_t_2 = __pyx_t_16;
-      __pyx_L65_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "etdom/_kernel/_fastcore.pyx":1103
- *                 continue
- *             if want_mtf and not _is_mtf_masks(nc, cadj):
- *                 continue             # <<<<<<<<<<<<<<
- *             _canon_retry(nc, cadj, &cst)
- *             _orbit_reps_all(&cst, crep)
-*/
-        goto __pyx_L34_continue;
-
-        /* "etdom/_kernel/_fastcore.pyx":1102
- *             if want_conn and not _is_connected_masks(nc, cadj):
- *                 continue
- *             if want_mtf and not _is_mtf_masks(nc, cadj):             # <<<<<<<<<<<<<<
- *                 continue
- *             _canon_retry(nc, cadj, &cst)
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1104
- *             if want_mtf and not _is_mtf_masks(nc, cadj):
- *                 continue
- *             _canon_retry(nc, cadj, &cst)             # <<<<<<<<<<<<<<
- *             _orbit_reps_all(&cst, crep)
- *             vstar = n
-*/
-      __pyx_t_1 = __pyx_f_5etdom_7_kernel_9_fastcore__canon_retry(__pyx_v_nc, __pyx_v_cadj, (&__pyx_cur_scope->__pyx_v_cst)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 1104, __pyx_L32_error)
-
-      /* "etdom/_kernel/_fastcore.pyx":1105
- *                 continue
- *             _canon_retry(nc, cadj, &cst)
- *             _orbit_reps_all(&cst, crep)             # <<<<<<<<<<<<<<
- *             vstar = n
- *             vstar_pos = cst.best_pos[n]
-*/
-      __pyx_f_5etdom_7_kernel_9_fastcore__orbit_reps_all((&__pyx_cur_scope->__pyx_v_cst), __pyx_v_crep);
-
-      /* "etdom/_kernel/_fastcore.pyx":1106
- *             _canon_retry(nc, cadj, &cst)
- *             _orbit_reps_all(&cst, crep)
- *             vstar = n             # <<<<<<<<<<<<<<
- *             vstar_pos = cst.best_pos[n]
- *             for v in range(n):
-*/
-      __pyx_v_vstar = __pyx_v_n;
-
-      /* "etdom/_kernel/_fastcore.pyx":1107
- *             _orbit_reps_all(&cst, crep)
- *             vstar = n
- *             vstar_pos = cst.best_pos[n]             # <<<<<<<<<<<<<<
- *             for v in range(n):
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) == 0:
-*/
-      __pyx_v_vstar_pos = (__pyx_cur_scope->__pyx_v_cst.best_pos[__pyx_v_n]);
-
-      /* "etdom/_kernel/_fastcore.pyx":1108
- *             vstar = n
- *             vstar_pos = cst.best_pos[n]
- *             for v in range(n):             # <<<<<<<<<<<<<<
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) == 0:
- *                     if cst.best_pos[v] > vstar_pos:
-*/
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_10 = __pyx_t_1;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_v = __pyx_t_11;
-
-        /* "etdom/_kernel/_fastcore.pyx":1109
- *             vstar_pos = cst.best_pos[n]
- *             for v in range(n):
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) == 0:             # <<<<<<<<<<<<<<
- *                     if cst.best_pos[v] > vstar_pos:
- *                         vstar_pos = cst.best_pos[v]
-*/
-        __pyx_t_16 = ((__pyx_v_degs[__pyx_v_v]) == __pyx_v_dmin);
-        if (__pyx_t_16) {
-        } else {
-          __pyx_t_2 = __pyx_t_16;
-          goto __pyx_L70_bool_binop_done;
-        }
-        __pyx_t_16 = (__pyx_f_5etdom_7_kernel_9_fastcore__key_cmp(__pyx_v_cadj, __pyx_v_degs, __pyx_v_v, __pyx_v_n) == 0);
-        __pyx_t_2 = __pyx_t_16;
-        __pyx_L70_bool_binop_done:;
-        if (__pyx_t_2) {
-
-          /* "etdom/_kernel/_fastcore.pyx":1110
- *             for v in range(n):
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) == 0:
- *                     if cst.best_pos[v] > vstar_pos:             # <<<<<<<<<<<<<<
- *                         vstar_pos = cst.best_pos[v]
- *                         vstar = v
-*/
-          __pyx_t_2 = ((__pyx_cur_scope->__pyx_v_cst.best_pos[__pyx_v_v]) > __pyx_v_vstar_pos);
-          if (__pyx_t_2) {
-
-            /* "etdom/_kernel/_fastcore.pyx":1111
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) == 0:
- *                     if cst.best_pos[v] > vstar_pos:
- *                         vstar_pos = cst.best_pos[v]             # <<<<<<<<<<<<<<
- *                         vstar = v
- *             if crep[n] == crep[vstar]:
-*/
-            __pyx_v_vstar_pos = (__pyx_cur_scope->__pyx_v_cst.best_pos[__pyx_v_v]);
-
-            /* "etdom/_kernel/_fastcore.pyx":1112
- *                     if cst.best_pos[v] > vstar_pos:
- *                         vstar_pos = cst.best_pos[v]
- *                         vstar = v             # <<<<<<<<<<<<<<
- *             if crep[n] == crep[vstar]:
- *                 out.append(tuple(cst.best_cert[i] for i in range(nc)))
-*/
-            __pyx_v_vstar = __pyx_v_v;
-
-            /* "etdom/_kernel/_fastcore.pyx":1110
- *             for v in range(n):
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) == 0:
- *                     if cst.best_pos[v] > vstar_pos:             # <<<<<<<<<<<<<<
- *                         vstar_pos = cst.best_pos[v]
- *                         vstar = v
-*/
-          }
-
-          /* "etdom/_kernel/_fastcore.pyx":1109
- *             vstar_pos = cst.best_pos[n]
- *             for v in range(n):
- *                 if degs[v] == dmin and _key_cmp(cadj, degs, v, n) == 0:             # <<<<<<<<<<<<<<
- *                     if cst.best_pos[v] > vstar_pos:
- *                         vstar_pos = cst.best_pos[v]
-*/
-        }
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1113
- *                         vstar_pos = cst.best_pos[v]
- *                         vstar = v
- *             if crep[n] == crep[vstar]:             # <<<<<<<<<<<<<<
- *                 out.append(tuple(cst.best_cert[i] for i in range(nc)))
- *             free(cst.gens)
-*/
-      __pyx_t_2 = ((__pyx_v_crep[__pyx_v_n]) == (__pyx_v_crep[__pyx_v_vstar]));
-      if (__pyx_t_2) {
-
-        /* "etdom/_kernel/_fastcore.pyx":1114
- *                         vstar = v
- *             if crep[n] == crep[vstar]:
- *                 out.append(tuple(cst.best_cert[i] for i in range(nc)))             # <<<<<<<<<<<<<<
- *             free(cst.gens)
- *         return out
-*/
-        __pyx_t_3 = __pyx_pf_5etdom_7_kernel_9_fastcore_7augment_genexpr(((PyObject*)__pyx_cur_scope), __pyx_v_nc); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 1114, __pyx_L32_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_5 = __Pyx_PySequence_Tuple(__pyx_t_3); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 1114, __pyx_L32_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __pyx_t_18 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_5); if (unlikely(__pyx_t_18 == ((int)-1))) __PYX_ERR(0, 1114, __pyx_L32_error)
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-
-        /* "etdom/_kernel/_fastcore.pyx":1113
- *                         vstar_pos = cst.best_pos[v]
- *                         vstar = v
- *             if crep[n] == crep[vstar]:             # <<<<<<<<<<<<<<
- *                 out.append(tuple(cst.best_cert[i] for i in range(nc)))
- *             free(cst.gens)
-*/
-      }
-
-      /* "etdom/_kernel/_fastcore.pyx":1115
- *             if crep[n] == crep[vstar]:
- *                 out.append(tuple(cst.best_cert[i] for i in range(nc)))
- *             free(cst.gens)             # <<<<<<<<<<<<<<
- *         return out
- *     finally:
-*/
-      free(__pyx_cur_scope->__pyx_v_cst.gens);
-      __pyx_L34_continue:;
-    }
-
-    /* "etdom/_kernel/_fastcore.pyx":1116
- *                 out.append(tuple(cst.best_cert[i] for i in range(nc)))
- *             free(cst.gens)
- *         return out             # <<<<<<<<<<<<<<
- *     finally:
- *         if srep != NULL:
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_v_out);
-    __pyx_r = __pyx_v_out;
-    goto __pyx_L31_return;
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":1118
- *         return out
- *     finally:
- *         if srep != NULL:             # <<<<<<<<<<<<<<
- *             free(srep)
-*/
-  /*finally:*/ {
-    __pyx_L32_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_23, &__pyx_t_24, &__pyx_t_25);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22) < 0)) __Pyx_ErrFetch(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __pyx_t_1 = __pyx_lineno; __pyx_t_10 = __pyx_clineno; __pyx_t_19 = __pyx_filename;
-      {
-        __pyx_t_2 = (__pyx_v_srep != NULL);
-        if (__pyx_t_2) {
-
-          /* "etdom/_kernel/_fastcore.pyx":1119
- *     finally:
- *         if srep != NULL:
- *             free(srep)             # <<<<<<<<<<<<<<
-*/
-          free(__pyx_v_srep);
-
-          /* "etdom/_kernel/_fastcore.pyx":1118
- *         return out
- *     finally:
- *         if srep != NULL:             # <<<<<<<<<<<<<<
- *             free(srep)
-*/
-        }
-      }
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_ExceptionReset(__pyx_t_23, __pyx_t_24, __pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_ErrRestore(__pyx_t_20, __pyx_t_21, __pyx_t_22);
-      __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-      __pyx_lineno = __pyx_t_1; __pyx_clineno = __pyx_t_10; __pyx_filename = __pyx_t_19;
-      goto __pyx_L1_error;
-    }
-    __pyx_L31_return: {
-      __pyx_t_25 = __pyx_r;
-      __pyx_r = 0;
-      __pyx_t_2 = (__pyx_v_srep != NULL);
-      if (__pyx_t_2) {
-
-        /* "etdom/_kernel/_fastcore.pyx":1119
- *     finally:
- *         if srep != NULL:
- *             free(srep)             # <<<<<<<<<<<<<<
-*/
-        free(__pyx_v_srep);
-
-        /* "etdom/_kernel/_fastcore.pyx":1118
- *         return out
- *     finally:
- *         if srep != NULL:             # <<<<<<<<<<<<<<
- *             free(srep)
-*/
-      }
-      __pyx_r = __pyx_t_25;
-      __pyx_t_25 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "etdom/_kernel/_fastcore.pyx":979
- * 
- * 
- * def augment(int n, adj, int mode, emit_connected=False, emit_mtf=False):             # <<<<<<<<<<<<<<
- *     """Isomorph-free children of one parent (see the pure backend docs)."""
- *     cdef int want_conn = 1 if emit_connected else 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_AddTraceback("etdom._kernel._fastcore.augment", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XDECREF(__pyx_gb_5etdom_7_kernel_9_fastcore_7augment_2generator1);
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyObject *__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon[--__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon(PyObject *o) {
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && (!PyType_IS_GC(Py_TYPE(o)) || !__Pyx_PyObject_GC_IsFinalized(o))) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon))))
-  {
-    __pyx_mstate_global->__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon[__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon++] = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon},
-  {Py_tp_new, (void *)__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon_spec = {
-  "etdom._kernel._fastcore.__pyx_scope_struct__canon",
-  sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER,
-  __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "etdom._kernel._fastcore.""__pyx_scope_struct__canon", /*tp_name*/
-  sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER, /*tp_flags*/
-  0, /*tp_doc*/
-  0, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr[--__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr(PyObject *o) {
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_outer_scope);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr[__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr++] = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_outer_scope) {
-    e = (*v)(((PyObject *)p->__pyx_outer_scope), a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr_spec = {
-  "etdom._kernel._fastcore.__pyx_scope_struct_1_genexpr",
-  sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "etdom._kernel._fastcore.""__pyx_scope_struct_1_genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment[--__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment(PyObject *o) {
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && (!PyType_IS_GC(Py_TYPE(o)) || !__Pyx_PyObject_GC_IsFinalized(o))) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment))))
-  {
-    __pyx_mstate_global->__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment[__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment++] = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment},
-  {Py_tp_new, (void *)__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment_spec = {
-  "etdom._kernel._fastcore.__pyx_scope_struct_2_augment",
-  sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER,
-  __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "etdom._kernel._fastcore.""__pyx_scope_struct_2_augment", /*tp_name*/
-  sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER, /*tp_flags*/
-  0, /*tp_doc*/
-  0, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr[--__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr(PyObject *o) {
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *p = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_outer_scope);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr, sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr[__pyx_mstate_global->__pyx_freecount_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr++] = ((struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *p = (struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_outer_scope) {
-    e = (*v)(((PyObject *)p->__pyx_outer_scope), a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr_spec = {
-  "etdom._kernel._fastcore.__pyx_scope_struct_3_genexpr",
-  sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "etdom._kernel._fastcore.""__pyx_scope_struct_3_genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon)) __PYX_ERR(0, 334, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon_spec, __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon) < (0)) __PYX_ERR(0, 334, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon = &__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon) < (0)) __PYX_ERR(0, 334, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon->tp_dictoffset && __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct__canon->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr)) __PYX_ERR(0, 346, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr_spec, __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 346, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr = &__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 346, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_1_genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment)) __PYX_ERR(0, 979, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment_spec, __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment) < (0)) __PYX_ERR(0, 979, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment = &__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment) < (0)) __PYX_ERR(0, 979, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment->tp_dictoffset && __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_2_augment->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr)) __PYX_ERR(0, 1114, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr_spec, __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr) < (0)) __PYX_ERR(0, 1114, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr = &__pyx_type_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr) < (0)) __PYX_ERR(0, 1114, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_5etdom_7_kernel_9_fastcore___pyx_scope_struct_3_genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__fastcore(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__fastcore},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_fastcore",
-      __pyx_k_Compiled_kernel_same_contract_as, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__fastcore(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__fastcore(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__fastcore(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_fastcore' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_fastcore" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__fastcore", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_etdom___kernel___fastcore) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "etdom._kernel._fastcore")) {
-      if (unlikely((PyDict_SetItemString(modules, "etdom._kernel._fastcore", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "etdom/_kernel/_fastcore.pyx":12
- * from libc.string cimport memcpy
- * 
- * from ._purecore import BudgetExceeded             # <<<<<<<<<<<<<<
- * 
- * cdef extern from *:
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_BudgetExceeded};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_purecore, __pyx_imported_names, 1, __pyx_mstate_global->__pyx_kp_u_etdom__kernel__purecore, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 12, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_BudgetExceeded};
-    __pyx_t_3 = 0; {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 12, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 12, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":23
- *     int ctz64(unsigned long long x) nogil
- * 
- * BACKEND_NAME = "fast"             # <<<<<<<<<<<<<<
- * 
- * MODE_ALL = 0
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BACKEND_NAME, __pyx_mstate_global->__pyx_n_u_fast) < (0)) __PYX_ERR(0, 23, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":25
- * BACKEND_NAME = "fast"
- * 
- * MODE_ALL = 0             # <<<<<<<<<<<<<<
- * MODE_TRIANGLE_FREE = 1
- * MODE_MAX_DEGREE_3 = 2
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_MODE_ALL, __pyx_mstate_global->__pyx_int_0) < (0)) __PYX_ERR(0, 25, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":26
- * 
- * MODE_ALL = 0
- * MODE_TRIANGLE_FREE = 1             # <<<<<<<<<<<<<<
- * MODE_MAX_DEGREE_3 = 2
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_MODE_TRIANGLE_FREE, __pyx_mstate_global->__pyx_int_1) < (0)) __PYX_ERR(0, 26, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":27
- * MODE_ALL = 0
- * MODE_TRIANGLE_FREE = 1
- * MODE_MAX_DEGREE_3 = 2             # <<<<<<<<<<<<<<
- * 
- * cdef unsigned long long ONE = 1
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_MODE_MAX_DEGREE_3, __pyx_mstate_global->__pyx_int_2) < (0)) __PYX_ERR(0, 27, __pyx_L1_error)
-
-  /* "etdom/_kernel/_fastcore.pyx":29
- * MODE_MAX_DEGREE_3 = 2
- * 
- * cdef unsigned long long ONE = 1             # <<<<<<<<<<<<<<
- * cdef int MAXN = 64
- * DEF CMAXN = 64
-*/
-  __pyx_v_5etdom_7_kernel_9_fastcore_ONE = 1;
-
-  /* "etdom/_kernel/_fastcore.pyx":30
- * 
- * cdef unsigned long long ONE = 1
- * cdef int MAXN = 64             # <<<<<<<<<<<<<<
- * DEF CMAXN = 64
- * DEF QCAP = 256
-*/
-  __pyx_v_5etdom_7_kernel_9_fastcore_MAXN = 64;
-
-  /* "etdom/_kernel/_fastcore.pyx":334
- * 
- * 
- * def canon(int n, adj):             # <<<<<<<<<<<<<<
- *     """(cert, pos, orbit, gens) exactly as the pure backend returns them."""
- *     if n == 0:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_1canon, 0, __pyx_mstate_global->__pyx_n_u_canon, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 334, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_canon, __pyx_t_2) < (0)) __PYX_ERR(0, 334, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":393
- * 
- * 
- * def max_clique(int n, adj, int lb=0):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(((int)0)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 393, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = PyTuple_Pack(1, __pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 393, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_3max_clique, 0, __pyx_mstate_global->__pyx_n_u_max_clique, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 393, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_t_4);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_max_clique, __pyx_t_2) < (0)) __PYX_ERR(0, 393, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":445
- * 
- * 
- * def maximal_cliques(int n, adj):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return []
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_5maximal_cliques, 0, __pyx_mstate_global->__pyx_n_u_maximal_cliques, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 445, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_maximal_cliques, __pyx_t_2) < (0)) __PYX_ERR(0, 445, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":510
- * 
- * 
- * def clique_cover(int n, adj, int lb=0):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(((int)0)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = PyTuple_Pack(1, __pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_7clique_cover, 0, __pyx_mstate_global->__pyx_n_u_clique_cover, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_t_4);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_clique_cover, __pyx_t_2) < (0)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":617
- * 
- * 
- * def dominating_sets(int n, adj, int k, long long cap=1 << 26):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return []
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(((PY_LONG_LONG)0x4000000)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 617, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = PyTuple_Pack(1, __pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 617, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_9dominating_sets, 0, __pyx_mstate_global->__pyx_n_u_dominating_sets, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 617, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_t_4);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_dominating_sets, __pyx_t_2) < (0)) __PYX_ERR(0, 617, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":632
- * 
- * 
- * def count_dominating_sets(int n, adj, int k):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_11count_dominating_sets, 0, __pyx_mstate_global->__pyx_n_u_count_dominating_sets, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 632, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_count_dominating_sets, __pyx_t_2) < (0)) __PYX_ERR(0, 632, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":650
- * 
- * 
- * def exists_dominating_set(int n, adj, int k):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return True
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_13exists_dominating_set, 0, __pyx_mstate_global->__pyx_n_u_exists_dominating_set, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[8])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 650, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_exists_dominating_set, __pyx_t_2) < (0)) __PYX_ERR(0, 650, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":658
- * 
- * 
- * def domination_number(int n, adj):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_15domination_number, 0, __pyx_mstate_global->__pyx_n_u_domination_number, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[9])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 658, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_domination_number, __pyx_t_2) < (0)) __PYX_ERR(0, 658, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":687
- * 
- * 
- * def eternal_fixpoint(int n, adj, int k, configs):             # <<<<<<<<<<<<<<
- *     """Surviving dominating k-sets under the one-guard defence closure."""
- *     cdef long long m = len(configs)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_17eternal_fixpoint, 0, __pyx_mstate_global->__pyx_n_u_eternal_fixpoint, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[10])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 687, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_eternal_fixpoint, __pyx_t_2) < (0)) __PYX_ERR(0, 687, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":788
- * # ---------------------------------------------------------------------------
- * 
- * def max_matching(int n, adj):             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_19max_matching, 0, __pyx_mstate_global->__pyx_n_u_max_matching, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[11])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 788, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_max_matching, __pyx_t_2) < (0)) __PYX_ERR(0, 788, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":979
- * 
- * 
- * def augment(int n, adj, int mode, emit_connected=False, emit_mtf=False):             # <<<<<<<<<<<<<<
- *     """Isomorph-free children of one parent (see the pure backend docs)."""
- *     cdef int want_conn = 1 if emit_connected else 0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5etdom_7_kernel_9_fastcore_21augment, 0, __pyx_mstate_global->__pyx_n_u_augment, NULL, __pyx_mstate_global->__pyx_n_u_etdom__kernel__fastcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[12])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 979, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[0]);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_augment, __pyx_t_2) < (0)) __PYX_ERR(0, 979, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "etdom/_kernel/_fastcore.pyx":1
- * # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3             # <<<<<<<<<<<<<<
- * """Compiled kernel: same contract as _purecore, word-at-a-time loops.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init etdom._kernel._fastcore", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init etdom._kernel._fastcore");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "etdom/_kernel/_fastcore.pyx":979
- * 
- * 
- * def augment(int n, adj, int mode, emit_connected=False, emit_mtf=False):             # <<<<<<<<<<<<<<
- *     """Isomorph-free children of one parent (see the pure backend docs)."""
- *     cdef int want_conn = 1 if emit_connected else 0
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(2, ((PyObject*)Py_False), ((PyObject*)Py_False)); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 979, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 11; } index[] = {{1},{1},{20},{7},{12},{6},{23},{2},{9},{32},{31},{16},{12},{14},{8},{17},{18},{20},{1},{2},{3},{5},{2},{6},{12},{18},{7},{7},{24},{9},{1},{4},{2},{5},{2},{1},{4},{5},{22},{3},{2},{4},{5},{2},{18},{12},{10},{5},{7},{5},{21},{6},{7},{4},{3},{2},{2},{4},{4},{4},{15},{17},{14},{8},{23},{16},{21},{4},{4},{4},{8},{7},{4},{2},{5},{2},{1},{3},{4},{13},{5},{1},{4},{2},{1},{8},{5},{10},{12},{4},{15},{2},{4},{10},{1},{8},{4},{2},{5},{4},{2},{5},{3},{4},{6},{11},{5},{6},{3},{3},{3},{3},{9},{2},{2},{2},{12},{5},{6},{3},{4},{4},{1},{4},{4},{12},{10},{2},{4},{4},{4},{2},{5},{8},{5},{5},{2},{5},{5},{1},{2},{4},{1},{5},{6},{5},{9},{1},{9},{8},{2},{1},{2},{5},{5},{78},{1205},{2},{658},{2},{109},{50},{54},{125},{922},{148},{198},{935}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (2641 bytes) */
-const char* const cstring = "BZh91AY&SY`\227\027r\000\002\355\177\377\377\377\377\377\377\373\277\377\277\377\377\375\277\377\377\371@@@@@@@@@@@@@\000@\000`\n\277\031\020\252z\304\326\366\320\000\240.$\256G\212\003\000\rODJFM\251\352z\2324\032\036\220zi4\362\236\2231\244\321\2645<\232I\2403S@h4\006\200\000\032\032i\220I \010\004h\233Q\223M\023E=M\032\000\323A\265\000h\000\000\032\000\320\365\r\251\246A\247\2426\210\rS\364\002TM4\000\000\000\000\000\032z\2154\000\000\000\003@\000\000\000\000Jd\246\224!\240h\310\000\000\0004\310\000\3322A\240d\r\006\232\000\0004h\003@ \311\200\023\000\0010\000\000\000\t\202`\002`\000\t\211\200\000\t\211\210\004\2112%FQ\346J\000\332j?T\365\003@z\215\001\352\003F\200\000\000z\215\036\246\206\215=L\203A\246#\324\027\310k\254z[\341\271\374\034\361\007\362\216\202:\"\351\005\224\364\221\375U^\2567\003J\034\332\0065\004\014\033\271r\202\202\212W[\364\024\212((\337\271\376\010\377X&\306\300\033B`\3066\323i\261\2646\250\250\024\nRz\320\\\"b\232D\303\230\377\310`\"ED\212\252\251\242\230\"Q\212\241jAs\t30\300\205!\026N\210~\3257'\003m\203M\246\233I\260lsp@Y\005\232A\244\255\236BF\302\215.\020L\303m\262\332\367\260K\020\306\301\341\t+Y\027\032A#\231\20582By$t\331\242gQ\305<\366\275\246\335\201f\252\0052nt\201\2233\335,\213\025\354\314\202\260T\240\246\263\242\025\325\255Fd\014\303U\"\245B\266\027[\202\004\252\026\331k\017V\332\005\263\302\371M\200&\202d\356 \376\320\034Z\302n\307\023S\304\245iF&\3038uu\336\222\330\310\024\342\223Lr\031\224\347]xl\244\302\214\024)\320\236\n\017#\335\3353\030cq\016\036\232\024 \260\333\002\332\305L\266\273\202a\025c[\002\347\372^#\323\365\375f\361\371%e\314\312\375\267\211f\200\211\356\330\340\013\237\237\227'\314\217\022\266E\312h\214\2572C%Z\024MZ[\023\031V\276\220\360\\8&\002\353\005\232LS\003q0\2319\221\262\300\242z\017\210bY\331m\217\255\004QP\351\302\202\276\245\305(RA,p\350\231\225G.\273,\207K?o\203\375\357\364|~\270\336\307\341;\037\017\363pg\340.b\013\270.\346\362\361M\n\332u\266\353 m\246\312\230\320V\207\303\210\310\234\010=\333(*""\017\201\024x<\024\207\370\232SC\324bZ[\306\332 \311\006B\362\344\tRH\265\314R()VS-\2564R\256?\037\3241\304/m\314\334\256O+L\003\200\006I-1u]F\251\236\252K\3230\3330\341&\320\356\357\021\000\334\330\317b\014\242\023,\344\213\314\350\335\310%\030\340\237>T\"\212\004\211Zc\341Y{UUJ\252\273\262\325\374\317G\370\353w\362a\336\3470\274//\327\256(\"\021DLs\327d\3419a\350>\037\276\317\016\355O\301\372C\363\303\010\272[Wc\314\240\302\274C\2023\361\006v\035BI]7\005(\311S)\"D+\2442\025\342\210\"q\226^\037\026\350+\005T\253[\342\242D#\023\322\302RR\024\245u\360\361M%4\026\003\030\324\252\240\221\345\226k\206T\314n\333X\374\231\302\315\344\352\311\306\332\332\357v\274\t\t\261\316\220\226\027\324\243T\350\207\027V\362\"\030?\325\350\212\004\023}\201-N\034\217\234\230w\325^8\312\005<o\277W\236\354\265\224\366=\231\224\362\024\222\2362=\241\211\3325\322X\254A9\003z\221\372F\256.\033\0108b5\320\266\003\262$\235\231\205fS\331p\310\223\016f\034\316{\"#\320\301\007\267\231\263WS\235ks\353\307o@C\234\301`\027\230\322\265\371C\267\374\230\351\344\337L\362\344>J\310\267T\216\272\361\265\274\333i\246\021.\036;\261\375C\333\014\257\214\316\223\244Z#E\004^\322\350v{\271\245\t_\213\372=\237>\303[Ql\241dn\263$d\031p\341\313\311\263~;\037\3116\334\240wwk*G\223\265\3264\2661t(4\243\346\315\303\025s+\\\372O\231\272\325\254\260\233&F\n\275\225\354X\302\377m\321\225\037e\307v\376\373=\021\253ce\253\3436\035k\200pG\r\345\374K\034\325\036\355N\203\352V\201@\240K\264\246}\261\347\353\355\333\276;B\026\215\370\014L\373\037\237\000\366\335\323\005\315J\033\251\345\273\211\337\355l6GM\202\356d*w\256y\000\226\220\322\352\234\333\nC\031\034\325&\333v\326\333\227\032\343\007\023\230\347U_\254\276\311gv\214\255D\336\336\260\371<\203+\324\251Hg\257\312\211\267\036k\356\252xYr6L\303\230\265\354yr&\3678\201\306\033\032\010k\245v:\253\215\016\226\2654\0265\036\034Y\3263\023\222\034\326\271\303\232,\353\243\241\034\014\2130\270\010\315\233\000\302Y\363\300V@\254\331\371EP\207q\343\365@\357\273^\323s]\235\257""\201\026\367\016\211'F\211\315l\340\366v:\264hH4\004\240\220\331\212\031$TF\202\310\264\304\275\314\303\0031\"\020\006g\262\273-Y\344\375n\213\370';s8\231\272\224\215\t\004\036k|\361\022\267\024^\26012-43vw=\272:\2423a\226\323:o\261z}n\037X\267U\213\226\005\363/\350\241\036}\343\252og]\031\276\221\321\006\20244ZyF5\343\207{L\244\231\244\375f.\032\003\272\362\034=\2530\204\037Hn\203\267M\263\217AQw+\215\374\037+\251}\327\214\320n\222\244.\342\006\201\241\246\356i\341\363^\\\305\314\326\207oy\330\273\025\300\342\376PVv\031\2135\231\234yn\242\270\351\333\252\342\324Zo\325\225\224\306s1\35335{\347v\263\370\3469\034\254\251\346m\345\214\337\014g:\217x\337\327\200\303}O@_\245\206\010\334>\201\203\033k\221\0340P\316@\226\350\271-\265\3544\007\314\"\345A\265\304\361A\016H\214\016\331\0267\014\230\024(\333\313k$\202\214\022Q\342\273\014hf\304\307zR\203*\243\214\014\235\242\305D\212\010\220J\021\212\334db \367\215\3045b}r\266\014\240!\353\330\r%9\006\274\335q\336\305eK\032\201\036\335\370\241*X[\240#\266_\213m/\266\310\336\347L\277\204M\246b\303\370\270\236\227\210~\260[\033B+x\231\350\334,Y\201\016\352\207\010\375\371g\024\336\0179\221\021P\211/\225\36062\272E\"\246\037%\227z\204\257k\371\336\344\337:\010\006\201\310\307m\r;d)\203\177\230\276\002^0\340\343*\333I\212\242\022*\341.\214\222[mA|?\rr\366\332\030y\260\034\r\260\347x\370\302\200\261a\3142\025UM(4\351#\\[\374\250\341\3038\303\356\240U@\316>\375\204\302\3512(\203\220\300=\354,+\212z\330\014&\274\327\267w,\"\003\014\030\014U\016\246\312\355\313\275\2060\356\t\360\336t\301\304Y8\202\225\350\200\316\031\024\"\334%\315\006V\014\241\302\220\215\305\371rl\0300\346yLNYaAR\233\016\\`\270\220B\024J9'+\342\030\r81\306aI\205\202\335I5\010\232\346\330\250\374 \256\247\211d,A\317d\3512\252\350\014\262Yxhp\\P\244\266E\305@\301\377\231J\351h\263i\206fY\024\222\007\031\010e\327\221\204 r\274\346\207\2022\340\021\260I#\t\033\t s\032\344!\021\034F\252 \204%\317, \311#\312\033\254\355\222\256\ry\340\355\006\273D\356\342\216!\321\272*""\020F\333\256,\201n\264\200\257\025Du\240\"\313\334\215@\312\211\344j\005\032\010\320\255\221\3016\356\251\"\254;\030Y\216\346]\227)\n]\253LT\277\232\351\014\025\275]R\301\273\026\373\202a(\322\330\202\306?\316r\222\362*Ea\220\352\033o\215\251h\250\"U[\344db\3142\215\254\363T\213o%\267\024b\220\206\326\r\353[\n6\310\323\206\370\251N\315\360S\031\r\315\014\203\3650@s\330\320\212\025\227\232\214\317\315\257\224@\316\260P\330\331m\27033\273\3206\303\240/}+\375\354\300M\223eFuj\367\202\034\333\n\267\253\351\277X\327\371\224e\\\017\035o\005gi\"\034\234\312\272A\360\257\276\363z\273\202\2551N\251\250\010\245\324\246\304\313J\034AF\226Ki\0224l\353%\001c P\024'J\306\307\273;\006\035B\213\0368\237\215\256\223\271:\270\263f\236FL\336=j\205\375\312\243\020\216\237\024p\204\301\221\217\r\236n\364L\202|\3123\347\316\022\345:1\265\211F\377\002\003\316\336a\341\353V\017\321>f\321\302\302I|\016\r\nX\270t\365\357\352V\016=nU\240\332\227\001JF\\\301\022\014\023F\234\230WF\301eyTHJ*\326\200\254\201\342\305f\036\021ne6\034\231ep\2138\353\353\231^\020\334\312\003\034:7\323\2612\031bh\224\277G\277COe\027\010!\205\252II\230\r\030\020\025\034@i\222\314\212\306\202\025I\021\274\206$\233\001\025$\262R\304\025wJr\350UUT,\332\024\216\200\262\324$\244 \024\365!\215\305\310II\010\226k\220\251Wj!\246\220\325%\004\014\250l\313,R.\006\2139g\026g\207dK\201\025\"\003\313\304\004i.`8@\316\266\020;4\013\300\233\005\200\326PP\332\235\024D\005[\221\031\036C\253\305\301\335\303\206E\222\267:L+\177\305\334\221N\024$\030%\305\334\200";
-    PyObject *data = __Pyx_DecompressString(cstring, 2641, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (2831 bytes) */
-const char* const cstring = "x\332\255X\313W\333f\026\217\30184\201\004\003NLC\032\333\030\372:\245\307\274\232vf:G\200I\037i\246\346\221\2663s\252#K\262Q\260\345\207d0\231s\346d\251\245\226\337RK-\265\364\322K\226^j\351?!\177B\177\367\223\014\230@\333E\341 }\372\036\367\273\317\337\275\227\345\177J\255rU\325M\311\324jz\252v\2546S+\277*\232!\025+jJ\251U5\035+z9\245\3524\243\232\230Z\026\217\324\246\256V\226\305z\253\251\312\265\246Z\2265#\330\240|f\250\246\221R\333\262\252*)\363PM\3115\275\244\225\261QI\311R=e4\345\3179\225\317C*\237\213%\3110\211\312r\375\264\2352ZEN\241\251\226Z\206\252l\n[\337\347_l\213/\204\037\362\233-\245\254\232yNZU~\370\327v^\024\236?\347\357\037\204\237\305\355\374\263\335|^\\\345\023\373\273\337\n/\236=\317\213;4'\376x\332\306\337\266&\233\342\013\265m\356\252%\t?\312+\251\242\035\253RU\322\345\303ZS\024%]\257A\023*F\306\251.k\265e\360UkA\001\252!\231\246$\037\031\003u\005\257\345\277Wj\262T1\276^.\253\272\332\2567\303yU)\026%C-\026\213*d+\036\3112.\223%\275\246\363\307;\307\240\031Y\226\325\246)\037j\025E\326\344\n\256\0245]4\233\222\254\026q1f\032-U\224\311B\301\330\020\353\247r\245f\250\201\206\r\271\326\322M\376\020/\354&\2222\371\244\301\217\252\212\334T\3532\2302\025YQ%EQ\313\206\202\335W\216\014>k\272\250\267\252E\034\254j&n\327uU\206t\374\253j\226\256\370\303\300\222\252\211\t\251\"\226\264v\275\246A\035m\3150\215+l\321\346RE*\227Z\225\212(\226Z\272,\212\241:\3602\312ZY\023+\305\303\266\246U\313\320\204!j\206xn\016\315T\253\306\321\221zjT\212UQ\254J\330\201'\364W\225\332b\240 \032\361)\\\210\261\214?\255\n\256B\365U\253\325\232\002S\343\331\252\340\r\002\272T\245AQ3uY'\355\200\033\263vTkb\006\367\326a\304\272\324\204}\203\247H\312\253\023\263u\235?k\365z\315\250\327\217\353\206y\036\033\365\343\306a\303\024\305FK\252\004\364qy\013\n}\005Mb\271\t\017i\326j\246a\250 \241\352\212H\312\tY\301H\201\257\266*\246\241\031\332k\325\250`#\016\031p\306\"1m\3424\236\207\315\332\211Y\225\214#\263\206_\211\266\277V[\255\"\205\320\361\261Ti\251\374a\034\033\246\324\344\017""\021\234\236\234Hz`T>\200=O\252\355\266\326&B\247\364\350\335z\304r~\364\366\233\2465c\t\376\370}\253\3616vk\354=k\314:\260\323v\316\037\277ce-\311j\331[v\203E\374h\354\315\241%\371\321{\230k\330Q\314\276v\342N\332\217\336\265V\254B\357V\246\227y\332\211\364\243s,\321\373`\305\303B\222\215\261_\335\313w\334\263t&\364\036\257z\271\336\332\267g\323g\253g\322\333;\267\306\346\330\010\3130\241\037]p\326\034\303\305\321\254\263\355\216\322\321\361\013v&,\001\303\005\273`K\376\370\214\235\263\363,\t\016\262\216\3444\372\321);b\317\330;,MB=\260e\026\247\227D\2277\374\361){\234\305\230\304N\234\242\033s\213^\304\037\277km\340\200\340O\004'1\230$\006%\353\004\207\037:\267\235\246\373\300mzq\342!B\354\367\243PX?\240w\337\372?{\351\344\234\0357\343\nDk\335\036\005\217\234V\234S\232\260v\354E(n\302\t\257x`7.f#4\027\263U\226c\317\335\210?E\234N%z\211O <\377\230%\345\025\030\006\357\263\005\266\313\032\376\354#\266\306\014g\321i@3+\356Ko\305+\340\214]\240\003\n\344\246\325\264?;\307f\371A,\375\327\211\337\2648c\257r\035\315>\264\r\322\275\237\234g\002\211\324\037\014\256\2100C\342M\333Y[\262\217\331\236\003\236\037\332&\330\017\244\033,\031`\226s\265\317\342\014\242\314\332\202}\020\016\310\024\307\326\0366sS\026\372\321;V\372\355\370\255\261\330Um\365\246\026\235\202?q?\360\275P\310P\322kU\023\260\262\305\232\0208\371\030\034$\347H\3045\034\236M\370\361\300\0350\361\364|\027\246\377\014\331\3779ig\325\221\335\353\310\206\374\265\330\266\023u\004g\337\235\201+L\305I\037c$4\034\021::\006)\303Ypv\235\023W\032($\013W4\234\214\363\215\373\235\247t\322\235\334`\341S\247\200\333\246\335\320\225\022\340+\034\034\342H\203\314\2606p\237\363K\202\271Q\266\002\016\271\2274`\036pg\"F\266`\2224\347\212\004\275\356\324*S\021um\267\341\305\274Rg\253ct3]\301\237%q\003!\033\374\370}\3535|g\277\227^\363\004o\277\023\017'OY\024\362O\272\005W\361\202{\222,\202\215\024\0340\345#\362\020v\000\327\233 \017\300\342(\373\022\312\372\263\254,t\013\201\213~\014z[\010I\030\"\213\301\251\027Ad&S\303\202f""\271\216@\356\013\320]w\356\271\322Et\023\276\365\257\004*\003l\221\234C \350G\343\366\023'\342\3148\0029\347\3557\257l\016~Gv|\010\216\256A\307W\020=N\3032\271\271\315\207G\275\370G\200\034\tP\222\360\212\035\354|h\267\3311\354\\tG\010\352\350\3569\300\332\001\274\356'\210\006\224x\217.\212Y*\304\332$\260\273c}\204;7\330\373\\\251\3211\212\227<9\007\034\021\201\227\266\327Y\344\"\206F`p\3107b\177\304\265K\033\310\275\362AD&\354]\273\3118.P$\027\210\372\247\300T@\321\020\331{\326\021\016d\330&l\262\342\374\007\372\236\3616a\025\241\303\217|b\177\303v\020\034\027K\022\301\340\212\365\263\275G\3569\371\227\3608m\177\310\231\370\376\034\364r\336N'}\211y:8>i\025\010\272\017\021\346\323Dm6\200\365\000_7\003\270{\312\207\207H\026&\010\025\\\315kv\222\335xw\351l\344,}\226\363g\347\303e\260\3730\3449\324<\275\226\010\266\246\354I D\321\211\301va\006\231\266W(\256\356Y%[\010\024\360\0223\273D`\216\204\t\201\027\216\325\264\343}\016|\273V#D\300!\215\221GN\3339W\352\335\372\020L\014\371d?\n\021\341m&P\033)\r\270\351#\031\361@r\024w\301\335\363F\275UO\355\254v\244\000e\371\035<\333\022oR\357~\332\211\3672\333]\241\373\323\231@9\254\005\312\310\334\2717\221\337\275\351\256\265\206d\177\227G\361>B\002\356\371\207'\276\004\222\025\220t\026\220&F\201\236%w\313\375\243S<=\\\n\256\273\326S\356\374e\350[\001P\362\004\024\230\260\014\231q\342=k\032\272;\2603!\304E)\036\217\316U\276\000\210\341~q\235\220o\223Cu\316PaAl\225\336\341f\235\243\310v`\247(\tx\243\317\316\220\247\263\031\240b\204\362m\234-R*9\037$8G7\223\347\232\340\214\217[\343\200H\316T\260\343\001e\271\353Bk\203\305\337\311\027R \327\317v\240\007\002\2230P\370\203\256\201\203\310p\271U\330\n\310\031 2]\307%\273\"gb\200\325\227\344\034\200\266\002\034\240\272m\021\300M~(\361\354\032T\030\t\254R\311\022u\267\275\021/\313\001\344\240\233\356\256\237E\317\204 \347\";\240\332\340e\007%\n\314E\210\000&\240BJ\350\203\225\344#\200:\001\3636\242o\3761-\020\004\255\273\021\244\205w\217\r2\341<\025\023\327l\277\341f|Q\t\020\244hr#""\276\276\217Js\t\327\236\177\220P\267\335\206\237\374\000\033[pP$\2431\356\232\327\260\365\227\323<\347=\0202\312S\352<\322\241\223\300\356\371'\314\204E\032\240\235\312b\351\000y&\005- \024\005?\265\204\035\tJ\314\274n!\276\322l\303\341\245`\21332\0332H|\024\371\236\371\264\363\200\223\233\317p&#4\303\371\r\006$\005\335\036dddh\201J%\222\035\016@U\267\024D\300R(\016\335y}d\376A\007R\246\300\010\033\021|\365&\263(\301\323\000\364\003/\343\t\001\255\004\274:\316\223\350\030EN\016Q\260\217\350\372\016\214\230T\326\342\032$\236\240Z\315\"\273\221RQq\235\203\363\233H\3772O&\374\034qw\205\263K\2301\324{\364\243\324\231\010T\377\222\200\353\22418`\003\254~\031\272\022\353Dd/\014\375\201E\007\350p)\375OX\3178\315]n\237=g\004\372\036\001\352\357\243\242P;\271\216\020\264(\323\026?\275\201\340\007l\222\024T8\245\2576y\376\260p9\302\233\005\347+\244D\351f\031)\335\344H\216%\250.\023\260E\270\200\351\rg\232\330\316\366\262\177\353lt\343d\264\014%\227y\366\302]Bm\360\000\211\026\262\316\241z\331p\343\350\2276\321\177\215P\177\370\320>E*\245\214\0132_\243\333j`>4c\313\332\342v\247^c\314\331CX\030\336\242gt\226\272\243\300\216\321\263\365\336\217{\275\275\375A\353\265\021\3665aW\267\023\226\202\370\374\002\002\274\014\221\340\335\325\241\263\360\230'\214\273`l\250S\213\333q\252C\256to\204\307'\001\235\241\275\263A\362\353=\246\036\030Y\353\037H\202+\275\305\257P\266\000Ji[\214\020\323\237\242(\336\345m\200\020\334\201Z\310\237\274wQ\271\010\274;\261K4H\242\316\026\330\240_y\037\271\244\311\273\357\337\355_8\366\004-\237\314\255\304\343\016\241\235\347g\021\336\3014P\344+\216\016\317\274\234\377\341g('\242\336\226g\242\234PP\201\357\237\315\234q\010\210\007X\261\nP\030\001\327y7\351q\324h\"\333\tA\2034\350\216\202`\217\004\0200G\330J\253\220\177\211\227~Ss\224A\316\273\304a\341nl\17778\364\323\277\005.\013\025B\330ub=f\377\006X\305\334\262\367S'\337\235\351n\303q\270\264\253|\307\232\323r\005\267@\240F]\036\325\343\031w\007V\003~\036\207\215\330\212\273\013\317[@\253}\001\240\004""\251\277\240\267H}\214 \346pr\033V\245>(\346\250n\016\345\016\371j\243\023\351\017\312\274\233_\277\001\220\333d\244";
-    PyObject *data = __Pyx_DecompressString(cstring, 2831, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (5540 bytes) */
-const char* const bytes = ".?augmentation over 2^disable dominating enableetdom._kernel._purecoregcisenabled-sets exceed the configured cap src/etdom/_kernel/_fastcore.pyx subsets refusedBACKEND_NAMEBudgetExceededMODE_ALLMODE_MAX_DEGREE_3MODE_TRIANGLE_FREE__Pyx_PyDict_NextRefaaaadjaliveamanchor__annotate__asyncio.coroutinesattacksaugmentaugment.<locals>.genexpraugmentedbbasebbbestcbkccadjcanoncanon.<locals>.genexprcapcccertchildcicline_in_tracebackclique_covercliques_pycloseconfigscountcount_dominating_setscountscoveredcrepcstctdcdeaddegsdmindominating_setsdomination_numberemit_connectedemit_mtfetdom._kernel._fastcoreeternal_fixpointexists_dominating_setfastflagfull__func__genexprgensgigi_lbhxiimgin_s_is_coroutineitemskkeyslbm__main__matchmax_cliquemax_matchingmaxcmaximal_cliquesmmmode__module__n__name__nbitncndeadnextokorbitoutpadjparentparent_degspgenspngenspopposppvpst_purecorepvqhqt__qualname__queuerejectreprestrootsseensend__set_name__setdefaultsisizeslotsrepsttable__test__throwtmasktototaltsizeuubusedvvaluevaluesvstarvstar_poswwant_connwant_mtfwmxxixmaskymask\320\000\033\2301\330\004\007\200r\210\023\210A\330\010\017\210q\360\006\000\005\t\210\005\210U\220!\2201\330\010\n\210$\210a\210u\220C\220q\230\001\330\004\006\200h\210a\330\004\016\210a\210q\220\004\220C\220z\240\021\240!\330\004\013\2102\210Q\320\000\"\320\"8\270\001\340\004\031\230\025\320\0362\260!\330\004\030\230\005\230^\2501\330\004\007\200r\210\023\210A\330\010\016\210n\230A\320\0353\2601\3204I\310\022\3103\310a\360\n\000\005\031\230\002\230\"\230A\340\004#\2404\240s\250!\330\004$\240D\250\003\2501\330\004\010\210\005\210U\220!\2201\330\010\014\210A\210U\220#\220Q\220a\330\010\023\2201\220E\230\030\240\021\240$\240a\240q\340\004\020\220\001\220\023\220F\230!\2301\330\004\026\220c\230\021\330\004\026\220a\330\004\007\200q\330\010\020\220\010\230\006\230a\230w\240b\250\006\250b\260\001\330\010\013\2106\220\023\220A\330\014\020\220\001\220\023\220A\330\014\r\330\010\016\210a\210w\220c\230\027\240\007\240r\250\026\250r\260\021""\330\004\010\210\001\210\023\210A\340\004\033\2301\340\004\007\200q\330\010\017\210~\230V\2401\240F\250\"\250A\330\010\013\2105\220\003\2201\330\014\020\220\001\220\021\330\014\r\330\010\014\210F\220%\220q\230\014\240A\330\014\020\220\001\220\026\220q\330\010\014\210F\220%\220q\230\001\330\014\020\220\006\220e\2301\230L\250\001\330\020\026\220a\330\020\025\320\025*\250!\330\020\026\220a\330\024\030\230\005\230Q\230a\330\024\032\230#\230R\230q\330\024\033\2304\230s\240%\240q\250\003\2502\250V\2602\260Q\330\020\025\220Q\330\020\026\220d\230!\2304\230s\240!\330\024\031\230\024\230Q\230a\330\020\025\220\\\240\021\330\020\026\220d\230!\2304\230s\240!\330\024\031\230\024\230Q\230a\330\020\023\2203\220c\230\021\330\024\027\220s\230\"\230A\330\030\034\230A\230V\2401\340\030\034\230A\230V\2401\330\010\014\210F\220%\220q\230\014\240A\330\014\023\2201\330\014\022\220$\220a\220v\230S\240\001\330\020\027\220t\2301\230A\330\014\020\220\001\330\014\022\220$\220a\220s\230#\230Q\330\020\025\220T\230\021\230!\330\020\024\220A\220U\230!\330\020\024\220A\330\004\007\200v\210S\220\001\330\010\014\210A\210Q\340\004\n\210!\360\010\000\005\006\330\010\014\210F\220%\220q\230\014\240A\330\014\020\320\020%\240Q\330\014\017\210u\220C\220q\330\020\025\220Q\330\020\025\220Q\330\020\026\220a\330\024\030\230\005\230Q\230a\330\024\032\230#\230R\230q\330\024\027\220t\2301\230C\230r\240\021\330\030\035\230Q\330\030\031\330\020\023\2204\220q\330\024\025\330\021\026\220c\230\021\330\020\023\2208\2301\230C\230r\240\021\330\024\025\330\020\025\220Q\330\020\025\220Q\330\020\026\220a\330\024\030\230\005\230Q\230a\330\024\032\230#\230R\230q\330\024\027\220{\240!\2403\240c\250\021\330\030\035\230Q\330\030\031\330\020\023\2204\220q\330\024\025\330\014\017\210u\220C\220u\230D\240\004\240A\240T\250\023\250A\330\020\021\330\014\020\220\005\220U\230!\2301\330\020\027\220v\230R\230s\240#\240R\240w\250a\330\020\024\220A\220U\230$\230a\230s\240\"\240H\250J\260d\270!\2701\330\020\024\220A\220U\230+\240Q\240c\250\022""\2501\330\014\020\220\001\220\025\220a\330\014\020\220\001\220\025\220h\230a\230q\330\014\023\2204\220q\230\001\330\014\020\220\005\220U\230!\2301\330\020\023\2204\220q\230\003\2302\230Q\330\024\033\2304\230q\240\001\330\014\017\210t\2201\220C\220s\230!\330\020\021\330\014\025\220Q\330\014\020\220\005\220U\230!\2301\330\020\023\2204\220q\230\003\2303\230e\2404\240x\250q\260\006\260f\270C\270s\300\"\300A\330\024\035\230Q\330\024\025\330\014\017\210q\330\020\021\330\014\017\210z\230\024\230T\320!4\260A\260T\270\021\330\020\021\330\014\017\210y\230\004\230D\240\r\250Q\250d\260!\330\020\021\330\014\030\230\001\230\024\230V\2401\240A\330\014\033\2301\230A\230U\240!\330\014\024\220A\330\014\030\230\003\2309\240A\240Q\330\014\020\220\005\220U\230!\2301\330\020\023\2204\220q\230\003\2303\230e\2404\240x\250q\260\006\260f\270C\270s\300#\300Q\330\024\027\220s\230)\2401\240C\240r\250\021\330\030$\240C\240y\260\001\260\021\330\030 \240\001\330\014\017\210t\2201\220C\220s\230$\230a\230q\330\020\023\2207\230!\2305\240\016\250a\330\014\020\220\001\220\023\220A\330\010\017\210q\340\010\013\2105\220\003\2201\330\014\020\220\001\220\021\230Q\320\000\035\230Q\330\004\007\200r\210\023\210A\330\010\017\210q\330\004\021\220\037\240\001\240\023\240A\360\010\000\005\007\200j\220\001\330\004\006\200k\220\021\330\004\010\210\005\210U\220!\2201\330\010\n\210$\210a\210u\220C\220q\230\001\330\004\006\200h\210j\230\001\230\021\330\004\006\200g\210S\220\001\220\021\330\004\006\200k\320\021(\250\006\250a\250r\260\025\260b\270\001\330\004\027\220x\230v\240Q\240b\250\002\250!\330\004\007\200r\210\031\220#\220U\230#\230W\240C\240q\330\010\t\330\004\010\210\006\210e\2201\220B\220a\330\010\n\210(\220!\2206\230\032\2401\240A\330\004\005\330\010\014\210E\220\025\220a\220q\330\014\022\220!\2205\230\001\330\010\014\210F\220%\220q\230\002\230!\330\014\020\220\002\220(\230!\2301\330\014\022\220!\330\020\024\220E\230\021\230!\330\020\025\220R\220r\230\021\330\020\026\220a\220v\230Q\330\010\n\210+\220Q\220e""\2301\330\010\014\210E\220\025\220a\220q\330\014\016\210k\230\021\230\"\230B\230e\2402\240[\260\001\260\023\260B\260f\270A\270Q\330\010\n\210*\220H\230F\240!\2402\240[\260\001\260\023\260B\260a\330\010\013\2102\210X\220S\230\001\330\014\r\330\010\014\210E\220\025\220a\220q\330\014\022\220!\2205\230\001\330\010\014\210F\220%\220q\230\002\230!\330\014\020\220\002\220(\230!\2301\330\014\022\220!\330\020\024\220E\230\021\230!\330\020\025\220R\220r\230\021\330\020\022\220'\230\021\230\"\230K\240q\250\003\2502\250V\2601\260F\270!\330\020\026\220a\220v\230Q\330\010\022\220!\330\010\r\210Q\330\010\016\210h\220c\230\022\2301\330\014\024\220A\330\014\020\220\006\220e\2301\230B\230a\330\020\023\2208\2301\230B\230h\240a\240t\2502\250Q\250i\260r\270\030\300\021\300&\310\002\310!\3101\330\024\034\230B\230h\240a\240q\330\014\027\220q\330\014\022\220!\330\010\n\210(\220!\330\010\n\210&\220\001\330\010\020\220\r\230Q\230b\240\006\240b\250\001\330\010\013\2106\220\022\2202\220Q\330\014\016\210f\220A\330\010\013\2102\210V\2202\220R\220q\330\014\031\230\021\230!\2304\230s\240!\330\010\017\210r\220\021\340\010\014\210A\210R\210q\330\010\014\210A\210Q\330\010\013\2102\210X\220S\230\001\330\014\020\220\001\220\022\2201\250a\320\000'\240q\330\004\007\200r\210\023\210A\330\010\017\210q\340\004\r\210Q\210a\210t\2203\220a\330\004\n\210!\330\004\033\2309\240A\240Q\240d\250#\250S\260\003\2603\260e\2703\270a\330\004\007\200v\210R\210q\330\010\016\210n\230A\330\014\016\210a\320\017!\240\021\320\"D\300A\300W\310A\340\004\007\200u\210A\330\004\013\2101\200\001\330\004\007\200r\210\023\210A\330\010\017\210q\340\004\r\210Q\210a\210t\2203\220a\330\004\013\2104\210q\220\013\2301\230A\230T\240\023\240C\240q\200\001\330\004\007\200r\210\023\210A\330\010\017\210q\340\004\r\210Q\210a\210t\2203\220a\330\004\013\2109\220A\220Q\220d\230#\230S\240\003\2403\240f\250C\250q\200\001\330\004\007\200r\210\023\210A\330\010\017\210q\340\004\r\210Q\210a\210t\2203\220a\330\004\024\220A\330\004\010\210\005\210U\220!\2201""\330\010\013\2108\2201\220B\220g\230Q\230d\240\"\240A\330\014\023\2208\2301\230B\230g\240Q\240a\330\004\t\210\022\2102\210U\220\"\220C\220s\230!\330\004\n\210$\210k\230\021\230!\2304\230s\240#\240Q\330\010\r\210Q\330\004\013\2101\200\001\330\004\007\200r\210\023\210A\330\010\017\210q\360\030\000\005\t\210\005\210U\220!\2201\330\010\014\210A\210U\220#\220Q\220a\330\010\r\210Q\210f\220A\330\004\010\210\005\210U\220!\2201\330\010\013\2105\220\001\220\023\220D\230\001\330\014\020\220\004\220A\220Q\330\014\022\220!\330\020\024\220E\230\021\230!\330\020\025\220R\220r\230\021\330\020\023\2205\230\001\230\023\230D\240\001\330\024\031\230\021\230%\230q\330\024\031\230\021\230%\230q\330\024\025\330\004\013\2101\330\004\010\210\005\210U\220!\2201\330\010\013\2105\220\001\220\023\220D\230\001\330\014\024\220A\330\004\r\210Q\330\004\010\210\010\220\005\220Q\220a\330\010\013\2105\220\001\220\026\220t\2301\330\014\r\330\010\014\210E\220\025\220a\220q\330\014\022\220!\2206\230\021\330\014\020\220\001\220\025\220a\330\014\020\220\001\220\025\220a\330\010\014\210A\210X\220Q\330\010\r\210Q\210e\2201\330\010\r\210Q\330\010\r\210Q\330\010\024\220A\330\010\016\210c\220\022\2203\220d\230$\230a\330\014\020\220\005\220Q\220a\330\014\022\220!\330\014\020\220\004\220A\220Q\330\014\022\220!\330\020\025\220U\230!\2301\330\020\025\220R\220r\230\021\330\020\023\2204\220q\230\003\2303\230d\240!\2404\240s\250%\250q\260\003\2603\260a\330\024\025\330\020\023\2203\220c\230\025\230d\240%\240q\250\004\250D\260\002\260$\260f\270A\270U\300!\3005\310\004\310A\330\024\030\230\005\230U\240!\2401\330\030\034\230A\230U\240!\330\024\030\230\001\330\024\025\330\030\034\230D\240\001\240\021\330\030\034\230A\230U\240!\330\030\033\2305\240\001\240\023\240D\250\001\330\034\035\330\030\034\230F\240!\2405\250\001\250\021\330\024\030\230\001\330\024\025\330\030\034\230D\240\001\240\021\330\030\033\2304\230q\240\001\330\034%\240Q\330\034\035\330\030\034\230F\240!\2405\250\001\250\021\330\024\030\230\005\230U\240!\2401""\330\030\034\230A\230U\240!\330\024\030\230\001\330\024\034\230A\330\024\032\230$\230a\230s\240#\240Q\330\030\034\230A\230T\240\021\240&\250\001\330\030\034\230A\230T\240\021\240%\240q\250\007\250q\330\030\036\230a\230u\240A\330\030 \240\005\240Q\240a\330\030\034\230F\240!\2405\250\001\250\021\330\024\030\230\001\330\024\034\230A\330\024\032\230$\230a\230s\240#\240Q\330\030\034\230A\230T\240\021\240&\250\001\330\030\034\230A\230T\240\021\240%\240q\250\007\250q\330\030\036\230a\230u\240A\330\030 \240\005\240Q\240a\330\030\034\230F\240!\2405\250\001\250\021\330\024\030\230\005\230U\240!\2401\330\030\033\2304\230q\240\004\240A\240Q\330\034 \240\001\240\025\240a\330\034\037\230t\2404\240q\250\001\330 $\240A\240U\250!\330 %\240Q\240f\250A\330 &\240a\330\025\033\2301\230D\240\004\240A\330\024\032\230!\2306\240\021\330\024\027\220u\230A\230T\240\024\240Q\330\030\034\230A\330\030\036\230b\240\004\240A\330\034!\240\026\240q\250\001\330\034\"\240%\240q\250\001\330\034!\240\021\240%\240q\330\034!\240\021\240&\250\001\330\034 \240\001\330\030 \240\001\330\030$\240A\330\030\031\330\024\030\230\001\230\025\230a\230w\240a\330\024\031\230\021\230&\240\005\240Q\240a\330\024\032\230!\330\004\013\2101\200\001\330\004\007\200r\210\023\210A\330\010\017\210q\360\006\000\005\t\210\005\210U\220!\2201\330\010\n\210$\210a\210u\220C\220q\230\001\330\004\006\200g\210Q\330\004\006\200h\210a\330\004\006\200g\320\r$\240F\250!\2502\250U\260\"\260A\330\004\007\200r\210\025\210c\220\021\330\010\t\330\004\005\330\010\013\2101\210A\210T\220\023\220J\230a\230t\2401\330\010\017\210q\220\002\220$\220a\220s\230$\230e\2405\250\001\250\022\2501\340\010\014\210A\210R\210q\200\001\340\004\007\200r\210\023\210A\330\010\017\210t\2204\220t\2301\360\006\000\005\t\210\005\210U\220!\2201\330\010\014\210A\210U\220#\220Q\220a\340\004\020\220\001\220\023\220F\230!\2301\340\004\023\2201\220A\220T\230\021\330\004\013\2105\220\r\230Q\330\004\n\210!\2102\210Y\220a\220s\230$\230e\2405\250\001\250\021\330\004\014\210A\210S""\220\001\220\023\220D\230\005\230U\240!\2401\330\004\013\2101\330\004\010\210\006\210e\2201\220B\220a\330\010\014\210G\2201\220A\220R\220u\230A\230S\240\002\240&\250\002\250#\250T\260\025\260e\2701\270A\330\004\010\210\001\210\022\2101\330\004\013\2106\220\025\220g\230Q\200\001\340\004\027\220s\230!\2301\330\004\007\200r\210\023\210A\330\010\017\210q\330\004\007\200r\210\023\210A\330\010\017\210t\2201\220A\330\004#\240:\250Q\250a\360\006\000\005\t\210\005\210U\220!\2201\330\010\014\210A\210U\220#\220Q\220a\330\004\033\2301\330\004\n\210&\220\002\220\"\220B\220a\330\010\022\220!\330\004\033\2306\240\022\2401\330\004$\320$;\2706\300\021\330\010\n\210\"\210A\330\004\034\230N\250&\260\001\260\026\260r\270\021\330\004\031\230\032\2406\250\021\250\"\250B\250b\260\002\260!\330\004\027\220y\240\006\240a\240q\330\004\033\230>\250\026\250q\260\002\260\"\260A\330\004\007\200u\210C\210u\220C\220v\230S\240\005\240S\250\007\250s\260%\260s\270&\300\003\3005\310\003\3105\320PS\320ST\330\010\013\2105\220\003\2206\230\024\230Q\230a\330\010\013\2106\220\023\220F\230$\230a\230q\330\010\013\2107\220#\220V\2304\230q\240\001\330\010\013\2106\220\023\220F\230$\230a\230q\330\010\013\2105\220\003\2206\230\024\230Q\230a\330\010\t\330\004\037\230q\360\006\000\005\006\330\010\014\210F\220%\220q\230\001\330\014\021\220\021\220'\230\021\330\010\014\210F\220%\220q\230\001\330\014\020\220\001\220\026\220w\230a\230q\330\010\014\210F\220%\220q\230\001\330\014\021\220\024\220Q\220d\230#\320\0352\260!\330\014\023\220=\240\003\2402\320%:\270!\330\014\022\220%\220q\230\006\230d\240!\330\020\030\230\005\230R\230s\240\"\240A\330\014\021\220\021\220(\230!\330\r\016\330\014\020\220\006\220e\2301\230A\330\020\025\220Q\220f\230A\330\020\030\230\004\230A\230Q\330\020\025\220Q\330\020\032\230%\230r\240\021\240!\330\020\025\220Q\330\020\026\220a\330\024\030\230\005\230Q\230a\330\024\032\230#\230R\230q\330\024\030\230\001\330\024\031\230\024\230Q\230c\240\022\2401\330\024\032\230!\330\030\034\230E\240\021\240!""\330\030\036\230c\240\022\2401\330\030\033\230:\240Q\240f\250G\2601\330'-\250S\260\004\260C\260t\2703\270d\300#\300T\310\023\310A\330\034!\240\021\330\024\032\230!\2303\230b\240\002\240\"\240E\250\030\260\021\330\024\027\220r\230\023\230A\330\030\035\230Q\330\020\023\2204\220q\330\024\031\230\021\230&\240\001\330\024\030\230\001\230\031\240!\330\024\035\230Q\330\014\022\220&\230\002\230!\330\020\031\230\021\330\020\025\220T\230\021\230!\330\020\030\230\004\230A\230Q\330\020\025\220Q\330\020\026\220a\330\024\030\230\005\230Q\230a\330\024\032\230#\230R\230q\330\024\033\2306\240\023\240D\250\003\2501\330\024\031\230\024\230Q\230c\240\022\2401\240A\330\024\032\230!\330\030\034\230E\240\021\240!\330\030\036\230c\240\022\2401\330\030\035\230Z\240q\250\006\250g\260W\270E\300\023\300D\310\003\3101\330\030\033\2303\230c\240\022\2404\240u\250A\250Q\330\034\"\240!\2403\240b\250\002\250\"\250F\260!\330\034\037\230v\240Q\240c\250\022\2502\250R\250s\260#\260Q\330 %\240Q\240f\250A\330 $\240A\240Y\250a\330 )\250\021\330\010\017\210q\220\007\220q\230\004\230D\240\006\240e\2501\250C\250s\260%\260q\270\001\340\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 155; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 12) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 155; i < 168; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 168; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 155;
-      for (Py_ssize_t i=0; i<13; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1,2};
-    for (int i = 0; i < 3; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<3; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 6;
-    unsigned int flags : 10;
-    unsigned int first_line : 11;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 346};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 1114};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_a, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 17, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 334};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_cadj, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_gi, __pyx_mstate->__pyx_n_u_st, __pyx_mstate->__pyx_n_u_rep, __pyx_mstate->__pyx_n_u_cert, __pyx_mstate->__pyx_n_u_pos, __pyx_mstate->__pyx_n_u_orbit, __pyx_mstate->__pyx_n_u_gens, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_v};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_canon, __pyx_mstate->__pyx_kp_b_iso88591_r_A_t4t1_U_1_AU_Qa_F_1_1AT_5_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 393};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_lb, __pyx_mstate->__pyx_n_u_cc, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_max_clique, __pyx_mstate->__pyx_kp_b_iso88591_1_r_A_q_U_1_auCq_ha_aq_Cz_2Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 445};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_bk, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_maximal_cliques, __pyx_mstate->__pyx_kp_b_iso88591_r_A_q_U_1_auCq_gQ_ha_g_F_2U_A_r, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 14, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 510};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_lb, __pyx_mstate->__pyx_n_u_cliques_py, __pyx_mstate->__pyx_n_u_ct, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_ci, __pyx_mstate->__pyx_n_u_ub, __pyx_mstate->__pyx_n_u_gi_lb, __pyx_mstate->__pyx_n_u_covered, __pyx_mstate->__pyx_n_u_bestc, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_counts};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_clique_cover, __pyx_mstate->__pyx_kp_b_iso88591_Q_r_A_q_A_j_k_U_1_auCq_hj_gS_k, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 7, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 617};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_dc, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_count};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_dominating_sets, __pyx_mstate->__pyx_kp_b_iso88591_q_r_A_q_Qat3a_9AQd_S_3e3a_vRq_n, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 4, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 632};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_dc};
-    __pyx_mstate_global->__pyx_codeobj_tab[7] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_count_dominating_sets, __pyx_mstate->__pyx_kp_b_iso88591_r_A_q_Qat3a_9AQd_S_3fCq, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[7])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 4, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 650};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_dc};
-    __pyx_mstate_global->__pyx_codeobj_tab[8] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_exists_dominating_set, __pyx_mstate->__pyx_kp_b_iso88591_r_A_q_Qat3a_4q_1AT_Cq, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[8])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 6, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 658};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_dc, __pyx_mstate->__pyx_n_u_maxc, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_k};
-    __pyx_mstate_global->__pyx_codeobj_tab[9] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_domination_number, __pyx_mstate->__pyx_kp_b_iso88591_r_A_q_Qat3a_A_U_1_81BgQd_A_81Bg, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[9])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 32, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 687};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_configs, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_full, __pyx_mstate->__pyx_n_u_cadj, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_tsize, __pyx_mstate->__pyx_n_u_tmask, __pyx_mstate->__pyx_n_u_keys, __pyx_mstate->__pyx_n_u_table, __pyx_mstate->__pyx_n_u_counts, __pyx_mstate->__pyx_n_u_alive, __pyx_mstate->__pyx_n_u_dead, __pyx_mstate->__pyx_n_u_ci, __pyx_mstate->__pyx_n_u_ndead, __pyx_mstate->__pyx_n_u_slot, __pyx_mstate->__pyx_n_u_xi, __pyx_mstate->__pyx_n_u_hx, __pyx_mstate->__pyx_n_u_xmask, __pyx_mstate->__pyx_n_u_attacks, __pyx_mstate->__pyx_n_u_am, __pyx_mstate->__pyx_n_u_wm, __pyx_mstate->__pyx_n_u_ymask, __pyx_mstate->__pyx_n_u_rest, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_ok, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_ci};
-    __pyx_mstate_global->__pyx_codeobj_tab[10] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_eternal_fixpoint, __pyx_mstate->__pyx_kp_b_iso88591_s_1_r_A_q_r_A_t1A_Qa_U_1_AU_Qa, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[10])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 26, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 788};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_cadj, __pyx_mstate->__pyx_n_u_match, __pyx_mstate->__pyx_n_u_parent, __pyx_mstate->__pyx_n_u_base, __pyx_mstate->__pyx_n_u_queue, __pyx_mstate->__pyx_n_u_used, __pyx_mstate->__pyx_n_u_flag, __pyx_mstate->__pyx_n_u_seen, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_root, __pyx_mstate->__pyx_n_u_qh, __pyx_mstate->__pyx_n_u_qt, __pyx_mstate->__pyx_n_u_to, __pyx_mstate->__pyx_n_u_a_2, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_anchor, __pyx_mstate->__pyx_n_u_child, __pyx_mstate->__pyx_n_u_pv, __pyx_mstate->__pyx_n_u_ppv, __pyx_mstate->__pyx_n_u_size, __pyx_mstate->__pyx_n_u_augmented, __pyx_mstate->__pyx_n_u_m};
-    __pyx_mstate_global->__pyx_codeobj_tab[11] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_max_matching, __pyx_mstate->__pyx_kp_b_iso88591_r_A_q_U_1_AU_Qa_QfA_U_1_5_D_AQ, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[11])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 40, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 979};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_adj, __pyx_mstate->__pyx_n_u_mode, __pyx_mstate->__pyx_n_u_emit_connected, __pyx_mstate->__pyx_n_u_emit_mtf, __pyx_mstate->__pyx_n_u_want_conn, __pyx_mstate->__pyx_n_u_want_mtf, __pyx_mstate->__pyx_n_u_padj, __pyx_mstate->__pyx_n_u_cadj, __pyx_mstate->__pyx_n_u_parent_degs, __pyx_mstate->__pyx_n_u_degs, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_nc, __pyx_mstate->__pyx_n_u_dmin, __pyx_mstate->__pyx_n_u_ok, __pyx_mstate->__pyx_n_u_gi, __pyx_mstate->__pyx_n_u_in_s, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_mm, __pyx_mstate->__pyx_n_u_img, __pyx_mstate->__pyx_n_u_nbit, __pyx_mstate->__pyx_n_u_total, __pyx_mstate->__pyx_n_u_pst, __pyx_mstate->__pyx_n_u_pngens, __pyx_mstate->__pyx_n_u_pgens, __pyx_mstate->__pyx_n_u_srep, __pyx_mstate->__pyx_n_u_aa, __pyx_mstate->__pyx_n_u_bb, __pyx_mstate->__pyx_n_u_root, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_si, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_cst, __pyx_mstate->__pyx_n_u_crep, __pyx_mstate->__pyx_n_u_vstar, __pyx_mstate->__pyx_n_u_vstar_pos, __pyx_mstate->__pyx_n_u_reject, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_n_u_genexpr};
-    __pyx_mstate_global->__pyx_codeobj_tab[12] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_etdom__kernel__fastcore_pyx, __pyx_mstate->__pyx_n_u_augment, __pyx_mstate->__pyx_kp_b_iso88591_8_2_1_r_A_nA_314I_3a_A_4s_D_1_U, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[12])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* Generator.init */
-  if (likely(__pyx_Generator_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/*
+ * Compiled kernel: the same contract as _purecore, word-at-a-time loops.
+ *
+ * Every graph arrives as (n, adj), adj[v] being the neighbourhood bitmask
+ * of vertex v; here each mask is a uint64_t, so 0 <= n <= 64, and every
+ * entry point raises ValueError outside that range, when len(adj) != n,
+ * or when a mask has a bit outside 0..n-1.
+ * _purecore.py is the reference: tests/test_kernel_parity.py holds the two
+ * kernels to identical results on every entry point, and any difference
+ * (certificate order, acceptance decisions, survivors) is a bug here, not
+ * a tolerance.
+ *
+ * Entry points take positional arguments only (METH_FASTCALL).  Built by
+ * setup.py with plain setuptools:  python setup.py build_ext --inplace
  */
-#pragma warning( disable : 4127 )
-#endif
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* GetException (used by pep479) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* pep479 */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen) {
-    PyObject *exc, *val, *tb, *cur_exc, *new_exc;
-    __Pyx_PyThreadState_declare
-    int is_async_stopiteration = 0;
-    CYTHON_MAYBE_UNUSED_VAR(in_async_gen);
-    __Pyx_PyThreadState_assign
-    cur_exc = __Pyx_PyErr_CurrentExceptionType();
-    if (likely(!__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopIteration))) {
-        if (in_async_gen && unlikely(__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopAsyncIteration))) {
-            is_async_stopiteration = 1;
-        } else {
-            return;
-        }
-    }
-    __Pyx_GetException(&exc, &val, &tb);
-    Py_XDECREF(exc);
-    Py_XDECREF(tb);
-    new_exc = PyObject_CallFunction(PyExc_RuntimeError, "s",
-        is_async_stopiteration ? "async generator raised StopAsyncIteration" :
-        in_async_gen ? "async generator raised StopIteration" :
-        "generator raised StopIteration");
-    if (!new_exc) {
-        Py_XDECREF(val);
-        return;
-    }
-    PyException_SetCause(new_exc, val); // steals ref to val
-    PyErr_SetObject(PyExc_RuntimeError, new_exc);
-    Py_DECREF(new_exc);
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* PyErrFetchRestore */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* CIntToDigits (used by CIntToPyUnicode) */
-static const char DIGIT_PAIRS_10[2*10*10+1] = {
-    "00010203040506070809"
-    "10111213141516171819"
-    "20212223242526272829"
-    "30313233343536373839"
-    "40414243444546474849"
-    "50515253545556575859"
-    "60616263646566676869"
-    "70717273747576777879"
-    "80818283848586878889"
-    "90919293949596979899"
-};
-static const char DIGIT_PAIRS_8[2*8*8+1] = {
-    "0001020304050607"
-    "1011121314151617"
-    "2021222324252627"
-    "3031323334353637"
-    "4041424344454647"
-    "5051525354555657"
-    "6061626364656667"
-    "7071727374757677"
-};
-static const char DIGITS_HEX[2*16+1] = {
-    "0123456789abcdef"
-    "0123456789ABCDEF"
-};
-
-/* BuildPyUnicode (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char) {
-    PyObject *uval;
-    Py_ssize_t uoffset = ulength - clength;
-#if CYTHON_USE_UNICODE_INTERNALS
-    Py_ssize_t i;
-    void *udata;
-    uval = PyUnicode_New(ulength, 127);
-    if (unlikely(!uval)) return NULL;
-    udata = PyUnicode_DATA(uval);
-    if (uoffset > 0) {
-        i = 0;
-        if (prepend_sign) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, 0, '-');
-            i++;
-        }
-        for (; i < uoffset; i++) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, i, padding_char);
-        }
-    }
-    for (i=0; i < clength; i++) {
-        __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, uoffset+i, chars[i]);
-    }
-#else
-    {
-        PyObject *sign = NULL, *padding = NULL;
-        uval = NULL;
-        if (uoffset > 0) {
-            prepend_sign = !!prepend_sign;
-            if (uoffset > prepend_sign) {
-                padding = PyUnicode_FromOrdinal(padding_char);
-                if (likely(padding) && uoffset > prepend_sign + 1) {
-                    PyObject *tmp = PySequence_Repeat(padding, uoffset - prepend_sign);
-                    Py_DECREF(padding);
-                    padding = tmp;
-                }
-                if (unlikely(!padding)) goto done_or_error;
-            }
-            if (prepend_sign) {
-                sign = PyUnicode_FromOrdinal('-');
-                if (unlikely(!sign)) goto done_or_error;
-            }
-        }
-        uval = PyUnicode_DecodeASCII(chars, clength, NULL);
-        if (likely(uval) && padding) {
-            PyObject *tmp = PyUnicode_Concat(padding, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-        if (likely(uval) && sign) {
-            PyObject *tmp = PyUnicode_Concat(sign, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-done_or_error:
-        Py_XDECREF(padding);
-        Py_XDECREF(sign);
-    }
-#endif
-    return uval;
-}
-
-/* COrdinalToPyUnicode (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value) {
-    return value <= 1114111;
-}
-static PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t ulength, char padding_char) {
-    Py_ssize_t padding_length = ulength - 1;
-    if (likely((padding_length <= 250) && (value < 0xD800 || value > 0xDFFF))) {
-        char chars[256];
-        if (value <= 255) {
-            memset(chars, padding_char, (size_t) padding_length);
-            chars[ulength-1] = (char) value;
-            return PyUnicode_DecodeLatin1(chars, ulength, NULL);
-        }
-        char *cpos = chars + sizeof(chars);
-        if (value < 0x800) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xc0 | (value & 0x1f));
-        } else if (value < 0x10000) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xe0 | (value & 0x0f));
-        } else {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xf0 | (value & 0x07));
-        }
-        cpos -= padding_length;
-        memset(cpos, padding_char, (size_t) padding_length);
-        return PyUnicode_DecodeUTF8(cpos, chars + sizeof(chars) - cpos, NULL);
-    }
-    if (value <= 127 && CYTHON_USE_UNICODE_INTERNALS) {
-        const char chars[1] = {(char) value};
-        return __Pyx_PyUnicode_BuildFromAscii(ulength, chars, 1, 0, padding_char);
-    }
-    {
-        PyObject *uchar, *padding_uchar, *padding, *result;
-        padding_uchar = PyUnicode_FromOrdinal(padding_char);
-        if (unlikely(!padding_uchar)) return NULL;
-        padding = PySequence_Repeat(padding_uchar, padding_length);
-        Py_DECREF(padding_uchar);
-        if (unlikely(!padding)) return NULL;
-        uchar = PyUnicode_FromOrdinal(value);
-        if (unlikely(!uchar)) {
-            Py_DECREF(padding);
-            return NULL;
-        }
-        result = PyUnicode_Concat(padding, uchar);
-        Py_DECREF(padding);
-        Py_DECREF(uchar);
-        return result;
-    }
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_PY_LONG_LONG(PY_LONG_LONG value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (PY_LONG_LONG) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_PY_LONG_LONG(PY_LONG_LONG value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(PY_LONG_LONG)*3+2];
-    char *dpos, *end = digits + sizeof(PY_LONG_LONG)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    PY_LONG_LONG remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (PY_LONG_LONG) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (PY_LONG_LONG) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (PY_LONG_LONG) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (int) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(int)*3+2];
-    char *dpos, *end = digits + sizeof(int)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    int remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (int) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (int) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (int) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* JoinPyUnicode */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char) {
-#if CYTHON_USE_UNICODE_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    PyObject *result_uval;
-    int result_ukind, kind_shift;
-    Py_ssize_t i, char_pos;
-    void *result_udata;
-    if (max_char > 1114111) max_char = 1114111;
-    result_uval = PyUnicode_New(result_ulength, max_char);
-    if (unlikely(!result_uval)) return NULL;
-    result_ukind = (max_char <= 255) ? PyUnicode_1BYTE_KIND : (max_char <= 65535) ? PyUnicode_2BYTE_KIND : PyUnicode_4BYTE_KIND;
-    kind_shift = (result_ukind == PyUnicode_4BYTE_KIND) ? 2 : result_ukind - 1;
-    result_udata = PyUnicode_DATA(result_uval);
-    assert(kind_shift == 2 || kind_shift == 1 || kind_shift == 0);
-    if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - result_ulength < 0))
-        goto overflow;
-    char_pos = 0;
-    for (i=0; i < value_count; i++) {
-        int ukind;
-        Py_ssize_t ulength;
-        void *udata;
-        PyObject *uval = values[i];
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (__Pyx_PyUnicode_READY(uval) == (-1))
-            goto bad;
-        #endif
-        ulength = __Pyx_PyUnicode_GET_LENGTH(uval);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(ulength < 0)) goto bad;
-        #endif
-        if (unlikely(!ulength))
-            continue;
-        if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - ulength < char_pos))
-            goto overflow;
-        ukind = __Pyx_PyUnicode_KIND(uval);
-        udata = __Pyx_PyUnicode_DATA(uval);
-        if (ukind == result_ukind) {
-            memcpy((char *)result_udata + (char_pos << kind_shift), udata, (size_t) (ulength << kind_shift));
-        } else {
-            #if PY_VERSION_HEX >= 0x030d0000
-            if (unlikely(PyUnicode_CopyCharacters(result_uval, char_pos, uval, 0, ulength) < 0)) goto bad;
-            #elif CYTHON_COMPILING_IN_CPYTHON || defined(_PyUnicode_FastCopyCharacters)
-            _PyUnicode_FastCopyCharacters(result_uval, char_pos, uval, 0, ulength);
-            #else
-            Py_ssize_t j;
-            for (j=0; j < ulength; j++) {
-                Py_UCS4 uchar = __Pyx_PyUnicode_READ(ukind, udata, j);
-                __Pyx_PyUnicode_WRITE(result_ukind, result_udata, char_pos+j, uchar);
-            }
-            #endif
-        }
-        char_pos += ulength;
-    }
-    return result_uval;
-overflow:
-    PyErr_SetString(PyExc_OverflowError, "join() result is too long for a Python string");
-bad:
-    Py_DECREF(result_uval);
-    return NULL;
-#else
-    Py_ssize_t i;
-    PyObject *result = NULL;
-    PyObject *value_tuple = PyTuple_New(value_count);
-    if (unlikely(!value_tuple)) return NULL;
-    CYTHON_UNUSED_VAR(max_char);
-    CYTHON_UNUSED_VAR(result_ulength);
-    for (i=0; i<value_count; i++) {
-        Py_INCREF(values[i]);
-        if (__Pyx_PyTuple_SET_ITEM(value_tuple, i, values[i]) != (0)) goto bad;
-    }
-    result = PyUnicode_Join(__pyx_mstate_global->__pyx_empty_unicode, value_tuple);
-bad:
-    Py_DECREF(value_tuple);
-    return result;
-#endif
-}
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* CallTypeTraverse */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* ImportFrom */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name) {
-    PyObject* value = __Pyx_PyObject_GetAttrStr(module, name);
-    if (unlikely(!value) && PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        const char* module_name_str = 0;
-        PyObject* module_name = 0;
-        PyObject* module_dot = 0;
-        PyObject* full_name = 0;
-        PyErr_Clear();
-        module_name_str = PyModule_GetName(module);
-        if (unlikely(!module_name_str)) { goto modbad; }
-        module_name = PyUnicode_FromString(module_name_str);
-        if (unlikely(!module_name)) { goto modbad; }
-        module_dot = PyUnicode_Concat(module_name, __pyx_mstate_global->__pyx_kp_u_);
-        if (unlikely(!module_dot)) { goto modbad; }
-        full_name = PyUnicode_Concat(module_dot, name);
-        if (unlikely(!full_name)) { goto modbad; }
-        #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM  < 0x07030400) ||\
-                CYTHON_COMPILING_IN_GRAAL
-        {
-            PyObject *modules = PyImport_GetModuleDict();
-            if (unlikely(!modules))
-                goto modbad;
-            value = PyObject_GetItem(modules, full_name);
-        }
-        #else
-        value = PyImport_GetModule(full_name);
-        #endif
-      modbad:
-        Py_XDECREF(full_name);
-        Py_XDECREF(module_dot);
-        Py_XDECREF(module_name);
-    }
-    if (unlikely(!value)) {
-        PyErr_Format(PyExc_ImportError, "cannot import name %S", name);
-    }
-    return value;
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE unsigned PY_LONG_LONG __Pyx_PyLong_As_unsigned_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const unsigned PY_LONG_LONG neg_one = (unsigned PY_LONG_LONG) -1, const_zero = (unsigned PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        unsigned PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (unsigned PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (unsigned PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((unsigned PY_LONG_LONG)-1)*(((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) ((((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((unsigned PY_LONG_LONG)-1)*(((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) ((((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((unsigned PY_LONG_LONG)-1)*(((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) ((((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        unsigned PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (unsigned PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (unsigned PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (unsigned PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (unsigned PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(unsigned PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((unsigned PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(unsigned PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((unsigned PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((unsigned PY_LONG_LONG) 1) << (sizeof(unsigned PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (unsigned PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to unsigned PY_LONG_LONG");
-    return (unsigned PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to unsigned PY_LONG_LONG");
-    return (unsigned PY_LONG_LONG) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_PY_LONG_LONG(unsigned PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const unsigned PY_LONG_LONG neg_one = (unsigned PY_LONG_LONG) -1, const_zero = (unsigned PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(unsigned PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(unsigned PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(unsigned PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(unsigned PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_char(char value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const char neg_one = (char) -1, const_zero = (char) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(char) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(char) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(char) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(char) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(char) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(char),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(char));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u__2);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* IterNextPlain (used by CoroutineBase) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void) {
-    if (unlikely(!__pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache))
-        __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache = __Pyx_GetBuiltinName(__pyx_mstate_global->__pyx_n_u_next);
-    return __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache;
-}
-#endif
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator) {
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    PyObject *result;
-    PyObject *next = __Pyx_GetBuiltinNext_LimitedAPI();
-    if (unlikely(!next)) return NULL;
-    result = PyObject_CallFunctionObjArgs(next, iterator, NULL);
-    return result;
-#else
-    (void)__Pyx_GetBuiltinName; // only for early limited API
-    iternextfunc iternext = __Pyx_PyObject_GetIterNextFunc(iterator);
-    assert(iternext);
-    return iternext(iterator);
-#endif
-}
-
-/* PyObjectCall2Args (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2) {
-    PyObject *args[3] = {NULL, arg1, arg2};
-    return __Pyx_PyObject_FastCall(function, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectCallMethod1 (used by CoroutineBase) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static PyObject* __Pyx__PyObject_CallMethod1(PyObject* method, PyObject* arg) {
-    PyObject *result = __Pyx_PyObject_CallOneArg(method, arg);
-    Py_DECREF(method);
-    return result;
-}
-#endif
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[2] = {obj, arg};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_Call2Args;
-    return PyObject_VectorcallMethod(method_name, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_Call2Args(method, obj, arg);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) return NULL;
-    return __Pyx__PyObject_CallMethod1(method, arg);
-#endif
-}
-
-/* ReturnWithStopIteration (used by CoroutineBase) */
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async);
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext) {
-    if (value == Py_None) {
-        if (async || !iternext)
-            PyErr_SetNone(async ? PyExc_StopAsyncIteration : PyExc_StopIteration);
-        return;
-    }
-    __Pyx__ReturnWithStopIteration(value, async);
-}
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async) {
-#if CYTHON_COMPILING_IN_CPYTHON
-    __Pyx_PyThreadState_declare
-#endif
-    PyObject *exc;
-    PyObject *exc_type = async ? PyExc_StopAsyncIteration : PyExc_StopIteration;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if ((PY_VERSION_HEX >= (0x030C00A6)) || unlikely(PyTuple_Check(value) || PyExceptionInstance_Check(value))) {
-        if (PY_VERSION_HEX >= (0x030e00A1)) {
-            exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-        } else {
-            PyObject *args_tuple = PyTuple_New(1);
-            if (unlikely(!args_tuple)) return;
-            Py_INCREF(value);
-            PyTuple_SET_ITEM(args_tuple, 0, value);
-            exc = PyObject_Call(exc_type, args_tuple, NULL);
-            Py_DECREF(args_tuple);
-        }
-        if (unlikely(!exc)) return;
-    } else {
-        Py_INCREF(value);
-        exc = value;
-    }
-    #if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    #if CYTHON_USE_EXC_INFO_STACK
-    if (!__pyx_tstate->exc_info->exc_value)
-    #else
-    if (!__pyx_tstate->exc_type)
-    #endif
-    {
-        Py_INCREF(exc_type);
-        __Pyx_ErrRestore(exc_type, exc, NULL);
-        return;
-    }
-    #endif
-#else
-    exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-    if (unlikely(!exc)) return;
-#endif
-    PyErr_SetObject(exc_type, exc);
-    Py_DECREF(exc);
-}
-
-/* CoroutineBase (used by Generator) */
-#if !CYTHON_COMPILING_IN_LIMITED_API
-#include <frameobject.h>
-#if PY_VERSION_HEX >= 0x030b00a6 && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#endif // CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE void
-__Pyx_Coroutine_Undelegate(__pyx_CoroutineObject *gen) {
-#if CYTHON_USE_AM_SEND
-    gen->yieldfrom_am_send = NULL;
-#endif
-    Py_CLEAR(gen->yieldfrom);
-}
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *__pyx_tstate, PyObject **pvalue) {
-    PyObject *et, *ev, *tb;
-    PyObject *value = NULL;
-    CYTHON_UNUSED_VAR(__pyx_tstate);
-    __Pyx_ErrFetch(&et, &ev, &tb);
-    if (!et) {
-        Py_XDECREF(tb);
-        Py_XDECREF(ev);
-        Py_INCREF(Py_None);
-        *pvalue = Py_None;
-        return 0;
-    }
-    if (likely(et == PyExc_StopIteration)) {
-        if (!ev) {
-            Py_INCREF(Py_None);
-            value = Py_None;
-        }
-        else if (likely(__Pyx_IS_TYPE(ev, (PyTypeObject*)PyExc_StopIteration))) {
-            #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-            value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-            if (unlikely(!value)) goto limited_api_failure;
-            #else
-            value = ((PyStopIterationObject *)ev)->value;
-            Py_INCREF(value);
-            #endif
-            Py_DECREF(ev);
-        }
-        else if (unlikely(PyTuple_Check(ev))) {
-            Py_ssize_t tuple_size = __Pyx_PyTuple_GET_SIZE(ev);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely(tuple_size < 0)) {
-                Py_XDECREF(tb);
-                Py_DECREF(ev);
-                Py_DECREF(et);
-                return -1;
-            }
-            #endif
-            if (tuple_size >= 1) {
-#if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                value = PyTuple_GET_ITEM(ev, 0);
-                Py_INCREF(value);
-#elif CYTHON_ASSUME_SAFE_MACROS
-                value = PySequence_ITEM(ev, 0);
-#else
-                value = PySequence_GetItem(ev, 0);
-                if (!value) goto limited_api_failure;
-#endif
-            } else {
-                Py_INCREF(Py_None);
-                value = Py_None;
-            }
-            Py_DECREF(ev);
-        }
-        else if (!__Pyx_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration)) {
-            value = ev;
-        }
-        if (likely(value)) {
-            Py_XDECREF(tb);
-            Py_DECREF(et);
-            *pvalue = value;
-            return 0;
-        }
-    } else if (!__Pyx_PyErr_GivenExceptionMatches(et, PyExc_StopIteration)) {
-        __Pyx_ErrRestore(et, ev, tb);
-        return -1;
-    }
-    PyErr_NormalizeException(&et, &ev, &tb);
-    if (unlikely(!PyObject_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration))) {
-        __Pyx_ErrRestore(et, ev, tb);
-        return -1;
-    }
-    Py_XDECREF(tb);
-    Py_DECREF(et);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-#else
-    value = ((PyStopIterationObject *)ev)->value;
-    Py_INCREF(value);
-#endif
-    Py_DECREF(ev);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!value)) return -1;
-#endif
-    *pvalue = value;
-    return 0;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL || !CYTHON_ASSUME_SAFE_MACROS
-  limited_api_failure:
-    Py_XDECREF(et);
-    Py_XDECREF(tb);
-    Py_XDECREF(ev);
-    return -1;
-#endif
-}
-static CYTHON_INLINE
-__Pyx_PySendResult __Pyx_Coroutine_status_from_result(PyObject **retval) {
-    if (*retval) {
-        return PYGEN_NEXT;
-    } else if (likely(__Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, retval) == 0)) {
-        return PYGEN_RETURN;
-    } else {
-        return PYGEN_ERROR;
-    }
-}
-static CYTHON_INLINE
-void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *exc_state) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_CLEAR(exc_state->exc_value);
-#else
-    PyObject *t, *v, *tb;
-    t = exc_state->exc_type;
-    v = exc_state->exc_value;
-    tb = exc_state->exc_traceback;
-    exc_state->exc_type = NULL;
-    exc_state->exc_value = NULL;
-    exc_state->exc_traceback = NULL;
-    Py_XDECREF(t);
-    Py_XDECREF(v);
-    Py_XDECREF(tb);
-#endif
-}
-#define __Pyx_Coroutine_AlreadyRunningError(gen)  (__Pyx__Coroutine_AlreadyRunningError(gen), (PyObject*)NULL)
-static void __Pyx__Coroutine_AlreadyRunningError(__pyx_CoroutineObject *gen) {
-    const char *msg;
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if ((0)) {
-    #ifdef __Pyx_Coroutine_USED
-    } else if (__Pyx_Coroutine_Check((PyObject*)gen)) {
-        msg = "coroutine already executing";
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    } else if (__Pyx_AsyncGen_CheckExact((PyObject*)gen)) {
-        msg = "async generator already executing";
-    #endif
-    } else {
-        msg = "generator already executing";
-    }
-    PyErr_SetString(PyExc_ValueError, msg);
-}
-static void __Pyx_Coroutine_AlreadyTerminatedError(PyObject *gen, PyObject *value, int closing) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    CYTHON_MAYBE_UNUSED_VAR(closing);
-    #ifdef __Pyx_Coroutine_USED
-    if (!closing && __Pyx_Coroutine_Check(gen)) {
-        PyErr_SetString(PyExc_RuntimeError, "cannot reuse already awaited coroutine");
-    } else
-    #endif
-    if (value) {
-        #ifdef __Pyx_AsyncGen_USED
-        if (__Pyx_AsyncGen_CheckExact(gen))
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        else
-        #endif
-        PyErr_SetNone(PyExc_StopIteration);
-    }
-}
-static
-__Pyx_PySendResult __Pyx_Coroutine_SendEx(__pyx_CoroutineObject *self, PyObject *value, PyObject **result, int closing) {
-    __Pyx_PyThreadState_declare
-    PyThreadState *tstate;
-    __Pyx_ExcInfoStruct *exc_state;
-    PyObject *retval;
-    assert(__Pyx_Coroutine_get_is_running(self));  // Callers should ensure is_running
-    if (unlikely(self->resume_label == -1)) {
-        __Pyx_Coroutine_AlreadyTerminatedError((PyObject*)self, value, closing);
-        return PYGEN_ERROR;
-    }
-#if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    tstate = __pyx_tstate;
-#else
-    tstate = __Pyx_PyThreadState_Current;
-#endif
-    exc_state = &self->gi_exc_state;
-    if (exc_state->exc_value) {
-        #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        #else
-        PyObject *exc_tb;
-        #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-        exc_tb = PyException_GetTraceback(exc_state->exc_value);
-        #elif PY_VERSION_HEX >= 0x030B00a4
-        exc_tb = ((PyBaseExceptionObject*) exc_state->exc_value)->traceback;
-        #else
-        exc_tb = exc_state->exc_traceback;
-        #endif
-        if (exc_tb) {
-            PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-            PyFrameObject *f = tb->tb_frame;
-            assert(f->f_back == NULL);
-            #if PY_VERSION_HEX >= 0x030B00A1
-            f->f_back = PyThreadState_GetFrame(tstate);
-            #else
-            Py_XINCREF(tstate->frame);
-            f->f_back = tstate->frame;
-            #endif
-            #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-            Py_DECREF(exc_tb);
-            #endif
-        }
-        #endif
-    }
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state->previous_item = tstate->exc_info;
-    tstate->exc_info = exc_state;
-#else
-    if (exc_state->exc_type) {
-        __Pyx_ExceptionSwap(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    } else {
-        __Pyx_Coroutine_ExceptionClear(exc_state);
-        __Pyx_ExceptionSave(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    }
-#endif
-    retval = self->body(self, tstate, value);
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state = &self->gi_exc_state;
-    tstate->exc_info = exc_state->previous_item;
-    exc_state->previous_item = NULL;
-    __Pyx_Coroutine_ResetFrameBackpointer(exc_state);
-#endif
-    *result = retval;
-    if (self->resume_label == -1) {
-        return likely(retval) ? PYGEN_RETURN : PYGEN_ERROR;
-    }
-    return PYGEN_NEXT;
-}
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED_VAR(exc_state);
-#else
-    PyObject *exc_tb;
-    #if PY_VERSION_HEX >= 0x030B00a4
-    if (!exc_state->exc_value) return;
-    exc_tb = PyException_GetTraceback(exc_state->exc_value);
-    #else
-    exc_tb = exc_state->exc_traceback;
-    #endif
-    if (likely(exc_tb)) {
-        PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-        PyFrameObject *f = tb->tb_frame;
-        Py_CLEAR(f->f_back);
-        #if PY_VERSION_HEX >= 0x030B00a4
-        Py_DECREF(exc_tb);
-        #endif
-    }
-#endif
-}
-#define __Pyx_Coroutine_MethodReturnFromResult(gen, result, retval, iternext)\
-    ((result) == PYGEN_NEXT ? (retval) : __Pyx__Coroutine_MethodReturnFromResult(gen, result, retval, iternext))
-static PyObject *
-__Pyx__Coroutine_MethodReturnFromResult(PyObject* gen, __Pyx_PySendResult result, PyObject *retval, int iternext) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if (likely(result == PYGEN_RETURN)) {
-        int is_async = 0;
-        #ifdef __Pyx_AsyncGen_USED
-        is_async = __Pyx_AsyncGen_CheckExact(gen);
-        #endif
-        __Pyx_ReturnWithStopIteration(retval, is_async, iternext);
-        Py_XDECREF(retval);
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE
-PyObject *__Pyx_PyGen_Send(PyGenObject *gen, PyObject *arg) {
-#if PY_VERSION_HEX <= 0x030A00A1
-    return _PyGen_Send(gen, arg);
-#else
-    PyObject *result;
-    if (PyIter_Send((PyObject*)gen, arg ? arg : Py_None, &result) == PYGEN_RETURN) {
-        if (PyAsyncGen_CheckExact(gen)) {
-            assert(result == Py_None);
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        }
-        else if (result == Py_None) {
-            PyErr_SetNone(PyExc_StopIteration);
-        }
-        else {
-#if PY_VERSION_HEX < 0x030d00A1
-            _PyGen_SetStopIterationValue(result);
-#else
-            if (!PyTuple_Check(result) && !PyExceptionInstance_Check(result)) {
-                PyErr_SetObject(PyExc_StopIteration, result);
-            } else {
-                PyObject *exc = __Pyx_PyObject_CallOneArg(PyExc_StopIteration, result);
-                if (likely(exc != NULL)) {
-                    PyErr_SetObject(PyExc_StopIteration, exc);
-                    Py_DECREF(exc);
-                }
-            }
-#endif
-        }
-        Py_DECREF(result);
-        result = NULL;
-    }
-    return result;
-#endif
-}
-#endif
-static CYTHON_INLINE __Pyx_PySendResult
-__Pyx_Coroutine_FinishDelegation(__pyx_CoroutineObject *gen, PyObject** retval) {
-    __Pyx_PySendResult result;
-    PyObject *val = NULL;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, &val);
-    result = __Pyx_Coroutine_SendEx(gen, val, retval, 0);
-    Py_XDECREF(val);
-    return result;
-}
-#if CYTHON_USE_AM_SEND
-static __Pyx_PySendResult
-__Pyx_Coroutine_SendToDelegate(__pyx_CoroutineObject *gen, __Pyx_pyiter_sendfunc gen_am_send, PyObject *value, PyObject **retval) {
-    PyObject *ret = NULL;
-    __Pyx_PySendResult delegate_result, result;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    delegate_result = gen_am_send(gen->yieldfrom, value, &ret);
-    if (delegate_result == PYGEN_NEXT) {
-        assert (ret != NULL);
-        *retval = ret;
-        return PYGEN_NEXT;
-    }
-    assert (delegate_result != PYGEN_ERROR || ret == NULL);
-    __Pyx_Coroutine_Undelegate(gen);
-    result = __Pyx_Coroutine_SendEx(gen, ret, retval, 0);
-    Py_XDECREF(ret);
-    return result;
-}
-#endif
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result = __Pyx_Coroutine_AmSend(self, value, &retval);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-}
-static __Pyx_PySendResult
-__Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval) {
-    __Pyx_PySendResult result;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, value, retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-      #if !CYTHON_USE_AM_SEND
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_Check(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-            ret = __Pyx_async_gen_asend_send(yf, value);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        if (PyCoro_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        #endif
-      #endif
-        {
-            #if !CYTHON_COMPILING_IN_LIMITED_API || __PYX_LIMITED_VERSION_HEX >= 0x03080000
-            if (value == Py_None && PyIter_Check(yf))
-                ret = __Pyx_PyIter_Next_Plain(yf);
-            else
-            #endif
-                ret = __Pyx_PyObject_CallMethod1(yf, __pyx_mstate_global->__pyx_n_u_send, value);
-        }
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            *retval = ret;
-            return PYGEN_NEXT;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, value, retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return result;
-}
-static int __Pyx_Coroutine_CloseIter(__pyx_CoroutineObject *gen, PyObject *yf) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    CYTHON_UNUSED_VAR(gen);
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    #ifdef __Pyx_Generator_USED
-    if (__Pyx_Generator_CheckExact(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    #endif
-    #ifdef __Pyx_Coroutine_USED
-    if (__Pyx_Coroutine_Check(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-        result = __Pyx_CoroutineAwait_Close((__pyx_CoroutineAwaitObject*)yf);
-    } else
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-        retval = __Pyx_async_gen_asend_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    if (__pyx_PyAsyncGenAThrow_CheckExact(yf)) {
-        retval = __Pyx_async_gen_athrow_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    #endif
-    {
-        PyObject *meth;
-        result = PYGEN_RETURN;
-        meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_close);
-        if (unlikely(!meth)) {
-            if (unlikely(PyErr_Occurred())) {
-                PyErr_WriteUnraisable(yf);
-            }
-        } else {
-            retval = __Pyx_PyObject_CallNoArg(meth);
-            Py_DECREF(meth);
-            if (unlikely(!retval)) {
-                result = PYGEN_ERROR;
-            }
-        }
-    }
-    Py_XDECREF(retval);
-    return result == PYGEN_ERROR ? -1 : 0;
-}
-static PyObject *__Pyx_Generator_Next(PyObject *self) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, Py_None, &retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Generator_Next(yf);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, Py_None);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON && (PY_VERSION_HEX < 0x030A00A3 || !CYTHON_USE_AM_SEND)
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, NULL);
-        } else
-        #endif
-            ret = __Pyx_PyIter_Next_Plain(yf);
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 1);
-}
-static PyObject *__Pyx_Coroutine_Close_Method(PyObject *self, PyObject *arg) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result;
-    CYTHON_UNUSED_VAR(arg);
-    result = __Pyx_Coroutine_Close(self, &retval);
-    if (unlikely(result == PYGEN_ERROR))
-        return NULL;
-    Py_XDECREF(retval);
-    Py_RETURN_NONE;
-}
-static __Pyx_PySendResult
-__Pyx_Coroutine_Close(PyObject *self, PyObject **retval) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PySendResult result;
-    PyObject *yf;
-    int err = 0;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    yf = gen->yieldfrom;
-    if (yf) {
-        Py_INCREF(yf);
-        err = __Pyx_Coroutine_CloseIter(gen, yf);
-        __Pyx_Coroutine_Undelegate(gen);
-        Py_DECREF(yf);
-    }
-    if (err == 0)
-        PyErr_SetNone(PyExc_GeneratorExit);
-    result = __Pyx_Coroutine_SendEx(gen, NULL, retval, 1);
-    if (result == PYGEN_ERROR) {
-        __Pyx_PyThreadState_declare
-        __Pyx_PyThreadState_assign
-        __Pyx_Coroutine_unset_is_running(gen);
-        if (!__Pyx_PyErr_Occurred()) {
-            return PYGEN_RETURN;
-        } else if (likely(__Pyx_PyErr_ExceptionMatches2(PyExc_GeneratorExit, PyExc_StopIteration))) {
-            __Pyx_PyErr_Clear();
-            return PYGEN_RETURN;
-        }
-        return PYGEN_ERROR;
-    } else if (likely(result == PYGEN_RETURN && *retval == Py_None)) {
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_RETURN;
-    } else {
-        const char *msg;
-        Py_DECREF(*retval);
-        *retval = NULL;
-        if ((0)) {
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_Coroutine_Check(self)) {
-            msg = "coroutine ignored GeneratorExit";
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        } else if (__Pyx_AsyncGen_CheckExact(self)) {
-            msg = "async generator ignored GeneratorExit";
-        #endif
-        } else {
-            msg = "generator ignored GeneratorExit";
-        }
-        PyErr_SetString(PyExc_RuntimeError, msg);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_ERROR;
-    }
-}
-static PyObject *__Pyx__Coroutine_Throw(PyObject *self, PyObject *typ, PyObject *val, PyObject *tb,
-                                        PyObject *args, int close_on_genexit) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject *yf;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen)))
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    yf = gen->yieldfrom;
-    if (yf) {
-        __Pyx_PySendResult result;
-        PyObject *ret;
-        Py_INCREF(yf);
-        if (__Pyx_PyErr_GivenExceptionMatches(typ, PyExc_GeneratorExit) && close_on_genexit) {
-            int err = __Pyx_Coroutine_CloseIter(gen, yf);
-            Py_DECREF(yf);
-            __Pyx_Coroutine_Undelegate(gen);
-            if (err < 0)
-                goto propagate_exception;
-            goto throw_here;
-        }
-        if (0
-        #ifdef __Pyx_Generator_USED
-            || __Pyx_Generator_CheckExact(yf)
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-            || __Pyx_Coroutine_Check(yf)
-        #endif
-            ) {
-            ret = __Pyx__Coroutine_Throw(yf, typ, val, tb, args, close_on_genexit);
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-            ret = __Pyx__Coroutine_Throw(((__pyx_CoroutineAwaitObject*)yf)->coroutine, typ, val, tb, args, close_on_genexit);
-        #endif
-        } else {
-            PyObject *meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_throw);
-            if (unlikely(!meth)) {
-                Py_DECREF(yf);
-                if (unlikely(PyErr_Occurred())) {
-                    __Pyx_Coroutine_unset_is_running(gen);
-                    return NULL;
-                }
-                __Pyx_Coroutine_Undelegate(gen);
-                goto throw_here;
-            }
-            if (likely(args)) {
-                ret = __Pyx_PyObject_Call(meth, args, NULL);
-            } else {
-                PyObject *cargs[4] = {NULL, typ, val, tb};
-                size_t nargs = 1U + (val != NULL) + (tb != NULL);
-                ret = __Pyx_PyObject_FastCall(meth, cargs+1, nargs | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-            }
-            Py_DECREF(meth);
-        }
-        Py_DECREF(yf);
-        if (ret) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &ret);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, ret, 0);
-    }
-throw_here:
-    __Pyx_Raise(typ, val, tb, NULL);
-propagate_exception:
-    {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, NULL, &retval, 0);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-    }
-}
-static PyObject *__Pyx_Coroutine_Throw(PyObject *self, PyObject *args) {
-    PyObject *typ;
-    PyObject *val = NULL;
-    PyObject *tb = NULL;
-    if (unlikely(!PyArg_UnpackTuple(args, "throw", 1, 3, &typ, &val, &tb)))
-        return NULL;
-    return __Pyx__Coroutine_Throw(self, typ, val, tb, args, 1);
-}
-static CYTHON_INLINE int __Pyx_Coroutine_traverse_excstate(__Pyx_ExcInfoStruct *exc_state, visitproc visit, void *arg) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_VISIT(exc_state->exc_value);
-#else
-    Py_VISIT(exc_state->exc_type);
-    Py_VISIT(exc_state->exc_value);
-    Py_VISIT(exc_state->exc_traceback);
-#endif
-    return 0;
-}
-static int __Pyx_Coroutine_traverse(__pyx_CoroutineObject *gen, visitproc visit, void *arg) {
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)gen, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(gen->closure);
-    Py_VISIT(gen->classobj);
-    Py_VISIT(gen->yieldfrom);
-    return __Pyx_Coroutine_traverse_excstate(&gen->gi_exc_state, visit, arg);
-}
-static int __Pyx_Coroutine_clear(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    Py_CLEAR(gen->closure);
-    Py_CLEAR(gen->classobj);
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_Coroutine_ExceptionClear(&gen->gi_exc_state);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)gen)->ag_finalizer);
-    }
-#endif
-    Py_CLEAR(gen->gi_code);
-    Py_CLEAR(gen->gi_frame);
-    Py_CLEAR(gen->gi_name);
-    Py_CLEAR(gen->gi_qualname);
-    Py_CLEAR(gen->gi_modulename);
-    return 0;
-}
-static void __Pyx_Coroutine_dealloc(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject_GC_UnTrack(gen);
-    #if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    if (gen->gi_weakreflist != NULL)
-    #endif
-        PyObject_ClearWeakRefs(self);
-    if (gen->resume_label >= 0) {
-        PyObject_GC_Track(self);
-#if CYTHON_USE_TP_FINALIZE
-        if (unlikely(PyObject_CallFinalizerFromDealloc(self)))
-#else
-        {
-            destructor del = __Pyx_PyObject_GetSlot(gen, tp_del, destructor);
-            if (del) del(self);
-        }
-        if (unlikely(Py_REFCNT(self) > 0))
-#endif
-        {
-            return;
-        }
-        PyObject_GC_UnTrack(self);
-    }
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        /* We have to handle this case for asynchronous generators
-           right here, because this code has to be between UNTRACK
-           and GC_Del. */
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)self)->ag_finalizer);
-    }
-#endif
-    __Pyx_Coroutine_clear(self);
-    __Pyx_PyHeapTypeObject_GC_Del(gen);
-}
-#if CYTHON_USE_TP_FINALIZE
-static void __Pyx_Coroutine_del(PyObject *self) {
-    PyObject *error_type, *error_value, *error_traceback;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PyThreadState_declare
-    if (gen->resume_label < 0) {
-        return;
-    }
-    __Pyx_PyThreadState_assign
-    __Pyx_ErrFetch(&error_type, &error_value, &error_traceback);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        __pyx_PyAsyncGenObject *agen = (__pyx_PyAsyncGenObject*)self;
-        PyObject *finalizer = agen->ag_finalizer;
-        if (finalizer && !agen->ag_closed) {
-            PyObject *res = __Pyx_PyObject_CallOneArg(finalizer, self);
-            if (unlikely(!res)) {
-                PyErr_WriteUnraisable(self);
-            } else {
-                Py_DECREF(res);
-            }
-            __Pyx_ErrRestore(error_type, error_value, error_traceback);
-            return;
-        }
-    }
-#endif
-    if (unlikely(gen->resume_label == 0 && !error_value)) {
-#ifdef __Pyx_Coroutine_USED
-#ifdef __Pyx_Generator_USED
-    if (!__Pyx_Generator_CheckExact(self))
-#endif
-        {
-        PyObject_GC_UnTrack(self);
-        if (unlikely(PyErr_WarnFormat(PyExc_RuntimeWarning, 1, "coroutine '%.50S' was never awaited", gen->gi_qualname) < 0))
-            PyErr_WriteUnraisable(self);
-        PyObject_GC_Track(self);
-        }
-#endif
-    } else {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_Close(self, &retval);
-        if (result == PYGEN_ERROR) {
-            PyErr_WriteUnraisable(self);
-        } else {
-            Py_XDECREF(retval);
-        }
-    }
-    __Pyx_ErrRestore(error_type, error_value, error_traceback);
-}
-#endif
-static PyObject *
-__Pyx_Coroutine_get_name(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_name;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_name(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_name, value);
-    return 0;
-}
-static PyObject *
-__Pyx_Coroutine_get_qualname(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_qualname;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_qualname(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_qualname, value);
-    return 0;
-}
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx__Coroutine_get_frame_locked(__pyx_CoroutineObject *self) {
-    PyObject *frame;
-    frame = self->gi_frame;
-    if (!frame) {
-        if (unlikely(!self->gi_code)) {
-            Py_RETURN_NONE;
-        }
-        PyObject *globals = PyDict_New();
-        if (unlikely(!globals)) return NULL;
-        frame = (PyObject *) PyFrame_New(
-            PyThreadState_Get(),            /*PyThreadState *tstate,*/
-            (PyCodeObject*) self->gi_code,  /*PyCodeObject *code,*/
-            globals,                        /*PyObject *globals,*/
-            0                               /*PyObject *locals*/
-        );
-        Py_DECREF(globals);
-        if (unlikely(!frame))
-            return NULL;
-        if (unlikely(self->gi_frame)) {
-            Py_DECREF(frame);
-            frame = self->gi_frame;
-        } else {
-            self->gi_frame = frame;
-        }
-    }
-    Py_INCREF(frame);
-    return frame;
-}
-#endif
-static PyObject *
-__Pyx__Coroutine_get_frame(__pyx_CoroutineObject *self)
-{
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *frame;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)self);
-    frame = __Pyx__Coroutine_get_frame_locked(self);
-    __Pyx_END_CRITICAL_SECTION();
-    return frame;
-#else
-    CYTHON_UNUSED_VAR(self);
-    Py_RETURN_NONE;
-#endif
-}
-static PyObject *
-__Pyx_Coroutine_get_frame(__pyx_CoroutineObject *self, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    PyObject *frame = self->gi_frame;
-    if (frame)
-        return __Pyx_NewRef(frame);
-    return __Pyx__Coroutine_get_frame(self);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-            PyTypeObject* type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    __pyx_CoroutineObject *gen = PyObject_GC_New(__pyx_CoroutineObject, type);
-    if (unlikely(!gen))
-        return NULL;
-    return __Pyx__Coroutine_NewInit(gen, body, code, closure, name, qualname, module_name);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    gen->body = body;
-    gen->closure = closure;
-    Py_XINCREF(closure);
-    gen->is_running = 0;
-    gen->resume_label = 0;
-    gen->classobj = NULL;
-    gen->yieldfrom = NULL;
-    gen->yieldfrom_am_send = NULL;
-    #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_exc_state.exc_value = NULL;
-    #else
-    gen->gi_exc_state.exc_type = NULL;
-    gen->gi_exc_state.exc_value = NULL;
-    gen->gi_exc_state.exc_traceback = NULL;
-    #endif
-#if CYTHON_USE_EXC_INFO_STACK
-    gen->gi_exc_state.previous_item = NULL;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_weakreflist = NULL;
-#endif
-    Py_XINCREF(qualname);
-    gen->gi_qualname = qualname;
-    Py_XINCREF(name);
-    gen->gi_name = name;
-    Py_XINCREF(module_name);
-    gen->gi_modulename = module_name;
-    Py_XINCREF(code);
-    gen->gi_code = code;
-    gen->gi_frame = NULL;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    memset(gen->__pyx_pymonitoring_state, 0, sizeof(gen->__pyx_pymonitoring_state));
-    gen->__pyx_pymonitoring_version = 0;
-#endif
-    PyObject_GC_Track(gen);
-    return gen;
-}
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    gen->is_running = 1;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen) {
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    assert(gen->is_running);
-    gen->is_running = 0;
-    __Pyx_END_CRITICAL_SECTION();
-}
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure) {
-    CYTHON_UNUSED_VAR(closure);
-    char result = __Pyx_Coroutine_get_is_running((__pyx_CoroutineObject*)gen);
-    if (result) Py_RETURN_TRUE;
-    else Py_RETURN_FALSE;
-}
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send) {
-    Py_ssize_t ptr_offset = (char*)(type->tp_as_async) - (char*)type;
-    if (ptr_offset < 0 || ptr_offset > type->tp_basicsize) {
-        return;
-    }
-    memcpy((void*)static_amsend_methods, (void*)(type->tp_as_async), sizeof(*type->tp_as_async));
-    static_amsend_methods->am_send = am_send;
-    type->tp_as_async = __Pyx_SlotTpAsAsync(static_amsend_methods);
-}
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg) {
-    CYTHON_UNUSED_VAR(arg);
-    __Pyx_TypeName self_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE((PyObject*)self));
-    PyErr_Format(PyExc_TypeError, "cannot pickle '" __Pyx_FMT_TYPENAME "' object",
-                         self_type_name);
-    __Pyx_DECREF_TypeName(self_type_name);
-    return NULL;
-}
-
-/* Generator */
-static PyMethodDef __pyx_Generator_methods[] = {
-    {"send", (PyCFunction) __Pyx_Coroutine_Send, METH_O,
-     PyDoc_STR("send(arg) -> send 'arg' into generator,\nreturn next yielded value or raise StopIteration.")},
-    {"throw", (PyCFunction) __Pyx_Coroutine_Throw, METH_VARARGS,
-     PyDoc_STR("throw(typ[,val[,tb]]) -> raise exception in generator,\nreturn next yielded value or raise StopIteration.")},
-    {"close", (PyCFunction) __Pyx_Coroutine_Close_Method, METH_NOARGS,
-     PyDoc_STR("close() -> raise GeneratorExit inside generator.")},
-    {"__reduce_ex__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_O, 0},
-    {"__reduce__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_NOARGS, 0},
-    {0, 0, 0, 0}
-};
-static PyMemberDef __pyx_Generator_memberlist[] = {
-    {"gi_yieldfrom", T_OBJECT, offsetof(__pyx_CoroutineObject, yieldfrom), READONLY,
-     PyDoc_STR("object being iterated by 'yield from', or None")},
-    {"gi_code", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_code), READONLY, NULL},
-    {"__module__", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_modulename), 0, 0},
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CoroutineObject, gi_weakreflist), READONLY, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyGetSetDef __pyx_Generator_getsets[] = {
-    {"__name__", (getter)__Pyx_Coroutine_get_name, (setter)__Pyx_Coroutine_set_name,
-     PyDoc_STR("name of the generator"), 0},
-    {"__qualname__", (getter)__Pyx_Coroutine_get_qualname, (setter)__Pyx_Coroutine_set_qualname,
-     PyDoc_STR("qualified name of the generator"), 0},
-    {"gi_frame", (getter)__Pyx_Coroutine_get_frame, NULL,
-     PyDoc_STR("Frame of the generator"), 0},
-    {"gi_running", __Pyx_Coroutine_get_is_running_getter, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_GeneratorType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_Coroutine_dealloc},
-    {Py_tp_traverse, (void *)__Pyx_Coroutine_traverse},
-    {Py_tp_iter, (void *)PyObject_SelfIter},
-    {Py_tp_iternext, (void *)__Pyx_Generator_Next},
-    {Py_tp_methods, (void *)__pyx_Generator_methods},
-    {Py_tp_members, (void *)__pyx_Generator_memberlist},
-    {Py_tp_getset, (void *)__pyx_Generator_getsets},
-    {Py_tp_getattro, (void *) PyObject_GenericGetAttr},
-#if CYTHON_USE_TP_FINALIZE
-    {Py_tp_finalize, (void *)__Pyx_Coroutine_del},
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    {Py_am_send, (void *)__Pyx_Coroutine_AmSend},
-#endif
-    {0, 0},
-};
-static PyType_Spec __pyx_GeneratorType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "generator",
-    sizeof(__pyx_CoroutineObject),
-    0,
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_WEAKREF |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | __Pyx_TPFLAGS_HAVE_AM_SEND,
-    __pyx_GeneratorType_slots
-};
-#if __PYX_HAS_PY_AM_SEND == 2
-static __Pyx_PyAsyncMethodsStruct __pyx_Generator_as_async;
-#endif
-static int __pyx_Generator_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_GeneratorType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_GeneratorType_spec, NULL);
-    if (unlikely(!mstate->__pyx_GeneratorType)) {
-        return -1;
-    }
-#if __PYX_HAS_PY_AM_SEND == 2
-    __Pyx_SetBackportTypeAmSend(mstate->__pyx_GeneratorType, &__pyx_Generator_as_async, &__Pyx_Coroutine_AmSend);
-#endif
-    return 0;
-}
-static PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    PyObject *retval = NULL;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    __Pyx_Coroutine_unset_is_running(gen);
-    (void) result;
-    assert (result == PYGEN_RETURN || result == PYGEN_ERROR);
-    assert ((result == PYGEN_RETURN && retval != NULL) || (result == PYGEN_ERROR && retval == NULL));
-    return retval;
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
+#include <limits.h>
+#include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
+
+#define MAXN 64
+/* A refinement appends at most 2 * (MAXN - 1) fragments to its queue. */
+#define QCAP 256
+#define MODE_ALL 0
+#define MODE_TRIANGLE_FREE 1
+/* augment refuses parents with 2^n subsets or more past this order. */
+#define AUGMENT_MAXN 22
+
+typedef uint64_t u64;
+
+#define BIT(v) ((u64)1 << (v))
+
+static PyObject *BudgetExceeded;
+
+static inline int popcnt64(u64 x) { return __builtin_popcountll(x); }
+static inline int ctz64(u64 x) { return __builtin_ctzll(x); }
+
+static inline u64
+full_mask(int n)
+{
+    return n == 64 ? ~(u64)0 : BIT(n) - 1;
+}
+
+
+/* ------------------------------------------------------------------------
+ * Arguments.
+ * --------------------------------------------------------------------- */
+
+static int
+check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
+{
+    if (nargs >= lo && nargs <= hi)
+        return 0;
+    if (lo == hi)
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments (%zd given)",
+                     name, lo, nargs);
+    else
+        PyErr_Format(PyExc_TypeError,
+                     "%s() takes %zd to %zd positional arguments (%zd given)",
+                     name, lo, hi, nargs);
+    return -1;
+}
+
+static int
+arg_int(PyObject *obj, int *out)
+{
+    long v = PyLong_AsLong(obj);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (v < INT_MIN || v > INT_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "value too large to convert to int");
         return -1;
     }
-    return (Py_ssize_t) len;
+    *out = (int)v;
+    return 0;
 }
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
+
+/* Masks must be ints: converting one then runs no Python code that could
+   change the sequence it is read from. */
+static int
+arg_u64(PyObject *obj, u64 *out)
+{
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "masks must be int, not %.100s", Py_TYPE(obj)->tp_name);
+        return -1;
     }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
+    *out = PyLong_AsUnsignedLongLong(obj);
+    return *out == (u64)-1 && PyErr_Occurred() ? -1 : 0;
 }
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
+
+/* Raises BudgetExceeded(message, count), consuming both references; NULL
+   for either means its exception is already set. */
+static PyObject *
+budget_exceeded(PyObject *message, PyObject *count)
+{
+    if (message != NULL && count != NULL) {
+        PyObject *exc = PyObject_CallFunctionObjArgs(BudgetExceeded, message, count, NULL);
+        if (exc != NULL) {
+            PyErr_SetObject(BudgetExceeded, exc);
+            Py_DECREF(exc);
         }
     }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
+    Py_XDECREF(message);
+    Py_XDECREF(count);
     return NULL;
 }
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
+
+/* n from args[0] and its n masks from args[1], range-checked as in
+   _purecore._check_graph: a bit past n would index a row never set. */
+static int
+arg_graph(PyObject *const *args, int *n, u64 *adj)
+{
+    int overflow;
+    long v = PyLong_AsLongAndOverflow(args[0], &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || v < 0 || v > MAXN) {
+        PyErr_Format(PyExc_ValueError, "n must be in 0..%d, got %S", MAXN, args[0]);
+        return -1;
     }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
+    PyObject *seq = PySequence_Fast(args[1], "adj must be a sequence");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
+    if (len != v) {
+        PyErr_Format(PyExc_ValueError, "adj has %zd rows, expected n = %ld", len, v);
+        Py_DECREF(seq);
+        return -1;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    u64 outside = ~full_mask((int)v);
+    for (Py_ssize_t i = 0; i < len; i++) {
+        int bad = arg_u64(items[i], &adj[i]) < 0;
+        if (bad && !PyErr_ExceptionMatches(PyExc_OverflowError)) {
+            Py_DECREF(seq);
+            return -1;
+        }
+        if (bad || adj[i] & outside) {
+            PyErr_Format(PyExc_ValueError, "adj[%zd] = %S is not a mask of vertices 0..%ld",
+                         i, items[i], v - 1);
+            Py_DECREF(seq);
+            return -1;
+        }
+    }
+    Py_DECREF(seq);
+    *n = (int)v;
+    return 0;
 }
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
+
+static PyObject *
+tuple_u64(const u64 *a, int n)
+{
+    PyObject *t = PyTuple_New(n);
+    if (t == NULL)
+        return NULL;
+    for (int i = 0; i < n; i++) {
+        PyObject *v = PyLong_FromUnsignedLongLong(a[i]);
+        if (v == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, v);
+    }
+    return t;
 }
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
+
+static PyObject *
+list_int(const int *a, int n)
+{
+    PyObject *l = PyList_New(n);
+    if (l == NULL)
+        return NULL;
+    for (int i = 0; i < n; i++) {
+        PyObject *v = PyLong_FromLong(a[i]);
+        if (v == NULL) {
+            Py_DECREF(l);
+            return NULL;
+        }
+        PyList_SET_ITEM(l, i, v);
+    }
+    return l;
 }
 
 
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
+/* ------------------------------------------------------------------------
+ * Canonical labelling: individualization and equitable refinement.
+ * --------------------------------------------------------------------- */
+
 typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
+    int n;
+    const u64 *adj;
+    u64 best_cert[MAXN];
+    int best_pos[MAXN];
+    int has_best;
+    u64 first_cert[MAXN];
+    int first_pos[MAXN];
+    int has_first;
+    int *gens;          /* flattened permutations, gens[g * MAXN + v] */
+    int ngens;
+    int gens_cap;
+    int overflow;
+    int fixed[MAXN];
+    int nfixed;
+    int first_seq[MAXN];
+    int first_len;
+} CState;
+
+static void
+refine(const u64 *adj, u64 *cells, int *pncells, u64 *queue, int qlen)
+{
+    int qi = 0, ncells = *pncells;
+    u64 bucket[MAXN + 1];
+    while (qi < qlen) {
+        u64 splitter = queue[qi++];
+        for (int i = 0; i < ncells; i++) {
+            u64 cell = cells[i];
+            if (popcnt64(cell) <= 1)
+                continue;
+            int dmin = MAXN + 1, dmax = -1;
+            for (u64 m = cell; m; m &= m - 1) {
+                int d = popcnt64(adj[ctz64(m)] & splitter);
+                if (d < dmin)
+                    dmin = d;
+                if (d > dmax)
+                    dmax = d;
+            }
+            if (dmax == dmin)
+                continue;
+            for (int d = dmin; d <= dmax; d++)
+                bucket[d] = 0;
+            for (u64 m = cell; m; m &= m - 1) {
+                int v = ctz64(m);
+                bucket[popcnt64(adj[v] & splitter)] |= BIT(v);
+            }
+            int nfrag = 0;
+            for (int d = dmin; d <= dmax; d++)
+                if (bucket[d])
+                    nfrag++;
+            for (int j = ncells - 1; j > i; j--)
+                cells[j + nfrag - 1] = cells[j];
+            int j = i;
+            for (int d = dmin; d <= dmax; d++) {
+                if (bucket[d]) {
+                    cells[j++] = bucket[d];
+                    queue[qlen++] = bucket[d];
+                }
+            }
+            ncells += nfrag - 1;
+            i += nfrag - 1;
         }
     }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
+    *pncells = ncells;
 }
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
+
+/* Returns an unwind depth, or n + 1 for none.  A leaf matching the first
+   leaf's certificate yields an automorphism mapping this branch onto the
+   first path at their first divergence; the jump target is verified
+   explicitly before use, never assumed. */
+static int
+leaf(CState *st, const u64 *cells, int ncells)
+{
+    int n = st->n, unwind = n + 1;
+    int pos[MAXN], inv_first[MAXN], perm[MAXN];
+    u64 cert[MAXN];
+    for (int p = 0; p < ncells; p++)
+        pos[ctz64(cells[p])] = p;
+    for (int v = 0; v < n; v++) {
+        u64 row = 0;
+        for (u64 m = st->adj[v]; m; m &= m - 1)
+            row |= BIT(pos[ctz64(m)]);
+        cert[pos[v]] = row;
+    }
+    if (!st->has_first) {
+        st->has_first = 1;
+        memcpy(st->first_cert, cert, n * sizeof(u64));
+        memcpy(st->first_pos, pos, n * sizeof(int));
+        memcpy(st->first_seq, st->fixed, st->nfixed * sizeof(int));
+        st->first_len = st->nfixed;
+    } else if (memcmp(cert, st->first_cert, n * sizeof(u64)) == 0) {
+        int is_id = 1;
+        for (int v = 0; v < n; v++)
+            inv_first[st->first_pos[v]] = v;
+        for (int v = 0; v < n; v++) {
+            perm[v] = inv_first[pos[v]];
+            if (perm[v] != v)
+                is_id = 0;
+        }
+        if (!is_id) {
+            if (st->ngens >= st->gens_cap) {
+                st->overflow = 1;
+            } else {
+                memcpy(st->gens + st->ngens * MAXN, perm, n * sizeof(int));
+                st->ngens++;
+            }
+            if (st->nfixed == st->first_len) {
+                int d = -1;
+                for (int i = 0; i < st->nfixed; i++) {
+                    if (st->fixed[i] != st->first_seq[i]) {
+                        d = i;
+                        break;
+                    }
+                }
+                if (d >= 0 && perm[st->fixed[d]] == st->first_seq[d]) {
+                    int ok = 1;
+                    for (int i = 0; i < d; i++) {
+                        if (perm[st->fixed[i]] != st->fixed[i]) {
+                            ok = 0;
+                            break;
+                        }
+                    }
+                    if (ok)
+                        unwind = d;
+                }
             }
         }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
     }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
+    int better = !st->has_best;
+    for (int i = 0; !better && i < n; i++) {
+        if (cert[i] != st->best_cert[i]) {
+            better = cert[i] < st->best_cert[i];
+            break;
         }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
     }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
+    if (better) {
+        st->has_best = 1;
+        memcpy(st->best_cert, cert, n * sizeof(u64));
+        memcpy(st->best_pos, pos, n * sizeof(int));
+    }
+    return unwind;
+}
+
+static inline int
+uf_find(int *rep, int x)
+{
+    int root = x;
+    while (rep[root] != root)
+        root = rep[root];
+    while (rep[x] != root) {
+        int t = rep[x];
+        rep[x] = root;
+        x = t;
+    }
+    return root;
+}
+
+/* rep[v] = least vertex in v's orbit under the generators fixing
+   fixed[0..nfixed). */
+static void
+orbit_reps_fixing(const CState *st, int nfixed, int *rep)
+{
+    int n = st->n;
+    for (int v = 0; v < n; v++)
+        rep[v] = v;
+    for (int gi = 0; gi < st->ngens; gi++) {
+        const int *g = st->gens + gi * MAXN;
+        int ok = 1;
+        for (int t = 0; t < nfixed; t++) {
+            if (g[st->fixed[t]] != st->fixed[t]) {
+                ok = 0;
+                break;
+            }
         }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
+        if (!ok)
+            continue;
+        for (int v = 0; v < n; v++) {
+            int a = uf_find(rep, v), b = uf_find(rep, g[v]);
+            if (a < b)
+                rep[b] = a;
+            else if (b < a)
+                rep[a] = b;
+        }
     }
+    for (int v = 0; v < n; v++)
+        rep[v] = uf_find(rep, v);
 }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
+
+static int
+search(CState *st, const u64 *cells, int ncells)
+{
+    int n = st->n, depth = st->nfixed;
+    int target = -1, tsize = MAXN + 1, ntried = 0;
+    u64 child[MAXN], queue[QCAP];
+    int tried[MAXN], rep[MAXN];
+    for (int i = 0; i < ncells; i++) {
+        int sz = popcnt64(cells[i]);
+        if (sz > 1 && sz < tsize) {
+            tsize = sz;
+            target = i;
+        }
     }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
+    if (target < 0)
+        return leaf(st, cells, ncells);
+    u64 cell = cells[target];
+    for (u64 m = cell; m; m &= m - 1) {
+        int u = ctz64(m);
+        u64 bit = BIT(u);
+        if (ntried) {
+            int skip = 0;
+            orbit_reps_fixing(st, st->nfixed, rep);
+            for (int t = 0; t < ntried; t++) {
+                if (rep[u] == rep[tried[t]]) {
+                    skip = 1;
+                    break;
+                }
+            }
+            if (skip) {
+                tried[ntried++] = u;
+                continue;
+            }
+        }
+        memcpy(child, cells, target * sizeof(u64));
+        child[target] = bit;
+        child[target + 1] = cell ^ bit;
+        memcpy(child + target + 2, cells + target + 1,
+               (ncells - target - 1) * sizeof(u64));
+        int nc2 = ncells + 1;
+        queue[0] = bit;
+        queue[1] = cell ^ bit;
+        refine(st->adj, child, &nc2, queue, 2);
+        st->fixed[st->nfixed++] = u;
+        int r = search(st, child, nc2);
+        st->nfixed--;
+        tried[ntried++] = u;
+        if (r < depth)
+            return r;
+    }
+    return n + 1;
+}
+
+/* One search with n >= 1; returns 1 when the generator buffer overflowed. */
+static int
+canon_core(CState *st, int n, const u64 *adj)
+{
+    u64 cells[MAXN], queue[QCAP];
+    int ncells = 1;
+    st->n = n;
+    st->adj = adj;
+    st->has_best = 0;
+    st->has_first = 0;
+    st->ngens = 0;
+    st->overflow = 0;
+    st->nfixed = 0;
+    cells[0] = full_mask(n);
+    queue[0] = cells[0];
+    refine(adj, cells, &ncells, queue, 1);
+    search(st, cells, ncells);
+    return st->overflow;
+}
+
+/* Runs the search, growing the generator buffer on overflow.  st->gens
+   starts NULL and stays owned by the caller, who frees it (also after a
+   failure) and may reuse it for further searches. */
+static int
+canon_run(CState *st, int n, const u64 *adj)
+{
+    if (st->gens == NULL) {
+        st->gens_cap = 128;
+        st->gens = malloc((size_t)st->gens_cap * MAXN * sizeof(int));
+        if (st->gens == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
+    }
+    while (canon_core(st, n, adj)) {
+        free(st->gens);
+        st->gens_cap *= 2;
+        st->gens = malloc((size_t)st->gens_cap * MAXN * sizeof(int));
+        if (st->gens == NULL) {
+            PyErr_NoMemory();
+            return -1;
         }
-        new_data->allocated = to_allocate;
     }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
     return 0;
 }
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
+
+PyDoc_STRVAR(canon_doc,
+"canon(n, adj) -> (cert, pos, orbit, gens), exactly as _purecore.canon.");
+
+static PyObject *
+py_canon(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, rep[MAXN];
+    u64 adj[MAXN];
+    CState st;
+    if (check_nargs("canon", nargs, 2, 2) < 0 || arg_graph(args, &n, adj) < 0)
+        return NULL;
+    if (n == 0)
+        return Py_BuildValue("(()[][][])");
+    st.gens = NULL;
+    if (canon_run(&st, n, adj) < 0) {
+        free(st.gens);
+        return NULL;
     }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
+    orbit_reps_fixing(&st, 0, rep);
+    PyObject *cert = tuple_u64(st.best_cert, n);
+    PyObject *pos = list_int(st.best_pos, n);
+    PyObject *orbit = list_int(rep, n);
+    PyObject *gens = PyList_New(st.ngens);
+    PyObject *result = NULL;
+    if (cert == NULL || pos == NULL || orbit == NULL || gens == NULL)
+        goto done;
+    for (int gi = 0; gi < st.ngens; gi++) {
+        PyObject *g = list_int(st.gens + gi * MAXN, n);
+        if (g == NULL)
+            goto done;
+        PyList_SET_ITEM(gens, gi, g);
     }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
+    result = PyTuple_Pack(4, cert, pos, orbit, gens);
+done:
+    free(st.gens);
+    Py_XDECREF(cert);
+    Py_XDECREF(pos);
+    Py_XDECREF(orbit);
+    Py_XDECREF(gens);
     return result;
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
+
+
+/* ------------------------------------------------------------------------
+ * Cliques: maximum clique, maximal clique enumeration, clique cover.
+ * --------------------------------------------------------------------- */
+
+typedef struct {
+    u64 adj[MAXN];
+    int best;
+} CliqueCtx;
+
+/* Greedy-colouring branch and bound. */
+static void
+mc_expand(CliqueCtx *cc, int size, u64 pool)
+{
+    int order[MAXN], bounds[MAXN], cnt = 0, colour = 0;
+    u64 remaining = pool;
+    while (remaining) {
+        colour++;
+        u64 avail = remaining;
+        while (avail) {
+            int v = ctz64(avail);
+            order[cnt] = v;
+            bounds[cnt++] = colour;
+            avail &= ~cc->adj[v] & ~BIT(v);
+            remaining &= ~BIT(v);
         }
-        goto done;
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
+    for (int i = cnt - 1; i >= 0; i--) {
+        if (size + bounds[i] <= cc->best)
+            return;
+        int v = order[i];
+        u64 nxt = pool & cc->adj[v];
+        if (nxt)
+            mc_expand(cc, size + 1, nxt);
+        else if (size + 1 > cc->best)
+            cc->best = size + 1;
+        pool &= ~BIT(v);
+    }
+}
+
+PyDoc_STRVAR(max_clique_doc,
+"max_clique(n, adj, lb=0) -> clique number, or lb when no clique beats it.");
+
+static PyObject *
+py_max_clique(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, lb = 0;
+    CliqueCtx cc;
+    if (check_nargs("max_clique", nargs, 2, 3) < 0 || arg_graph(args, &n, cc.adj) < 0
+        || (nargs > 2 && arg_int(args[2], &lb) < 0))
+        return NULL;
+    if (n == 0)
+        return PyLong_FromLong(0);
+    cc.best = lb;
+    mc_expand(&cc, 0, full_mask(n));
+    return PyLong_FromLong(cc.best);
+}
+
+typedef struct {
+    const u64 *adj;
+    u64 *out;
+    Py_ssize_t nout;
+    Py_ssize_t cap;
+} BKCtx;
+
+/* Bron-Kerbosch with the max-degree pivot; -1 with MemoryError set. */
+static int
+bk(BKCtx *b, u64 r, u64 p, u64 x)
+{
+    if (p == 0 && x == 0) {
+        if (b->nout >= b->cap) {
+            u64 *grown = realloc(b->out, 2 * b->cap * sizeof(u64));
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            b->out = grown;
+            b->cap *= 2;
+        }
+        b->out[b->nout++] = r;
+        return 0;
+    }
+    int pivot = -1, pivot_cnt = -1;
+    for (u64 m = p | x; m; m &= m - 1) {
+        int u = ctz64(m);
+        int c = popcnt64(p & b->adj[u]);
+        if (c > pivot_cnt) {
+            pivot_cnt = c;
+            pivot = u;
         }
     }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
+    for (u64 cand = p & ~b->adj[pivot]; cand; cand &= cand - 1) {
+        int v = ctz64(cand);
+        if (bk(b, r | BIT(v), p & b->adj[v], x & b->adj[v]) < 0)
+            return -1;
+        p &= ~BIT(v);
+        x |= BIT(v);
     }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
     return 0;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+/* All maximal cliques of a graph with n >= 1 into b->out, which the
+   caller frees (also after a failure). */
+static int
+maximal_cliques_c(BKCtx *b, int n, const u64 *adj)
+{
+    b->adj = adj;
+    b->nout = 0;
+    b->cap = 64;
+    b->out = malloc(b->cap * sizeof(u64));
+    if (b->out == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return bk(b, 0, full_mask(n), 0);
+}
+
+PyDoc_STRVAR(maximal_cliques_doc,
+"maximal_cliques(n, adj) -> every maximal clique as a mask, in search order.");
+
+static PyObject *
+py_maximal_cliques(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n;
+    u64 adj[MAXN];
+    BKCtx b;
+    if (check_nargs("maximal_cliques", nargs, 2, 2) < 0 || arg_graph(args, &n, adj) < 0)
+        return NULL;
+    if (n == 0)
+        return PyList_New(0);
+    PyObject *result = NULL;
+    if (maximal_cliques_c(&b, n, adj) == 0 && (result = PyList_New(b.nout)) != NULL) {
+        for (Py_ssize_t i = 0; i < b.nout; i++) {
+            PyObject *v = PyLong_FromUnsignedLongLong(b.out[i]);
+            if (v == NULL) {
+                Py_CLEAR(result);
+                break;
+            }
+            PyList_SET_ITEM(result, i, v);
+        }
+    }
+    free(b.out);
+    return result;
+}
+
+static int
+greedy_indep(const u64 *adj, u64 mask)
+{
+    int cnt = 0;
+    while (mask) {
+        int v = ctz64(mask);
+        cnt++;
+        mask &= ~adj[v] & ~BIT(v);
+    }
+    return cnt;
+}
+
+typedef struct {
+    const u64 *adj;
+    u64 full;
+    const u64 *cliques;
+    const int *member;  /* clique indices per vertex, member_off-delimited */
+    int member_off[MAXN + 1];
+    int best;
+    int lb;
+} CoverCtx;
+
+static void
+cover_search(CoverCtx *ct, u64 covered, int used)
+{
+    if (covered == ct->full) {
+        if (used < ct->best)
+            ct->best = used;
+        return;
+    }
+    u64 rem = ct->full & ~covered;
+    if (used + greedy_indep(ct->adj, rem) >= ct->best)
+        return;
+    int branch_v = -1, branch_opts = INT_MAX;
+    for (u64 m = rem; m; m &= m - 1) {
+        int v = ctz64(m);
+        int c = ct->member_off[v + 1] - ct->member_off[v];
+        if (c < branch_opts) {
+            branch_opts = c;
+            branch_v = v;
+        }
+    }
+    for (int i = ct->member_off[branch_v]; i < ct->member_off[branch_v + 1]; i++) {
+        cover_search(ct, covered | ct->cliques[ct->member[i]], used + 1);
+        if (ct->best <= ct->lb)
+            return;
+    }
+}
+
+PyDoc_STRVAR(clique_cover_doc,
+"clique_cover(n, adj, lb=0) -> exact clique cover number.\n\n"
+"Branch and bound over the maximal cliques, seeded with a greedy cover;\n"
+"lb is a known lower bound that lets the search stop early.");
+
+static PyObject *
+py_clique_cover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, lb = 0, counts[MAXN];
+    u64 adj[MAXN];
+    BKCtx b;
+    CoverCtx ct;
+    int *member = NULL;
+    if (check_nargs("clique_cover", nargs, 2, 3) < 0 || arg_graph(args, &n, adj) < 0
+        || (nargs > 2 && arg_int(args[2], &lb) < 0))
+        return NULL;
+    if (n == 0)
+        return PyLong_FromLong(0);
+    if (maximal_cliques_c(&b, n, adj) < 0) {
+        free(b.out);
+        return NULL;
+    }
+    memset(counts, 0, sizeof counts);
+    for (Py_ssize_t ci = 0; ci < b.nout; ci++)
+        for (u64 m = b.out[ci]; m; m &= m - 1)
+            counts[ctz64(m)]++;
+    ct.member_off[0] = 0;
+    for (int v = 0; v < n; v++)
+        ct.member_off[v + 1] = ct.member_off[v] + counts[v];
+    member = malloc(ct.member_off[n] * sizeof(int));
+    if (member == NULL) {
+        free(b.out);
+        return PyErr_NoMemory();
+    }
+    memset(counts, 0, sizeof counts);
+    for (Py_ssize_t ci = 0; ci < b.nout; ci++) {
+        for (u64 m = b.out[ci]; m; m &= m - 1) {
+            int v = ctz64(m);
+            member[ct.member_off[v] + counts[v]++] = (int)ci;
+        }
+    }
+    ct.adj = adj;
+    ct.full = full_mask(n);
+    ct.cliques = b.out;
+    ct.member = member;
+    u64 covered = 0;
+    int ub = 0;
+    while (covered != ct.full) {
+        u64 bestc = 0;
+        for (Py_ssize_t ci = 0; ci < b.nout; ci++)
+            if (popcnt64(b.out[ci] & ~covered) > popcnt64(bestc & ~covered))
+                bestc = b.out[ci];
+        covered |= bestc;
+        ub++;
+    }
+    ct.best = ub;
+    ct.lb = lb;
+    int gi_lb = greedy_indep(adj, ct.full);
+    if (gi_lb > ct.lb)
+        ct.lb = gi_lb;
+    if (ct.best > ct.lb)
+        cover_search(&ct, 0, 0);
+    free(member);
+    free(b.out);
+    return PyLong_FromLong(ct.best);
+}
 
 
+/* ------------------------------------------------------------------------
+ * Dominating sets and the eternal-domination fixpoint.
+ * --------------------------------------------------------------------- */
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+typedef struct {
+    u64 closed[MAXN];
+    u64 suffix[MAXN + 1];
+    u64 full;
+    int n;
+} DomCtx;
+
+static void
+dom_init(DomCtx *dc, int n, const u64 *adj)
+{
+    dc->n = n;
+    dc->full = full_mask(n);
+    for (int i = 0; i < n; i++)
+        dc->closed[i] = adj[i] | BIT(i);
+    dc->suffix[n] = 0;
+    for (int i = n - 1; i >= 0; i--)
+        dc->suffix[i] = dc->suffix[i + 1] | dc->closed[i];
+}
+
+/* Counts every dominating set with `left` more vertices taken from i..n-1
+   and appends the first `cap` of them to out; -1 with an exception set. */
+static int
+dom_enum(const DomCtx *dc, int i, int left, u64 cov, u64 cur, PyObject *out,
+         long long *count, long long cap)
+{
+    if ((cov | dc->suffix[i]) != dc->full)
+        return 0;
+    if (left == 0) {
+        if (cov == dc->full && ++*count <= cap) {
+            PyObject *v = PyLong_FromUnsignedLongLong(cur);
+            if (v == NULL)
+                return -1;
+            int rc = PyList_Append(out, v);
+            Py_DECREF(v);
+            return rc;
+        }
+        return 0;
+    }
+    if (dc->n - i < left)
+        return 0;
+    if (dom_enum(dc, i + 1, left - 1, cov | dc->closed[i], cur | BIT(i), out, count, cap) < 0)
+        return -1;
+    return dom_enum(dc, i + 1, left, cov, cur, out, count, cap);
+}
+
+PyDoc_STRVAR(dominating_sets_doc,
+"dominating_sets(n, adj, k, cap) -> every dominating k-set as a mask, sorted.\n\n"
+"Raises BudgetExceeded, carrying the full count, when there are more than cap.");
+
+static PyObject *
+py_dominating_sets(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, k;
+    long long cap, count = 0;
+    u64 adj[MAXN];
+    DomCtx dc;
+    if (check_nargs("dominating_sets", nargs, 4, 4) < 0 || arg_graph(args, &n, adj) < 0
+        || arg_int(args[2], &k) < 0)
+        return NULL;
+    cap = PyLong_AsLongLong(args[3]);
+    if (cap == -1 && PyErr_Occurred())
+        return NULL;
+    if (k < 0) {
+        PyErr_Format(PyExc_ValueError, "k must be >= 0, got %d", k);
+        return NULL;
+    }
+    if (n == 0)
+        return PyList_New(0);
+    dom_init(&dc, n, adj);
+    PyObject *out = PyList_New(0);
+    if (out == NULL)
+        return NULL;
+    if (dom_enum(&dc, 0, k, 0, 0, out, &count, cap) < 0) {
+        Py_DECREF(out);
+        return NULL;
+    }
+    if (count > cap) {
+        Py_DECREF(out);
+        return budget_exceeded(
+            PyUnicode_FromFormat("%lld dominating %d-sets exceed the configured cap %lld",
+                                 count, k, cap),
+            PyLong_FromLongLong(count));
+    }
+    if (PyList_Sort(out) < 0) {
+        Py_DECREF(out);
+        return NULL;
+    }
+    return out;
+}
+
+static int
+dom_exists(const DomCtx *dc, int i, int left, u64 cov)
+{
+    if (cov == dc->full)
+        return 1;
+    if (left == 0 || (cov | dc->suffix[i]) != dc->full || dc->n - i < left)
+        return 0;
+    return dom_exists(dc, i + 1, left - 1, cov | dc->closed[i])
+        || dom_exists(dc, i + 1, left, cov);
+}
+
+PyDoc_STRVAR(domination_number_doc,
+"domination_number(n, adj) -> size of a minimum dominating set.");
+
+static PyObject *
+py_domination_number(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, maxc = 0;
+    u64 adj[MAXN];
+    DomCtx dc;
+    if (check_nargs("domination_number", nargs, 2, 2) < 0 || arg_graph(args, &n, adj) < 0)
+        return NULL;
+    if (n == 0)
+        return PyLong_FromLong(0);
+    dom_init(&dc, n, adj);
+    for (int i = 0; i < n; i++)
+        if (popcnt64(dc.closed[i]) > maxc)
+            maxc = popcnt64(dc.closed[i]);
+    int k = (n + maxc - 1) / maxc;
+    while (!dom_exists(&dc, 0, k, 0))
+        k++;
+    return PyLong_FromLong(k);
+}
+
+#define HASH_MUL 0x9E3779B97F4A7C15ULL
+
+static inline long long
+ht_lookup(const u64 *keys, const long long *table, long long tmask, u64 x)
+{
+    long long slot = (long long)((x * HASH_MUL) & (u64)tmask);
+    for (;;) {
+        long long idx = table[slot];
+        if (idx == -1 || keys[idx] == x)
+            return idx;
+        slot = (slot + 1) & tmask;
+    }
+}
+
+/* Worklist deletion over the configuration digraph: keys[0..m) are the
+   configurations, alive[] is set to the greatest surviving subset. */
+static void
+fixpoint(int n, const u64 *adj, const u64 *keys, long long m, const long long *table,
+         long long tmask, short *counts, char *alive, long long *dead)
+{
+    u64 full = full_mask(n);
+    long long ndead = 0;
+    for (long long ci = 0; ci < m; ci++) {
+        u64 xmask = keys[ci];
+        int ok = 1;
+        alive[ci] = 1;
+        for (u64 am = full & ~xmask; am; am &= am - 1) {
+            int x = ctz64(am), c = 0;
+            for (u64 wm = adj[x] & xmask; wm; wm &= wm - 1)
+                if (ht_lookup(keys, table, tmask, (xmask ^ BIT(ctz64(wm))) | BIT(x)) >= 0)
+                    c++;
+            counts[ci * n + x] = (short)c;
+            if (c == 0)
+                ok = 0;
+        }
+        if (!ok) {
+            alive[ci] = 0;
+            dead[ndead++] = ci;
+        }
+    }
+    while (ndead > 0) {
+        u64 ymask = keys[dead[--ndead]];
+        for (u64 am = ymask; am; am &= am - 1) {
+            int v = ctz64(am);
+            u64 rest = ymask ^ BIT(v);
+            for (u64 wm = adj[v] & ~ymask; wm; wm &= wm - 1) {
+                long long xi = ht_lookup(keys, table, tmask, rest | BIT(ctz64(wm)));
+                if (xi >= 0 && alive[xi] && --counts[xi * n + v] == 0) {
+                    alive[xi] = 0;
+                    dead[ndead++] = xi;
+                }
+            }
+        }
+    }
+}
+
+PyDoc_STRVAR(eternal_fixpoint_doc,
+"eternal_fixpoint(n, adj, k, configs) -> the surviving configurations.\n\n"
+"configs holds the sorted dominating k-set masks; the result keeps the\n"
+"greatest subset closed under defending every attack, in input order.");
+
+static PyObject *
+py_eternal_fixpoint(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, k;
+    u64 adj[MAXN];
+    if (check_nargs("eternal_fixpoint", nargs, 4, 4) < 0 || arg_graph(args, &n, adj) < 0
+        || arg_int(args[2], &k) < 0)
+        return NULL;
+    PyObject *seq = PySequence_Fast(args[3], "configs must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    long long m = PySequence_Fast_GET_SIZE(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    if (m == 0 || k >= n) {
+        PyObject *all = PyList_New(m);
+        if (all != NULL) {
+            for (long long ci = 0; ci < m; ci++) {
+                Py_INCREF(items[ci]);
+                PyList_SET_ITEM(all, ci, items[ci]);
+            }
+        }
+        Py_DECREF(seq);
+        return all;
+    }
+    long long tsize = 1;
+    while (tsize < 2 * m)
+        tsize <<= 1;
+    u64 *keys = malloc(m * sizeof(u64));
+    long long *table = malloc(tsize * sizeof(long long));
+    short *counts = malloc((size_t)m * n * sizeof(short));
+    char *alive = malloc(m);
+    long long *dead = malloc(m * sizeof(long long));
+    PyObject *result = NULL;
+    if (keys == NULL || table == NULL || counts == NULL || alive == NULL || dead == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (long long ci = 0; ci < m; ci++)
+        if (arg_u64(items[ci], &keys[ci]) < 0)
+            goto done;
+    memset(table, 0xff, tsize * sizeof(long long));
+    for (long long ci = 0; ci < m; ci++) {
+        long long slot = (long long)((keys[ci] * HASH_MUL) & (u64)(tsize - 1));
+        while (table[slot] != -1)
+            slot = (slot + 1) & (tsize - 1);
+        table[slot] = ci;
+    }
+    fixpoint(n, adj, keys, m, table, tsize - 1, counts, alive, dead);
+    if ((result = PyList_New(0)) == NULL)
+        goto done;
+    for (long long ci = 0; ci < m; ci++) {
+        if (alive[ci] && PyList_Append(result, items[ci]) < 0) {
+            Py_CLEAR(result);
+            break;
+        }
+    }
+done:
+    free(keys);
+    free(table);
+    free(counts);
+    free(alive);
+    free(dead);
+    Py_DECREF(seq);
+    return result;
+}
+
+
+/* ------------------------------------------------------------------------
+ * Maximum matching (blossom algorithm, unweighted).
+ * --------------------------------------------------------------------- */
+
+PyDoc_STRVAR(max_matching_doc,
+"max_matching(n, adj) -> size of a maximum matching; exact on any graph.");
+
+static PyObject *
+py_max_matching(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, size = 0;
+    u64 adj[MAXN];
+    int match[MAXN], parent[MAXN], base[MAXN], queue[MAXN];
+    char used[MAXN], flag[MAXN], seen[MAXN];
+    if (check_nargs("max_matching", nargs, 2, 2) < 0 || arg_graph(args, &n, adj) < 0)
+        return NULL;
+    for (int i = 0; i < n; i++)
+        match[i] = -1;
+    for (int v = 0; v < n; v++) {
+        if (match[v] != -1)
+            continue;
+        for (u64 m = adj[v]; m; m &= m - 1) {
+            int u = ctz64(m);
+            if (match[u] == -1) {
+                match[v] = u;
+                match[u] = v;
+                break;
+            }
+        }
+    }
+    for (int v = 0; v < n; v++)
+        if (match[v] != -1)
+            size++;
+    size /= 2;
+    for (int root = 0; root < n; root++) {
+        if (match[root] != -1)
+            continue;
+        for (int i = 0; i < n; i++) {
+            parent[i] = -1;
+            base[i] = i;
+            used[i] = 0;
+        }
+        used[root] = 1;
+        queue[0] = root;
+        int qh = 0, qt = 1, augmented = 0;
+        while (qh < qt && !augmented) {
+            int v = queue[qh++];
+            for (u64 m = adj[v]; m; m &= m - 1) {
+                int to = ctz64(m);
+                if (base[v] == base[to] || match[v] == to)
+                    continue;
+                if (to == root || (match[to] != -1 && parent[match[to]] != -1)) {
+                    /* odd cycle: contract the blossom */
+                    int a, b, anchor, child;
+                    memset(seen, 0, n);
+                    for (a = v;; a = parent[match[a]]) {
+                        a = base[a];
+                        seen[a] = 1;
+                        if (match[a] == -1)
+                            break;
+                    }
+                    for (b = to;; b = parent[match[b]]) {
+                        b = base[b];
+                        if (seen[b])
+                            break;
+                    }
+                    anchor = b;
+                    memset(flag, 0, n);
+                    for (a = v, child = to; base[a] != anchor; a = parent[match[a]]) {
+                        flag[base[a]] = 1;
+                        flag[base[match[a]]] = 1;
+                        parent[a] = child;
+                        child = match[a];
+                    }
+                    for (a = to, child = v; base[a] != anchor; a = parent[match[a]]) {
+                        flag[base[a]] = 1;
+                        flag[base[match[a]]] = 1;
+                        parent[a] = child;
+                        child = match[a];
+                    }
+                    for (int i = 0; i < n; i++) {
+                        if (flag[base[i]]) {
+                            base[i] = anchor;
+                            if (!used[i]) {
+                                used[i] = 1;
+                                queue[qt++] = i;
+                            }
+                        }
+                    }
+                } else if (parent[to] == -1) {
+                    parent[to] = v;
+                    if (match[to] == -1) {
+                        /* augment along the alternating path back to root */
+                        for (int u = to; u != -1;) {
+                            int pv = parent[u], ppv = match[pv];
+                            match[u] = pv;
+                            match[pv] = u;
+                            u = ppv;
+                        }
+                        size++;
+                        augmented = 1;
+                        break;
+                    }
+                    used[match[to]] = 1;
+                    queue[qt++] = match[to];
+                }
+            }
+        }
+    }
+    return PyLong_FromLong(size);
+}
+
+
+/* ------------------------------------------------------------------------
+ * Canonical augmentation: one generation layer step.
+ * --------------------------------------------------------------------- */
+
+static void
+sort_bytes(unsigned char *a, int len)
+{
+    for (int i = 1; i < len; i++) {
+        unsigned char t = a[i];
+        int j = i - 1;
+        while (j >= 0 && a[j] > t) {
+            a[j + 1] = a[j];
+            j--;
+        }
+        a[j + 1] = t;
+    }
+}
+
+/* Compares the invariant keys (degree, sorted neighbour degrees) of v and w. */
+static int
+key_cmp(const u64 *adj, const int *degs, int v, int w)
+{
+    unsigned char kv[MAXN + 1], kw[MAXN + 1];
+    int lv = 0, lw = 0;
+    if (degs[v] != degs[w])
+        return degs[v] < degs[w] ? -1 : 1;
+    for (u64 m = adj[v]; m; m &= m - 1)
+        kv[lv++] = (unsigned char)degs[ctz64(m)];
+    for (u64 m = adj[w]; m; m &= m - 1)
+        kw[lw++] = (unsigned char)degs[ctz64(m)];
+    sort_bytes(kv, lv);
+    sort_bytes(kw, lw);
+    for (int i = 0; i < lv; i++)
+        if (kv[i] != kw[i])
+            return kv[i] < kw[i] ? -1 : 1;
+    return 0;
+}
+
+static int
+is_connected_masks(int n, const u64 *adj)
+{
+    u64 seen = 1, frontier = adj[0];
+    while (frontier & ~seen) {
+        u64 nxt = 0;
+        seen |= frontier;
+        for (u64 m = frontier; m; m &= m - 1)
+            nxt |= adj[ctz64(m)];
+        frontier = nxt & ~seen;
+    }
+    return (seen | frontier) == full_mask(n);
+}
+
+/* Triangle-free with every non-adjacent pair sharing a neighbour. */
+static int
+is_mtf_masks(int n, const u64 *adj)
+{
+    for (int u = 0; u < n; u++) {
+        for (int v = u + 1; v < n; v++) {
+            u64 common = adj[u] & adj[v];
+            if ((adj[u] >> v) & 1 ? common != 0 : common == 0)
+                return 0;
+        }
+    }
+    return 1;
+}
+
+/* srep[s] = least mask in the orbit of s under <gens>, for all 2^n masks. */
+static long long *
+subset_orbit_reps(int n, const int *gens, int ngens)
+{
+    long long total = 1LL << n;
+    long long *srep = malloc(total * sizeof(long long));
+    if (srep == NULL)
+        return NULL;
+    for (long long s = 0; s < total; s++)
+        srep[s] = s;
+    for (int gi = 0; gi < ngens; gi++) {
+        const int *g = gens + gi * MAXN;
+        for (long long s = 0; s < total; s++) {
+            u64 img = 0;
+            for (u64 m = (u64)s; m; m &= m - 1)
+                img |= BIT(g[ctz64(m)]);
+            long long a = s, b = (long long)img;
+            while (srep[a] != a)
+                a = srep[a];
+            while (srep[b] != b)
+                b = srep[b];
+            if (a < b)
+                srep[b] = a;
+            else if (b < a)
+                srep[a] = b;
+        }
+    }
+    for (long long s = 0; s < total; s++) {
+        long long root = s;
+        while (srep[root] != root)
+            root = srep[root];
+        for (long long x = s; srep[x] != root;) {
+            long long t = srep[x];
+            srep[x] = root;
+            x = t;
+        }
+    }
+    return srep;
+}
+
+PyDoc_STRVAR(augment_doc,
+"augment(n, adj, mode, emit_connected=False, emit_mtf=False) -> certificates.\n\n"
+"Isomorph-free children of one parent, as _purecore.augment: the canonical\n"
+"adjacency tuple of each accepted child, in subset order.");
+
+static PyObject *
+py_augment(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, mode, want_conn = 0, want_mtf = 0;
+    u64 padj[MAXN], cadj[MAXN];
+    int parent_degs[MAXN], degs[MAXN], crep[MAXN];
+    CState st;
+    long long *srep = NULL;
+    PyObject *out = NULL;
+    if (check_nargs("augment", nargs, 3, 5) < 0 || arg_graph(args, &n, padj) < 0
+        || arg_int(args[2], &mode) < 0
+        || (nargs > 3 && (want_conn = PyObject_IsTrue(args[3])) < 0)
+        || (nargs > 4 && (want_mtf = PyObject_IsTrue(args[4])) < 0))
+        return NULL;
+    if (n >= AUGMENT_MAXN) {
+        PyObject *one = PyLong_FromLong(1);
+        PyObject *count = one == NULL ? NULL : PyNumber_Lshift(one, args[0]);
+        Py_XDECREF(one);
+        return budget_exceeded(
+            PyUnicode_FromFormat("augmentation over 2^%d subsets refused", n), count);
+    }
+    int nc = n + 1;
+    long long total = 1LL << n;
+    for (int i = 0; i < n; i++)
+        parent_degs[i] = popcnt64(padj[i]);
+    st.gens = NULL;
+    if (n > 0) {
+        if (canon_run(&st, n, padj) < 0)
+            goto done;
+        if (st.ngens && (srep = subset_orbit_reps(n, st.gens, st.ngens)) == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    if ((out = PyList_New(0)) == NULL)
+        goto done;
+    for (long long si = 0; si < total; si++) {
+        u64 s = (u64)si;
+        if (mode == MODE_TRIANGLE_FREE) {
+            int ok = 1;
+            for (u64 m = s; m; m &= m - 1) {
+                if (padj[ctz64(m)] & s) {
+                    ok = 0;
+                    break;
+                }
+            }
+            if (!ok)
+                continue;
+        }
+        if (srep != NULL && srep[si] != si)
+            continue;
+        for (int i = 0; i < n; i++) {
+            int in_s = (int)((s >> i) & 1);
+            cadj[i] = in_s ? padj[i] | BIT(n) : padj[i];
+            degs[i] = parent_degs[i] + in_s;
+        }
+        cadj[n] = s;
+        degs[n] = popcnt64(s);
+        int dmin = degs[n];
+        for (int i = 0; i < n; i++)
+            if (degs[i] < dmin)
+                dmin = degs[i];
+        if (degs[n] != dmin)
+            continue;
+        int reject = 0;
+        for (int v = 0; v < n; v++) {
+            if (degs[v] == dmin && key_cmp(cadj, degs, v, n) < 0) {
+                reject = 1;
+                break;
+            }
+        }
+        if (reject)
+            continue;
+        if (want_conn && !is_connected_masks(nc, cadj))
+            continue;
+        if (want_mtf && !is_mtf_masks(nc, cadj))
+            continue;
+        if (canon_run(&st, nc, cadj) < 0) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        orbit_reps_fixing(&st, 0, crep);
+        /* the canonical deletion vertex: least key, latest canonical position */
+        int vstar = n, vstar_pos = st.best_pos[n];
+        for (int v = 0; v < n; v++) {
+            if (degs[v] == dmin && key_cmp(cadj, degs, v, n) == 0
+                && st.best_pos[v] > vstar_pos) {
+                vstar_pos = st.best_pos[v];
+                vstar = v;
+            }
+        }
+        if (crep[n] == crep[vstar]) {
+            PyObject *cert = tuple_u64(st.best_cert, nc);
+            if (cert == NULL || PyList_Append(out, cert) < 0) {
+                Py_XDECREF(cert);
+                Py_CLEAR(out);
+                goto done;
+            }
+            Py_DECREF(cert);
+        }
+    }
+done:
+    free(srep);
+    free(st.gens);
+    return out;
+}
+
+
+/* ------------------------------------------------------------------------
+ * Module.
+ * --------------------------------------------------------------------- */
+
+#define ENTRY(name) \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, name##_doc}
+
+static PyMethodDef fastcore_methods[] = {
+    ENTRY(canon),
+    ENTRY(max_clique),
+    ENTRY(maximal_cliques),
+    ENTRY(clique_cover),
+    ENTRY(max_matching),
+    ENTRY(domination_number),
+    ENTRY(dominating_sets),
+    ENTRY(eternal_fixpoint),
+    ENTRY(augment),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef fastcore_module = {
+    PyModuleDef_HEAD_INIT,
+    "_fastcore",
+    "Compiled kernel: the same contract as _purecore, word-at-a-time loops.",
+    -1,
+    fastcore_methods,
+    NULL,
+    NULL,
+    NULL,
+    NULL,
+};
+
+PyMODINIT_FUNC
+PyInit__fastcore(void)
+{
+    PyObject *pure = PyImport_ImportModule("etdom._kernel._purecore");
+    if (pure == NULL)
+        return NULL;
+    Py_CLEAR(BudgetExceeded);
+    BudgetExceeded = PyObject_GetAttrString(pure, "BudgetExceeded");
+    Py_DECREF(pure);
+    if (BudgetExceeded == NULL)
+        return NULL;
+    PyObject *mod = PyModule_Create(&fastcore_module);
+    if (mod == NULL)
+        return NULL;
+    Py_INCREF(BudgetExceeded);
+    if (PyModule_AddObject(mod, "BudgetExceeded", BudgetExceeded) < 0) {
+        Py_DECREF(BudgetExceeded);
+        goto fail;
+    }
+    if (PyModule_AddStringConstant(mod, "BACKEND_NAME", "fast") < 0
+        || PyModule_AddIntConstant(mod, "MODE_ALL", MODE_ALL) < 0
+        || PyModule_AddIntConstant(mod, "MODE_TRIANGLE_FREE", MODE_TRIANGLE_FREE) < 0)
+        goto fail;
+    return mod;
+fail:
+    Py_DECREF(mod);
+    return NULL;
+}

@@ -1,8 +1,12 @@
-"""Pure-Python kernel: the hot combinatorial routines.
+"""Pure-Python kernel: the hot combinatorial routines, and the reference.
 
 Everything here works on (n, adj) with adj a sequence of per-vertex
-neighbourhood bitmasks.  The compiled kernel (_fastcore) implements the
-same functions with identical semantics; tests cross-check the two.
+neighbourhood bitmasks, 0 <= n <= 64; every entry point raises
+ValueError outside that range, when len(adj) != n, or when a mask has a
+bit outside 0..n-1.  The compiled
+kernel (_fastcore.c, a hand-written CPython extension) implements the
+same entry points with identical results, taking positional arguments
+only; tests/test_kernel_parity.py cross-checks the two.
 """
 
 from __future__ import annotations
@@ -20,6 +24,16 @@ class BudgetExceeded(RuntimeError):
     def __reduce__(self):
         # the default rebuilds from self.args, which lacks count
         return type(self), (self.args[0], self.count)
+
+
+def _check_graph(n, adj):
+    if not 0 <= n <= 64:
+        raise ValueError(f"n must be in 0..64, got {n}")
+    if len(adj) != n:
+        raise ValueError(f"adj has {len(adj)} rows, expected n = {n}")
+    for v, row in enumerate(adj):
+        if row < 0 or row >> n:
+            raise ValueError(f"adj[{v}] = {row} is not a mask of vertices 0..{n - 1}")
 
 
 def _bits(mask):
@@ -104,6 +118,7 @@ def canon(n, adj):
       orbit -- orbit[v] = least vertex in v's automorphism orbit
       gens  -- permutation generators of the automorphism group
     """
+    _check_graph(n, adj)
     if n == 0:
         return (), [], [], []
     full = (1 << n) - 1
@@ -194,6 +209,7 @@ def canon(n, adj):
 
 def max_clique(n, adj, lb=0):
     """Exact clique number via greedy-colouring branch and bound."""
+    _check_graph(n, adj)
     if n == 0:
         return 0
     best = lb
@@ -230,6 +246,7 @@ def max_clique(n, adj, lb=0):
 
 def maximal_cliques(n, adj):
     """All maximal cliques as masks (Bron-Kerbosch, max-degree pivot)."""
+    _check_graph(n, adj)
     out = []
     if n == 0:
         return out
@@ -277,6 +294,7 @@ def clique_cover(n, adj, lb=0):
     part into a maximal superset, then trim overlaps), so restricting
     the search space is safe.
     """
+    _check_graph(n, adj)
     if n == 0:
         return 0
     full = (1 << n) - 1
@@ -328,8 +346,11 @@ def clique_cover(n, adj, lb=0):
 # Dominating sets and the eternal-domination fixpoint.
 # ---------------------------------------------------------------------------
 
-def dominating_sets(n, adj, k, cap=1 << 26):
+def dominating_sets(n, adj, k, cap):
     """All k-vertex dominating sets as sorted masks; BudgetExceeded past cap."""
+    _check_graph(n, adj)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     full = (1 << n) - 1
     if n == 0:
         return []
@@ -364,37 +385,8 @@ def dominating_sets(n, adj, k, cap=1 << 26):
     return out
 
 
-def count_dominating_sets(n, adj, k):
-    if n == 0:
-        return 0  # as len(dominating_sets(0, [], k))
+def _exists_dominating_set(n, adj, k):
     full = (1 << n) - 1
-    closed = [adj[i] | (1 << i) for i in range(n)]
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | closed[i]
-    count = 0
-
-    def rec(i, left, cov):
-        nonlocal count
-        if cov | suffix[i] != full:
-            return
-        if left == 0:
-            if cov == full:
-                count += 1
-            return
-        if n - i < left:
-            return
-        rec(i + 1, left - 1, cov | closed[i])
-        rec(i + 1, left, cov)
-
-    rec(0, k, 0)
-    return count
-
-
-def exists_dominating_set(n, adj, k):
-    full = (1 << n) - 1
-    if n == 0:
-        return True
     closed = [adj[i] | (1 << i) for i in range(n)]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -413,11 +405,12 @@ def exists_dominating_set(n, adj, k):
 
 
 def domination_number(n, adj):
+    _check_graph(n, adj)
     if n == 0:
         return 0
     max_closed = max((adj[i] | (1 << i)).bit_count() for i in range(n))
     k = (n + max_closed - 1) // max_closed
-    while not exists_dominating_set(n, adj, k):
+    while not _exists_dominating_set(n, adj, k):
         k += 1
     return k
 
@@ -431,6 +424,7 @@ def eternal_fixpoint(n, adj, k, configs):
     surviving.  Deletions propagate through a worklist over reverse
     dependencies.
     """
+    _check_graph(n, adj)
     if not configs:
         return []
     if k >= n:
@@ -478,6 +472,7 @@ def eternal_fixpoint(n, adj, k, configs):
 
 def max_matching(n, adj):
     """Size of a maximum matching; exact on non-bipartite graphs."""
+    _check_graph(n, adj)
     if n == 0:
         return 0
     nbr = [list(_bits(adj[v])) for v in range(n)]
@@ -569,7 +564,6 @@ def max_matching(n, adj):
 
 MODE_ALL = 0
 MODE_TRIANGLE_FREE = 1
-MODE_MAX_DEGREE_3 = 2
 
 
 def _vertex_key(n, adj, degs, v):
@@ -649,13 +643,13 @@ def augment(n, adj, mode, emit_connected=False, emit_mtf=False):
     children failing the final-layer predicates without a Python
     round trip.
     """
+    _check_graph(n, adj)
     if n >= 22:
         raise BudgetExceeded(f"augmentation over 2^{n} subsets refused", 1 << n)
     adj = list(adj)
     _, _, _, gens = canon(n, adj)
     reps = _subset_orbit_reps(n, gens) if gens else None
     out = []
-    parent_degs = [adj[v].bit_count() for v in range(n)]
     nc = n + 1
     for s in range(1 << n):
         if mode == MODE_TRIANGLE_FREE:
@@ -664,19 +658,6 @@ def augment(n, adj, mode, emit_connected=False, emit_mtf=False):
             while m:
                 v = (m & -m).bit_length() - 1
                 if adj[v] & s:
-                    ok = False
-                    break
-                m &= m - 1
-            if not ok:
-                continue
-        elif mode == MODE_MAX_DEGREE_3:
-            if s.bit_count() > 3:
-                continue
-            ok = True
-            m = s
-            while m:
-                v = (m & -m).bit_length() - 1
-                if parent_degs[v] >= 3:
                     ok = False
                     break
                 m &= m - 1

@@ -24,11 +24,6 @@ def automorphism_orbits(g: Graph) -> list[int]:
     return orbit
 
 
-def automorphism_generators(g: Graph) -> list[list[int]]:
-    _, _, _, gens = _kernel.canon(g.n, g.adj)
-    return gens
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
@@ -43,7 +38,6 @@ __all__ = [
     "canonical_graph",
     "canonical_form",
     "automorphism_orbits",
-    "automorphism_generators",
     "are_isomorphic",
     "relabel",
 ]

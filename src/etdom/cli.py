@@ -14,6 +14,7 @@ from . import _kernel, pipeline
 from ._kernel import BudgetExceeded
 from .constructions import CirculantSpec, bowtie, circulant, mycielski_family
 from .eternal import (
+    DEFAULT_CONFIG_CAP,
     dominating_sets_of_size,
     defense_move,
     eternal_domination_number,
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=int, default=0, metavar="STEPS",
                    help="print a seeded random attack/defence trace")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=1 << 26,
+    p.add_argument("--cap", type=int, default=DEFAULT_CONFIG_CAP,
                    help="cap on stored guard configurations")
     p.set_defaults(fn=cmd_eternal)
     return ap

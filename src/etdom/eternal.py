@@ -45,7 +45,7 @@ def dominating_sets_of_size(g: Graph, k: int, *, cap: int = DEFAULT_CONFIG_CAP) 
 
 def prune_to_eternal(g: Graph, space: ConfigSpace) -> ConfigSpace:
     """Greatest subset closed under defending every possible attack."""
-    surviving = _kernel.eternal_fixpoint(g.n, g.adj, space.k, list(space.configs))
+    surviving = _kernel.eternal_fixpoint(g.n, g.adj, space.k, space.configs)
     return ConfigSpace(k=space.k, configs=space.configs, surviving=frozenset(surviving))
 
 

@@ -121,9 +121,7 @@ def _augment_batch(args: tuple[list[int], int, int, bool, bool]) -> list[int]:
     out = []
     for p in parents:
         g = Graph(n, unpack(n, p))
-        for cert in _kernel.augment(
-            n, g.adj, mode, emit_connected=emit_connected, emit_mtf=emit_mtf,
-        ):
+        for cert in _kernel.augment(n, g.adj, mode, emit_connected, emit_mtf):
             out.append(pack(n + 1, cert))
     return out
 

@@ -72,9 +72,11 @@ def domination_number(g: Graph) -> int:
 
 
 def minimum_dominating_sets(g: Graph) -> list[int]:
+    from .eternal import DEFAULT_CONFIG_CAP  # eternal imports this module
+
     if g.n == 0:
         return []
-    return _kernel.dominating_sets(g.n, g.adj, domination_number(g))
+    return _kernel.dominating_sets(g.n, g.adj, domination_number(g), DEFAULT_CONFIG_CAP)
 
 
 def chromatic_number(g: Graph) -> int:

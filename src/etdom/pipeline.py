@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ._kernel import BudgetExceeded
 from .canon import canonical_form
 from .constructions import CirculantSpec, circulant
-from .eternal import can_defend, eternal_domination_number
+from .eternal import DEFAULT_CONFIG_CAP, can_defend, eternal_domination_number
 from .generate import enumerate_circulants, generate_connected
 from .graph6 import decode, encode
 from .graphs import (
@@ -59,7 +59,7 @@ def default_workers() -> int:
 class Analysis:
     """Lazy per-graph invariant access with caching."""
 
-    def __init__(self, g: Graph, cap: int = 1 << 26):
+    def __init__(self, g: Graph, cap: int = DEFAULT_CONFIG_CAP):
         self.g = g
         self.cap = cap
         self._cache: dict[str, object] = {}
@@ -219,7 +219,7 @@ def _pooled(chunks: Iterator[list[Graph]], chain: Sequence[str], cap: int,
 
 def _evaluate(
     source: Iterable[Graph], chain: Sequence[str], *, workers: int = 1,
-    chunk: int = 1024, cap: int = 1 << 26, count_aborts: bool = False,
+    chunk: int = 1024, cap: int = DEFAULT_CONFIG_CAP, count_aborts: bool = False,
 ) -> Iterator[tuple[Graph, int]]:
     """Yield (graph, reached) per source graph, in source order, where
     reached is how many leading filters of chain the graph passes.
@@ -269,7 +269,7 @@ def run_filter(
     n: Optional[int] = None,
     workers: int = 1,
     chunk: int = 1024,
-    cap: int = 1 << 26,
+    cap: int = DEFAULT_CONFIG_CAP,
 ) -> ReportRow:
     """Apply an ordered predicate chain, cheapest filter first; survivors
     of the whole chain are returned as graph6 lines sorted by canonical
