@@ -33,5 +33,7 @@ domination_number = _impl.domination_number
 eternal_fixpoint = _impl.eternal_fixpoint
 max_matching = _impl.max_matching
 augment = _impl.augment
+screen = _impl.screen
+SCREEN_TESTS = _impl.SCREEN_TESTS
 MODE_ALL = _impl.MODE_ALL
 MODE_TRIANGLE_FREE = _impl.MODE_TRIANGLE_FREE

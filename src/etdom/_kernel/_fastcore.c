@@ -1,10 +1,14 @@
 /*
  * Compiled kernel: the same contract as _purecore, word-at-a-time loops.
  *
- * Every graph arrives as (n, adj), adj[v] being the neighbourhood bitmask
- * of vertex v; here each mask is a uint64_t, so 0 <= n <= 64, and every
- * entry point raises ValueError outside that range, when len(adj) != n,
- * or when a mask has a bit outside 0..n-1.
+ * Most entry points take a graph as (n, adj), adj[v] being the
+ * neighbourhood bitmask of vertex v; here each mask is a uint64_t, so
+ * 0 <= n <= 64, and every such entry point raises ValueError outside that
+ * range, when len(adj) != n, or when a mask has a bit outside 0..n-1.
+ * augment and screen take packed graphs instead: one int per graph holding
+ * its graph6 payload bits, x(0,1) most significant (etdom.graph6.pack), and
+ * they raise ValueError for a negative int or one with more than n(n-1)/2
+ * bits.
  * _purecore.py is the reference: tests/test_kernel_parity.py holds the two
  * kernels to identical results on every entry point, and any difference
  * (certificate order, acceptance decisions, survivors) is a bug here, not
@@ -29,15 +33,20 @@
 #define MODE_TRIANGLE_FREE 1
 /* augment refuses parents with 2^n subsets or more past this order. */
 #define AUGMENT_MAXN 22
+/* A packed graph of order n holds n(n-1)/2 bits, in at most PACKED_WORDS words. */
+#define MAXPAIRS (MAXN * (MAXN - 1) / 2)
+#define PACKED_WORDS ((MAXPAIRS + 63) / 64)
 
 typedef uint64_t u64;
 
 #define BIT(v) ((u64)1 << (v))
 
 static PyObject *BudgetExceeded;
+static PyObject *WORD_BITS;  /* the int 64 */
 
 static inline int popcnt64(u64 x) { return __builtin_popcountll(x); }
 static inline int ctz64(u64 x) { return __builtin_ctzll(x); }
+static inline int bitlen64(u64 x) { return x ? 64 - __builtin_clzll(x) : 0; }
 
 static inline u64
 full_mask(int n)
@@ -109,30 +118,40 @@ budget_exceeded(PyObject *message, PyObject *count)
     return NULL;
 }
 
+/* An order n in 0..MAXN, else ValueError. */
+static int
+arg_order(PyObject *obj, int *n)
+{
+    int overflow;
+    long v = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || v < 0 || v > MAXN) {
+        PyErr_Format(PyExc_ValueError, "n must be in 0..%d, got %S", MAXN, obj);
+        return -1;
+    }
+    *n = (int)v;
+    return 0;
+}
+
 /* n from args[0] and its n masks from args[1], range-checked as in
    _purecore._check_graph: a bit past n would index a row never set. */
 static int
 arg_graph(PyObject *const *args, int *n, u64 *adj)
 {
-    int overflow;
-    long v = PyLong_AsLongAndOverflow(args[0], &overflow);
-    if (v == -1 && PyErr_Occurred())
+    if (arg_order(args[0], n) < 0)
         return -1;
-    if (overflow || v < 0 || v > MAXN) {
-        PyErr_Format(PyExc_ValueError, "n must be in 0..%d, got %S", MAXN, args[0]);
-        return -1;
-    }
     PyObject *seq = PySequence_Fast(args[1], "adj must be a sequence");
     if (seq == NULL)
         return -1;
     Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
-    if (len != v) {
-        PyErr_Format(PyExc_ValueError, "adj has %zd rows, expected n = %ld", len, v);
+    if (len != *n) {
+        PyErr_Format(PyExc_ValueError, "adj has %zd rows, expected n = %d", len, *n);
         Py_DECREF(seq);
         return -1;
     }
     PyObject **items = PySequence_Fast_ITEMS(seq);
-    u64 outside = ~full_mask((int)v);
+    u64 outside = ~full_mask(*n);
     for (Py_ssize_t i = 0; i < len; i++) {
         int bad = arg_u64(items[i], &adj[i]) < 0;
         if (bad && !PyErr_ExceptionMatches(PyExc_OverflowError)) {
@@ -140,15 +159,116 @@ arg_graph(PyObject *const *args, int *n, u64 *adj)
             return -1;
         }
         if (bad || adj[i] & outside) {
-            PyErr_Format(PyExc_ValueError, "adj[%zd] = %S is not a mask of vertices 0..%ld",
-                         i, items[i], v - 1);
+            PyErr_Format(PyExc_ValueError, "adj[%zd] = %S is not a mask of vertices 0..%d",
+                         i, items[i], *n - 1);
             Py_DECREF(seq);
             return -1;
         }
     }
     Py_DECREF(seq);
-    *n = (int)v;
     return 0;
+}
+
+/* Graph6 payload bit t is the pair (pair_i[t], pair_j[t]), column by
+   column: (0,1); (0,2), (1,2); (0,3), ...  The order does not depend on n. */
+static unsigned char pair_i[MAXPAIRS], pair_j[MAXPAIRS];
+
+static void
+init_pairs(void)
+{
+    int t = 0;
+    for (int j = 1; j < MAXN; j++) {
+        for (int i = 0; i < j; i++) {
+            pair_i[t] = (unsigned char)i;
+            pair_j[t++] = (unsigned char)j;
+        }
+    }
+}
+
+/* The 64-bit words of a nonnegative int, least significant first: their
+   count, maxw + 1 when there are more than maxw, or -1 with an exception. */
+static int
+long_words(PyObject *obj, int maxw, u64 *w)
+{
+    int nw = 0;
+    Py_INCREF(obj);
+    for (;;) {
+        int nonzero = PyObject_IsTrue(obj);
+        if (nonzero <= 0 || nw == maxw) {
+            Py_DECREF(obj);
+            return nonzero < 0 ? -1 : nonzero ? maxw + 1 : nw;
+        }
+        w[nw++] = PyLong_AsUnsignedLongLongMask(obj);
+        PyObject *rest = PyNumber_Rshift(obj, WORD_BITS);
+        Py_DECREF(obj);
+        if (rest == NULL)
+            return -1;
+        obj = rest;
+    }
+}
+
+/* The adjacency masks of the order-n graph packed in obj, as
+   _purecore._unpack: ValueError unless 0 <= obj < 2**(n(n-1)/2). */
+static int
+arg_packed(PyObject *obj, int n, u64 *adj)
+{
+    int nbits = n * (n - 1) / 2, overflow, nw;
+    u64 w[PACKED_WORDS];
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "packed graphs must be int, not %.100s",
+                     Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow > 0) {
+        if ((nw = long_words(obj, PACKED_WORDS, w)) < 0)
+            return -1;
+    } else {
+        w[0] = (u64)v;
+        nw = v != 0;
+    }
+    if (overflow < 0 || (overflow == 0 && v < 0) || nw > PACKED_WORDS
+        || (nw && 64 * (nw - 1) + bitlen64(w[nw - 1]) > nbits)) {
+        PyErr_Format(PyExc_ValueError, "packed graph %S has more than %d bits for n=%d",
+                     obj, nbits, n);
+        return -1;
+    }
+    memset(adj, 0, n * sizeof(u64));
+    for (int wi = 0; wi < nw; wi++) {
+        for (u64 m = w[wi]; m; m &= m - 1) {
+            int t = nbits - 1 - (64 * wi + ctz64(m));
+            adj[pair_i[t]] |= BIT(pair_j[t]);
+            adj[pair_j[t]] |= BIT(pair_i[t]);
+        }
+    }
+    return 0;
+}
+
+/* The packed int of an order-n graph, as _purecore._pack. */
+static PyObject *
+packed_object(int n, const u64 *adj)
+{
+    int nbits = n * (n - 1) / 2, nw = (nbits + 63) / 64;
+    u64 w[PACKED_WORDS];
+    memset(w, 0, sizeof w);
+    for (int j = 1, t = 0; j < n; t += j, j++) {
+        for (u64 m = adj[j] & (BIT(j) - 1); m; m &= m - 1) {
+            int k = nbits - 1 - (t + ctz64(m));
+            w[k >> 6] |= BIT(k & 63);
+        }
+    }
+    PyObject *r = PyLong_FromUnsignedLongLong(nw ? w[nw - 1] : 0);
+    for (int wi = nw - 2; r != NULL && wi >= 0; wi--) {
+        PyObject *high = PyNumber_Lshift(r, WORD_BITS);
+        PyObject *low = high == NULL ? NULL : PyLong_FromUnsignedLongLong(w[wi]);
+        Py_DECREF(r);
+        r = low == NULL ? NULL : PyNumber_Or(high, low);
+        Py_XDECREF(high);
+        Py_XDECREF(low);
+    }
+    return r;
 }
 
 static PyObject *
@@ -713,27 +833,17 @@ cover_search(CoverCtx *ct, u64 covered, int used)
     }
 }
 
-PyDoc_STRVAR(clique_cover_doc,
-"clique_cover(n, adj, lb=0) -> exact clique cover number.\n\n"
-"Branch and bound over the maximal cliques, seeded with a greedy cover;\n"
-"lb is a known lower bound that lets the search stop early.");
-
-static PyObject *
-py_clique_cover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+/* The exact clique cover number of a graph with n >= 1 given a known lower
+   bound lb, or -1 with MemoryError set. */
+static int
+clique_cover_c(int n, const u64 *adj, int lb)
 {
-    int n, lb = 0, counts[MAXN];
-    u64 adj[MAXN];
+    int counts[MAXN];
     BKCtx b;
     CoverCtx ct;
-    int *member = NULL;
-    if (check_nargs("clique_cover", nargs, 2, 3) < 0 || arg_graph(args, &n, adj) < 0
-        || (nargs > 2 && arg_int(args[2], &lb) < 0))
-        return NULL;
-    if (n == 0)
-        return PyLong_FromLong(0);
     if (maximal_cliques_c(&b, n, adj) < 0) {
         free(b.out);
-        return NULL;
+        return -1;
     }
     memset(counts, 0, sizeof counts);
     for (Py_ssize_t ci = 0; ci < b.nout; ci++)
@@ -742,10 +852,11 @@ py_clique_cover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     ct.member_off[0] = 0;
     for (int v = 0; v < n; v++)
         ct.member_off[v + 1] = ct.member_off[v] + counts[v];
-    member = malloc(ct.member_off[n] * sizeof(int));
+    int *member = malloc(ct.member_off[n] * sizeof(int));
     if (member == NULL) {
         free(b.out);
-        return PyErr_NoMemory();
+        PyErr_NoMemory();
+        return -1;
     }
     memset(counts, 0, sizeof counts);
     for (Py_ssize_t ci = 0; ci < b.nout; ci++) {
@@ -777,7 +888,26 @@ py_clique_cover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
         cover_search(&ct, 0, 0);
     free(member);
     free(b.out);
-    return PyLong_FromLong(ct.best);
+    return ct.best;
+}
+
+PyDoc_STRVAR(clique_cover_doc,
+"clique_cover(n, adj, lb=0) -> exact clique cover number.\n\n"
+"Branch and bound over the maximal cliques, seeded with a greedy cover;\n"
+"lb is a known lower bound that lets the search stop early.");
+
+static PyObject *
+py_clique_cover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, lb = 0;
+    u64 adj[MAXN];
+    if (check_nargs("clique_cover", nargs, 2, 3) < 0 || arg_graph(args, &n, adj) < 0
+        || (nargs > 2 && arg_int(args[2], &lb) < 0))
+        return NULL;
+    if (n == 0)
+        return PyLong_FromLong(0);
+    int theta = clique_cover_c(n, adj, lb);
+    return theta < 0 ? NULL : PyLong_FromLong(theta);
 }
 
 
@@ -886,19 +1016,12 @@ dom_exists(const DomCtx *dc, int i, int left, u64 cov)
         || dom_exists(dc, i + 1, left, cov);
 }
 
-PyDoc_STRVAR(domination_number_doc,
-"domination_number(n, adj) -> size of a minimum dominating set.");
-
-static PyObject *
-py_domination_number(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+/* The domination number of a graph with n >= 1. */
+static int
+domination_number_c(int n, const u64 *adj)
 {
-    int n, maxc = 0;
-    u64 adj[MAXN];
+    int maxc = 0;
     DomCtx dc;
-    if (check_nargs("domination_number", nargs, 2, 2) < 0 || arg_graph(args, &n, adj) < 0)
-        return NULL;
-    if (n == 0)
-        return PyLong_FromLong(0);
     dom_init(&dc, n, adj);
     for (int i = 0; i < n; i++)
         if (popcnt64(dc.closed[i]) > maxc)
@@ -906,7 +1029,20 @@ py_domination_number(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_
     int k = (n + maxc - 1) / maxc;
     while (!dom_exists(&dc, 0, k, 0))
         k++;
-    return PyLong_FromLong(k);
+    return k;
+}
+
+PyDoc_STRVAR(domination_number_doc,
+"domination_number(n, adj) -> size of a minimum dominating set.");
+
+static PyObject *
+py_domination_number(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n;
+    u64 adj[MAXN];
+    if (check_nargs("domination_number", nargs, 2, 2) < 0 || arg_graph(args, &n, adj) < 0)
+        return NULL;
+    return PyLong_FromLong(n == 0 ? 0 : domination_number_c(n, adj));
 }
 
 #define HASH_MUL 0x9E3779B97F4A7C15ULL
@@ -1217,22 +1353,19 @@ is_mtf_masks(int n, const u64 *adj)
 }
 
 /* srep[s] = least mask in the orbit of s under <gens>, for all 2^n masks. */
-static long long *
-subset_orbit_reps(int n, const int *gens, int ngens)
+static void
+subset_orbit_reps(int n, const int *gens, int ngens, uint32_t *srep)
 {
-    long long total = 1LL << n;
-    long long *srep = malloc(total * sizeof(long long));
-    if (srep == NULL)
-        return NULL;
-    for (long long s = 0; s < total; s++)
+    uint32_t total = (uint32_t)1 << n;
+    for (uint32_t s = 0; s < total; s++)
         srep[s] = s;
     for (int gi = 0; gi < ngens; gi++) {
         const int *g = gens + gi * MAXN;
-        for (long long s = 0; s < total; s++) {
-            u64 img = 0;
-            for (u64 m = (u64)s; m; m &= m - 1)
-                img |= BIT(g[ctz64(m)]);
-            long long a = s, b = (long long)img;
+        for (uint32_t s = 0; s < total; s++) {
+            uint32_t img = 0;
+            for (u64 m = s; m; m &= m - 1)
+                img |= (uint32_t)1 << g[ctz64(m)];
+            uint32_t a = s, b = img;
             while (srep[a] != a)
                 a = srep[a];
             while (srep[b] != b)
@@ -1243,63 +1376,52 @@ subset_orbit_reps(int n, const int *gens, int ngens)
                 srep[a] = b;
         }
     }
-    for (long long s = 0; s < total; s++) {
-        long long root = s;
+    for (uint32_t s = 0; s < total; s++) {
+        uint32_t root = s;
         while (srep[root] != root)
             root = srep[root];
-        for (long long x = s; srep[x] != root;) {
-            long long t = srep[x];
+        for (uint32_t x = s; srep[x] != root;) {
+            uint32_t t = srep[x];
             srep[x] = root;
             x = t;
         }
     }
-    return srep;
 }
 
-PyDoc_STRVAR(augment_doc,
-"augment(n, adj, mode, emit_connected=False, emit_mtf=False) -> certificates.\n\n"
-"Isomorph-free children of one parent, as _purecore.augment: the canonical\n"
-"adjacency tuple of each accepted child, in subset order.");
+typedef struct {
+    int n, mode, want_conn, want_mtf;
+    CState st;          /* st.gens is reused from parent to parent */
+    uint32_t *srep;     /* 2^n subset orbit representatives, allocated once */
+    PyObject *out;
+} AugCtx;
 
-static PyObject *
-py_augment(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+/* Appends the packed children of one parent to ac->out; -1 with an
+   exception set. */
+static int
+augment_one(AugCtx *ac, const u64 *padj)
 {
-    int n, mode, want_conn = 0, want_mtf = 0;
-    u64 padj[MAXN], cadj[MAXN];
+    int n = ac->n, nc = n + 1, use_srep = 0;
+    u64 cadj[MAXN];
     int parent_degs[MAXN], degs[MAXN], crep[MAXN];
-    CState st;
-    long long *srep = NULL;
-    PyObject *out = NULL;
-    if (check_nargs("augment", nargs, 3, 5) < 0 || arg_graph(args, &n, padj) < 0
-        || arg_int(args[2], &mode) < 0
-        || (nargs > 3 && (want_conn = PyObject_IsTrue(args[3])) < 0)
-        || (nargs > 4 && (want_mtf = PyObject_IsTrue(args[4])) < 0))
-        return NULL;
-    if (n >= AUGMENT_MAXN) {
-        PyObject *one = PyLong_FromLong(1);
-        PyObject *count = one == NULL ? NULL : PyNumber_Lshift(one, args[0]);
-        Py_XDECREF(one);
-        return budget_exceeded(
-            PyUnicode_FromFormat("augmentation over 2^%d subsets refused", n), count);
-    }
-    int nc = n + 1;
-    long long total = 1LL << n;
+    CState *st = &ac->st;
     for (int i = 0; i < n; i++)
         parent_degs[i] = popcnt64(padj[i]);
-    st.gens = NULL;
     if (n > 0) {
-        if (canon_run(&st, n, padj) < 0)
-            goto done;
-        if (st.ngens && (srep = subset_orbit_reps(n, st.gens, st.ngens)) == NULL) {
-            PyErr_NoMemory();
-            goto done;
+        if (canon_run(st, n, padj) < 0)
+            return -1;
+        if (st->ngens) {
+            if (ac->srep == NULL
+                && (ac->srep = malloc(((size_t)1 << n) * sizeof(uint32_t))) == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            subset_orbit_reps(n, st->gens, st->ngens, ac->srep);
+            use_srep = 1;
         }
     }
-    if ((out = PyList_New(0)) == NULL)
-        goto done;
-    for (long long si = 0; si < total; si++) {
-        u64 s = (u64)si;
-        if (mode == MODE_TRIANGLE_FREE) {
+    for (uint32_t si = 0; si < (uint32_t)1 << n; si++) {
+        u64 s = si;
+        if (ac->mode == MODE_TRIANGLE_FREE) {
             int ok = 1;
             for (u64 m = s; m; m &= m - 1) {
                 if (padj[ctz64(m)] & s) {
@@ -1310,7 +1432,7 @@ py_augment(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             if (!ok)
                 continue;
         }
-        if (srep != NULL && srep[si] != si)
+        if (use_srep && ac->srep[si] != si)
             continue;
         for (int i = 0; i < n; i++) {
             int in_s = (int)((s >> i) & 1);
@@ -1334,37 +1456,170 @@ py_augment(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         }
         if (reject)
             continue;
-        if (want_conn && !is_connected_masks(nc, cadj))
+        if (ac->want_conn && !is_connected_masks(nc, cadj))
             continue;
-        if (want_mtf && !is_mtf_masks(nc, cadj))
+        if (ac->want_mtf && !is_mtf_masks(nc, cadj))
             continue;
-        if (canon_run(&st, nc, cadj) < 0) {
-            Py_CLEAR(out);
-            goto done;
-        }
-        orbit_reps_fixing(&st, 0, crep);
+        if (canon_run(st, nc, cadj) < 0)
+            return -1;
+        orbit_reps_fixing(st, 0, crep);
         /* the canonical deletion vertex: least key, latest canonical position */
-        int vstar = n, vstar_pos = st.best_pos[n];
+        int vstar = n, vstar_pos = st->best_pos[n];
         for (int v = 0; v < n; v++) {
             if (degs[v] == dmin && key_cmp(cadj, degs, v, n) == 0
-                && st.best_pos[v] > vstar_pos) {
-                vstar_pos = st.best_pos[v];
+                && st->best_pos[v] > vstar_pos) {
+                vstar_pos = st->best_pos[v];
                 vstar = v;
             }
         }
         if (crep[n] == crep[vstar]) {
-            PyObject *cert = tuple_u64(st.best_cert, nc);
-            if (cert == NULL || PyList_Append(out, cert) < 0) {
-                Py_XDECREF(cert);
-                Py_CLEAR(out);
-                goto done;
+            PyObject *child = packed_object(nc, st->best_cert);
+            if (child == NULL || PyList_Append(ac->out, child) < 0) {
+                Py_XDECREF(child);
+                return -1;
             }
-            Py_DECREF(cert);
+            Py_DECREF(child);
         }
     }
-done:
-    free(srep);
-    free(st.gens);
+    return 0;
+}
+
+PyDoc_STRVAR(augment_doc,
+"augment(n, parents, mode, emit_connected=False, emit_mtf=False) -> children.\n\n"
+"Isomorph-free children of packed order-n parents, as _purecore.augment:\n"
+"the packed canonical graph of each accepted child, parent by parent, each\n"
+"parent's children in subset order.");
+
+static PyObject *
+py_augment(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    AugCtx ac;
+    u64 padj[MAXN];
+    ac.want_conn = ac.want_mtf = 0;
+    if (check_nargs("augment", nargs, 3, 5) < 0 || arg_order(args[0], &ac.n) < 0
+        || arg_int(args[2], &ac.mode) < 0
+        || (nargs > 3 && (ac.want_conn = PyObject_IsTrue(args[3])) < 0)
+        || (nargs > 4 && (ac.want_mtf = PyObject_IsTrue(args[4])) < 0))
+        return NULL;
+    if (ac.n >= AUGMENT_MAXN) {
+        PyObject *one = PyLong_FromLong(1);
+        PyObject *count = one == NULL ? NULL : PyNumber_Lshift(one, args[0]);
+        Py_XDECREF(one);
+        return budget_exceeded(
+            PyUnicode_FromFormat("augmentation over 2^%d subsets refused", ac.n), count);
+    }
+    PyObject *seq = PySequence_Fast(args[1], "parents must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    ac.st.gens = NULL;
+    ac.srep = NULL;
+    ac.out = PyList_New(0);
+    for (Py_ssize_t i = 0; ac.out != NULL && i < PySequence_Fast_GET_SIZE(seq); i++) {
+        if (arg_packed(PySequence_Fast_GET_ITEM(seq, i), ac.n, padj) < 0
+            || augment_one(&ac, padj) < 0)
+            Py_CLEAR(ac.out);
+    }
+    free(ac.srep);
+    free(ac.st.gens);
+    Py_DECREF(seq);
+    return ac.out;
+}
+
+
+/* ------------------------------------------------------------------------
+ * The invariant screen: alpha, theta and gamma tests on packed graphs.
+ * --------------------------------------------------------------------- */
+
+/* Test codes, in the order of SCREEN_TESTS. */
+enum { ALPHA_LT_THETA, ALPHA_HALF, THETA_HALF, GAMMA_EQ_ALPHA, GAMMA_EQ_THETA, NSCREEN };
+static const char *const SCREEN_NAMES[NSCREEN] = {
+    "alpha_lt_theta", "alpha_half", "theta_half", "gamma_eq_alpha", "gamma_eq_theta",
+};
+
+/* How many leading tests a graph passes, or -1 with an exception set.
+   alpha is computed first, theta (with lb = alpha) and gamma only when a
+   test reaches them. */
+static int
+screen_one(int n, const u64 *adj, const int *tests, int ntests)
+{
+    CliqueCtx co;
+    int alpha, theta = -1, gamma = -1;
+    if (ntests == 0)
+        return 0;
+    for (int v = 0; v < n; v++)
+        co.adj[v] = full_mask(n) & ~adj[v] & ~BIT(v);
+    co.best = 0;
+    mc_expand(&co, 0, full_mask(n));
+    alpha = co.best;
+    for (int t = 0; t < ntests; t++) {
+        int code = tests[t], pass = 0;
+        if (theta < 0 && (code == ALPHA_LT_THETA || code == THETA_HALF || code == GAMMA_EQ_THETA)
+            && (theta = n ? clique_cover_c(n, adj, alpha) : 0) < 0)
+            return -1;
+        if (gamma < 0 && (code == GAMMA_EQ_ALPHA || code == GAMMA_EQ_THETA))
+            gamma = n ? domination_number_c(n, adj) : 0;
+        switch (code) {
+        case ALPHA_LT_THETA: pass = alpha < theta; break;
+        case ALPHA_HALF: pass = alpha == n / 2; break;
+        case THETA_HALF: pass = theta == (n + 1) / 2; break;
+        case GAMMA_EQ_ALPHA: pass = gamma == alpha; break;
+        case GAMMA_EQ_THETA: pass = gamma == theta; break;
+        }
+        if (!pass)
+            return t;
+    }
+    return ntests;
+}
+
+PyDoc_STRVAR(screen_doc,
+"screen(n, packed, tests) -> bytes, one reached-count per packed graph.\n\n"
+"tests holds codes, indices into SCREEN_TESTS; byte i counts how many\n"
+"leading tests graph i passes, as _purecore.screen.");
+
+static PyObject *
+py_screen(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, tests[UCHAR_MAX];
+    u64 adj[MAXN];
+    if (check_nargs("screen", nargs, 3, 3) < 0 || arg_order(args[0], &n) < 0)
+        return NULL;
+    PyObject *codes = PySequence_Fast(args[2], "tests must be a sequence");
+    if (codes == NULL)
+        return NULL;
+    Py_ssize_t ntests = PySequence_Fast_GET_SIZE(codes);
+    if (ntests > UCHAR_MAX) {
+        PyErr_Format(PyExc_ValueError, "at most %d screen tests, got %zd", UCHAR_MAX, ntests);
+        Py_DECREF(codes);
+        return NULL;
+    }
+    for (Py_ssize_t t = 0; t < ntests; t++) {
+        PyObject *code = PySequence_Fast_GET_ITEM(codes, t);
+        int overflow;
+        long v = PyLong_AsLongAndOverflow(code, &overflow);
+        if ((v == -1 && PyErr_Occurred()) || overflow || v < 0 || v >= NSCREEN) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError, "unknown screen test %S; codes are 0..%d",
+                             code, NSCREEN - 1);
+            Py_DECREF(codes);
+            return NULL;
+        }
+        tests[t] = (int)v;
+    }
+    Py_DECREF(codes);
+    PyObject *seq = PySequence_Fast(args[1], "packed must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t m = PySequence_Fast_GET_SIZE(seq);
+    PyObject *out = PyBytes_FromStringAndSize(NULL, m);
+    for (Py_ssize_t i = 0; out != NULL && i < m; i++) {
+        int reached;
+        if (arg_packed(PySequence_Fast_GET_ITEM(seq, i), n, adj) < 0
+            || (reached = screen_one(n, adj, tests, (int)ntests)) < 0)
+            Py_CLEAR(out);
+        else
+            PyBytes_AS_STRING(out)[i] = (char)reached;
+    }
+    Py_DECREF(seq);
     return out;
 }
 
@@ -1386,6 +1641,7 @@ static PyMethodDef fastcore_methods[] = {
     ENTRY(dominating_sets),
     ENTRY(eternal_fixpoint),
     ENTRY(augment),
+    ENTRY(screen),
     {NULL, NULL, 0, NULL},
 };
 
@@ -1404,6 +1660,9 @@ static struct PyModuleDef fastcore_module = {
 PyMODINIT_FUNC
 PyInit__fastcore(void)
 {
+    init_pairs();
+    if (WORD_BITS == NULL && (WORD_BITS = PyLong_FromLong(64)) == NULL)
+        return NULL;
     PyObject *pure = PyImport_ImportModule("etdom._kernel._purecore");
     if (pure == NULL)
         return NULL;
@@ -1424,6 +1683,21 @@ PyInit__fastcore(void)
         || PyModule_AddIntConstant(mod, "MODE_ALL", MODE_ALL) < 0
         || PyModule_AddIntConstant(mod, "MODE_TRIANGLE_FREE", MODE_TRIANGLE_FREE) < 0)
         goto fail;
+    PyObject *names = PyTuple_New(NSCREEN);
+    if (names == NULL)
+        goto fail;
+    for (int i = 0; i < NSCREEN; i++) {
+        PyObject *name = PyUnicode_FromString(SCREEN_NAMES[i]);
+        if (name == NULL) {
+            Py_DECREF(names);
+            goto fail;
+        }
+        PyTuple_SET_ITEM(names, i, name);
+    }
+    if (PyModule_AddObject(mod, "SCREEN_TESTS", names) < 0) {
+        Py_DECREF(names);
+        goto fail;
+    }
     return mod;
 fail:
     Py_DECREF(mod);

@@ -1,15 +1,20 @@
 """Pure-Python kernel: the hot combinatorial routines, and the reference.
 
-Everything here works on (n, adj) with adj a sequence of per-vertex
-neighbourhood bitmasks, 0 <= n <= 64; every entry point raises
-ValueError outside that range, when len(adj) != n, or when a mask has a
-bit outside 0..n-1.  The compiled
+Most entry points work on (n, adj) with adj a sequence of per-vertex
+neighbourhood bitmasks, 0 <= n <= 64; each raises ValueError outside
+that range, when len(adj) != n, or when a mask has a bit outside
+0..n-1.  augment and screen take packed graphs instead: one int per
+graph holding its graph6 payload bits, x(0,1) most significant (the
+layout of etdom.graph6.pack), refused with ValueError when negative or
+wider than n(n-1)/2 bits.  The compiled
 kernel (_fastcore.c, a hand-written CPython extension) implements the
 same entry points with identical results, taking positional arguments
 only; tests/test_kernel_parity.py cross-checks the two.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 BACKEND_NAME = "pure"
 
@@ -26,14 +31,53 @@ class BudgetExceeded(RuntimeError):
         return type(self), (self.args[0], self.count)
 
 
-def _check_graph(n, adj):
+def _check_order(n):
     if not 0 <= n <= 64:
         raise ValueError(f"n must be in 0..64, got {n}")
+
+
+def _check_graph(n, adj):
+    _check_order(n)
     if len(adj) != n:
         raise ValueError(f"adj has {len(adj)} rows, expected n = {n}")
     for v, row in enumerate(adj):
         if row < 0 or row >> n:
             raise ValueError(f"adj[{v}] = {row} is not a mask of vertices 0..{n - 1}")
+
+
+def _unpack(n, p):
+    """Adjacency masks of the order-n graph packed in p: payload bit t,
+    the pair (i, j) with t = j(j-1)/2 + i (column by column: (0,1);
+    (0,2), (1,2); (0,3), ...), sits at bit n(n-1)/2 - 1 - t of p."""
+    if not isinstance(p, int):
+        raise TypeError(f"packed graphs must be int, not {type(p).__name__}")
+    nbits = n * (n - 1) // 2
+    if p < 0 or p >> nbits:
+        raise ValueError(f"packed graph {p} has more than {nbits} bits for n={n}")
+    adj = [0] * n
+    top = nbits - 1
+    while p:
+        low = p & -p
+        t = top - (low.bit_length() - 1)
+        j = (1 + isqrt(8 * t + 1)) // 2
+        i = t - j * (j - 1) // 2
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        p ^= low
+    return adj
+
+
+def _pack(n, adj):
+    """The packed int of an order-n graph (inverse of _unpack)."""
+    p = 0
+    top = n * (n - 1) // 2 - 1
+    for j in range(1, n):
+        col = adj[j] & ((1 << j) - 1)
+        while col:
+            low = col & -col
+            p |= 1 << (top - j * (j - 1) // 2 - (low.bit_length() - 1))
+            col ^= low
+    return p
 
 
 def _bits(mask):
@@ -632,24 +676,30 @@ def _is_mtf_masks(n, adj):
     return True
 
 
-def augment(n, adj, mode, emit_connected=False, emit_mtf=False):
-    """Isomorph-free children of one parent: add vertex n joined to a subset.
+def augment(n, parents, mode, emit_connected=False, emit_mtf=False):
+    """Isomorph-free children of order n+1 of packed order-n parents.
 
-    Accepts a child exactly when the new vertex lies in the orbit of the
-    canonical deletion vertex (least invariant key, latest canonical
-    position), so each unlabelled child of order n+1 is produced from
-    exactly one (parent, subset-orbit) pair.  Returns canonical
-    adjacency tuples in deterministic order; the emit flags drop
-    children failing the final-layer predicates without a Python
-    round trip.
+    Each parent gains vertex n joined to a subset of its vertices.  A
+    child is accepted exactly when the new vertex lies in the orbit of
+    the canonical deletion vertex (least invariant key, latest canonical
+    position), so each unlabelled child is produced from exactly one
+    (parent, subset-orbit) pair.  Returns the packed canonical children,
+    parent by parent in input order, each parent's in subset order; the
+    emit flags drop children failing the final-layer predicates without
+    a Python round trip.
     """
-    _check_graph(n, adj)
+    _check_order(n)
     if n >= 22:
         raise BudgetExceeded(f"augmentation over 2^{n} subsets refused", 1 << n)
-    adj = list(adj)
+    out = []
+    for p in parents:
+        _augment_one(n, _unpack(n, p), mode, emit_connected, emit_mtf, out)
+    return out
+
+
+def _augment_one(n, adj, mode, emit_connected, emit_mtf, out):
     _, _, _, gens = canon(n, adj)
     reps = _subset_orbit_reps(n, gens) if gens else None
-    out = []
     nc = n + 1
     for s in range(1 << n):
         if mode == MODE_TRIANGLE_FREE:
@@ -692,5 +742,72 @@ def augment(n, adj, mode, emit_connected=False, emit_mtf=False):
                     vstar_pos = pos[v]
                     vstar = v
         if orbit[n] == orbit[vstar]:
-            out.append(cert)
-    return out
+            out.append(_pack(nc, cert))
+
+
+# ---------------------------------------------------------------------------
+# The invariant screen: alpha, theta and gamma tests on packed graphs.
+# ---------------------------------------------------------------------------
+
+# screen test codes are indices into this tuple; each name is also the
+# name of the filter it computes in etdom.pipeline.FILTERS
+SCREEN_TESTS = ("alpha_lt_theta", "alpha_half", "theta_half", "gamma_eq_alpha",
+                "gamma_eq_theta")
+
+
+class _Invariants:
+    """alpha, theta (with lb = alpha) and gamma of one graph, on first use."""
+
+    def __init__(self, n, adj):
+        self.n = n
+        self.adj = adj
+        self._theta = self._gamma = None
+        full = (1 << n) - 1
+        self.alpha = max_clique(n, [full & ~row & ~(1 << v) for v, row in enumerate(adj)])
+
+    @property
+    def theta(self):
+        if self._theta is None:
+            self._theta = clique_cover(self.n, self.adj, self.alpha)
+        return self._theta
+
+    @property
+    def gamma(self):
+        if self._gamma is None:
+            self._gamma = domination_number(self.n, self.adj)
+        return self._gamma
+
+
+_SCREEN = (
+    lambda iv: iv.alpha < iv.theta,
+    lambda iv: iv.alpha == iv.n // 2,
+    lambda iv: iv.theta == (iv.n + 1) // 2,
+    lambda iv: iv.gamma == iv.alpha,
+    lambda iv: iv.gamma == iv.theta,
+)
+
+
+def screen(n, packed, tests):
+    """How many leading tests each packed order-n graph passes, as bytes.
+
+    tests holds codes, indices into SCREEN_TESTS.  alpha is computed
+    first, theta and gamma only when a test reaches them.
+    """
+    _check_order(n)
+    tests = list(tests)
+    if len(tests) > 255:
+        raise ValueError(f"at most 255 screen tests, got {len(tests)}")
+    for code in tests:
+        if not 0 <= code < len(SCREEN_TESTS):
+            raise ValueError(f"unknown screen test {code}; codes are "
+                             f"0..{len(SCREEN_TESTS) - 1}")
+    out = bytearray()
+    for p in packed:
+        adj = _unpack(n, p)
+        reached = 0
+        if tests:
+            iv = _Invariants(n, adj)
+            while reached < len(tests) and _SCREEN[tests[reached]](iv):
+                reached += 1
+        out.append(reached)
+    return bytes(out)

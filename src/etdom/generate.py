@@ -7,8 +7,10 @@ layers can be sharded across workers.  Connectivity is filtered at
 emission; the layer itself keeps disconnected graphs because deleting
 the canonical vertex of a connected graph may disconnect it.  Layers
 hold each graph as one packed int (graph6.pack), in RAM, in spill files
-and through the worker pool; each parent is validated once as it is
-unpacked for the kernel.  graph6 text is made only for output.
+and through the worker pool; the kernel takes a batch of packed parents
+and returns their packed children, validating each parent as it unpacks
+it.  final_layer hands the last layer on unsorted, for counting; only
+generate_connected sorts it and builds Graph values.
 
 Cubic graphs use a different ladder: subdivide two distinct edges of a
 (possibly disconnected) cubic graph two orders down and join the new
@@ -118,12 +120,7 @@ class Layer:
 
 def _augment_batch(args: tuple[list[int], int, int, bool, bool]) -> list[int]:
     parents, n, mode, emit_connected, emit_mtf = args
-    out = []
-    for p in parents:
-        g = Graph(n, unpack(n, p))
-        for cert in _kernel.augment(n, g.adj, mode, emit_connected, emit_mtf):
-            out.append(pack(n + 1, cert))
-    return out
+    return _kernel.augment(n, parents, mode, emit_connected, emit_mtf)
 
 
 class _LayerWriter:
@@ -146,7 +143,9 @@ class _LayerWriter:
             fd, self.path = tempfile.mkstemp(suffix=".hex", prefix="etdom-layer-")
             self.fh = os.fdopen(fd, "w", encoding="ascii")
             packed, self.packed = self.packed, None
-        self.fh.write("".join([f"{p:x}\n" for p in packed]))
+        # in slices, so the text of a whole spilled list is never in RAM at once
+        for i in range(0, len(packed), 65536):
+            self.fh.write("".join([f"{p:x}\n" for p in packed[i:i + 65536]]))
 
     def finish(self) -> Layer:
         if self.fh is None:
@@ -191,26 +190,22 @@ def graph_layers(max_n: int, mode_name: str, *, workers: int = 1) -> Iterator[La
         yield layer
 
 
-def generate_connected(
+def final_layer(
     n: int, constraint: str = "all", *, allow_large: bool = False, workers: int = 1
-) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs of
-    order n meeting the constraint, in sorted canonical graph6 order.
+) -> Layer:
+    """One packed representative per isomorphism class of connected
+    graphs of order n meeting the constraint, as a Layer in generation
+    order (not sorted).
 
-    The last layer filters inside the kernel, so large final layers
-    never materialise graphs that the constraint is about to drop.
-    Packed int order is graph6 line order, so the final layer is sorted
-    as ints and each graph is validated once, as it is yielded.
+    The last step filters inside the kernel, so large final layers never
+    hold graphs that the constraint is about to drop.  Cubic graphs come
+    from the ladder, packed in the labelling it builds them with.
     """
     _check_budget(n, constraint, allow_large)
     if constraint == "cubic":
-        yield from _generate_cubic_connected(n)
-        return
-    if n < 1:
-        return
-    if n == 1:
-        yield Graph(1, (0,))
-        return
+        return Layer(n, packed=[pack(n, g.adj) for g in _generate_cubic_connected(n)])
+    if n < 2:
+        return Layer(n, packed=[pack(1, (0,))] if n == 1 else [])
     mode_name = constraint if constraint != "maximal_triangle_free" else "triangle_free"
     layer = None
     for layer in graph_layers(n - 1, mode_name, workers=workers):
@@ -220,6 +215,23 @@ def generate_connected(
         emit_connected=True, emit_mtf=constraint == "maximal_triangle_free",
     )
     layer.discard()
+    return final
+
+
+def generate_connected(
+    n: int, constraint: str = "all", *, allow_large: bool = False, workers: int = 1
+) -> Iterator[Graph]:
+    """One representative per isomorphism class of connected graphs of
+    order n meeting the constraint, in sorted canonical graph6 order.
+
+    Packed int order is graph6 line order, so final_layer is sorted as
+    ints and each graph is validated once, as it is yielded.
+    """
+    _check_budget(n, constraint, allow_large)
+    if constraint == "cubic":
+        yield from _generate_cubic_connected(n)
+        return
+    final = final_layer(n, constraint, allow_large=allow_large, workers=workers)
     packed = sorted(final)
     final.discard()
     for p in packed:

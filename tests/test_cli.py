@@ -1,6 +1,9 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import etdom
 from etdom.cli import main
 
 
@@ -155,6 +158,19 @@ def test_console_script_installed():
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_python_m_etdom(capsys):
+    # the package runs as a module, with the same stdout as cli.main
+    args = ["table", "T4", "--max-n", "6"]
+    src = str(Path(etdom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "etdom", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, out, _ = run_cli(args, capsys=capsys)
+    assert rc == 0 and proc.stdout == out
 
 
 def test_config_file_args(tmp_path, capsys):

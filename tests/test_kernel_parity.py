@@ -3,14 +3,18 @@
 Every entry point must return exactly the same value, in the same order,
 on seeded random graphs; budget refusals must raise the same exception
 with the same count, and out-of-range input must raise the same
-ValueError.  The comparisons skip when the compiled kernel is not built
+ValueError.  augment and screen take packed graphs (graph6.pack), which
+pass 64 bits from order 12 on, so they are also checked there.  The
+comparisons skip when the compiled kernel is not built
 (``python setup.py build_ext --inplace``).  The compile check of the C
 source and the pickling of ``BudgetExceeded`` run on every checkout.
 """
 
+import itertools
 import json
 import os
 import pickle
+import random
 import shutil
 import subprocess
 import sys
@@ -22,8 +26,10 @@ from hypothesis import given, settings, strategies as st
 
 from etdom import decode
 from etdom._kernel import _purecore
+from etdom.canon import canonical_graph
 from etdom.eternal import DEFAULT_CONFIG_CAP
-from etdom.graphs import complete_graph, empty_graph
+from etdom.graph6 import pack, unpack
+from etdom.graphs import Graph, complete_graph, empty_graph
 
 from conftest import rand_graph
 
@@ -46,23 +52,41 @@ MODES = (_purecore.MODE_ALL, _purecore.MODE_TRIANGLE_FREE)
 EMIT_FLAGS = [(c, m) for c in (False, True) for m in (False, True)]
 
 
-@st.composite
-def graphs(draw, max_n=11):
-    """(n, adj) of a G(n, p) graph, or of a triangle-free graph grown by
-    random edges (maximal when every candidate edge is kept)."""
-    n = draw(st.integers(0, max_n))
-    p = draw(st.sampled_from((0.0, 0.15, 0.35, 0.5, 0.85, 1.0)))
-    rng = draw(st.randoms(use_true_random=False))
-    if not draw(st.booleans()):
-        return n, list(rand_graph(rng, n, p).adj)
+def grown_triangle_free(rng, n, p):
+    """Adjacency masks of a triangle-free graph grown by random edges; with
+    p = 1 every candidate edge is kept, so the graph is maximal."""
     adj = [0] * n
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     for u, v in pairs:
-        if not adj[u] & adj[v] and rng.random() < max(p, 0.5):
+        if not adj[u] & adj[v] and rng.random() < p:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    return n, adj
+    return adj
+
+
+def _adjacency(draw, n):
+    """A G(n, p) graph or a grown triangle-free graph, as adjacency masks."""
+    p = draw(st.sampled_from((0.0, 0.15, 0.35, 0.5, 0.85, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    if not draw(st.booleans()):
+        return list(rand_graph(rng, n, p).adj)
+    return grown_triangle_free(rng, n, max(p, 0.5))
+
+
+@st.composite
+def graphs(draw, max_n=11):
+    """(n, adj) of a random graph; see _adjacency."""
+    n = draw(st.integers(0, max_n))
+    return n, _adjacency(draw, n)
+
+
+@st.composite
+def packed_batches(draw, min_n=0, max_n=11, max_size=4):
+    """(n, packed) of a few random order-n graphs; see _adjacency."""
+    n = draw(st.integers(min_n, max_n))
+    size = draw(st.integers(0, max_size))
+    return n, [pack(n, _adjacency(draw, n)) for _ in range(size)]
 
 
 def both(fn, *args):
@@ -78,15 +102,18 @@ def both(fn, *args):
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "etdom" / "_kernel" / "_fastcore.c"
 
 
-def test_fastcore_c_compiles():
+def test_fastcore_c_compiles(tmp_path):
     # _fastcore.c is hand-written: it must compile without a warning
     # wherever the extension is built, whether or not it is built here.
+    # A full -O2 compile also runs the warnings that need data-flow
+    # analysis (uninitialised values, array bounds), which -fsyntax-only skips.
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler (cc) on PATH")
     include = sysconfig.get_paths()["include"]
     proc = subprocess.run(
-        [cc, "-Wall", "-Werror", "-fsyntax-only", f"-I{include}", str(SOURCE)],
+        [cc, "-Wall", "-Wextra", "-Werror", "-O2", "-fPIC", "-c", f"-I{include}",
+         str(SOURCE), "-o", str(tmp_path / "_fastcore.o")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -125,12 +152,14 @@ def test_canon_symmetric_families():
 
 @needs_fast
 def test_order_64():
-    # 64 vertices fill the mask word: the full vertex set is 2**64 - 1
-    # (canon and augment at n = 64 are checked above and below)
+    # 64 vertices fill the mask word: the full vertex set is 2**64 - 1, and
+    # a packed graph holds 2016 bits (canon and augment at n = 64 are
+    # checked above and below)
     half = (1 << 32) - 1
     star = [(1 << 64) - 2] + [1] * 63
     bipartite = [half << 32] * 32 + [half] * 32
     for adj in (list(complete_graph(64).adj), list(empty_graph(64).adj), star, bipartite):
+        both("screen", 64, [pack(64, adj)], SCREEN_SEQUENCES[-1])
         for fn in ("max_clique", "maximal_cliques", "clique_cover", "max_matching"):
             both(fn, 64, adj)
         gamma = both("domination_number", 64, adj)
@@ -166,11 +195,23 @@ def test_domination_and_fixpoint(graph):
 
 @needs_fast
 @seeded
-@given(graphs(max_n=8))
-def test_augment(graph):
+@given(packed_batches(max_n=8, max_size=2))
+def test_augment(batch):
     for mode in MODES:
         for emit_connected, emit_mtf in EMIT_FLAGS:
-            both("augment", *graph, mode, emit_connected, emit_mtf)
+            both("augment", *batch, mode, emit_connected, emit_mtf)
+
+
+@pytest.mark.parametrize("kernel", BACKENDS)
+def test_augment_children_are_packed_canonical_graphs(kernel):
+    # children come back in the graph6.pack layout, already canonical,
+    # and a batch returns each parent's children in turn
+    parents = [pack(5, g.adj) for g in (complete_graph(5), empty_graph(5))]
+    children = [kernel.augment(5, [p], _purecore.MODE_ALL) for p in parents]
+    assert kernel.augment(5, parents, _purecore.MODE_ALL) == children[0] + children[1]
+    for p in children[0] + children[1]:
+        g = Graph(6, unpack(6, p))
+        assert pack(6, canonical_graph(g).adj) == p
 
 
 # triangle-free parents that have maximal triangle-free children
@@ -181,15 +222,69 @@ MTF_PARENTS = ("DFw", "F?~v_")
 @pytest.mark.parametrize("parent", MTF_PARENTS)
 def test_augment_mtf_parents(parent):
     g = decode(parent)
+    parents = [pack(g.n, g.adj)]
     for mode in MODES:
         for emit_connected, emit_mtf in EMIT_FLAGS:
-            both("augment", g.n, list(g.adj), mode, emit_connected, emit_mtf)
-    assert both("augment", g.n, list(g.adj), _purecore.MODE_TRIANGLE_FREE, True, True)
+            both("augment", g.n, parents, mode, emit_connected, emit_mtf)
+    assert both("augment", g.n, parents, _purecore.MODE_TRIANGLE_FREE, True, True)
+
+
+@needs_fast
+def test_augment_past_64_bits():
+    # order-12 parents hold 66 bits and their children 78; in triangle-free
+    # mode only independent subsets are tried, which keeps the pure kernel quick
+    rng = random.Random(12)
+    parents = [pack(12, grown_triangle_free(rng, 12, p)) for p in (1.0, 1.0, 0.7, 0.4)]
+    for emit_connected, emit_mtf in EMIT_FLAGS:
+        children = both("augment", 12, parents, _purecore.MODE_TRIANGLE_FREE,
+                        emit_connected, emit_mtf)
+        assert children or emit_mtf
+
+
+@needs_fast
+def test_augment_order_21():
+    # the largest order augment takes: a maximal triangle-free parent with
+    # 210 bits, children with 231
+    adj = grown_triangle_free(random.Random(5), 21, 1.0)
+    children = both("augment", 21, [pack(21, adj)], _purecore.MODE_TRIANGLE_FREE, True)
+    assert children and all(p >> 64 for p in children)
+
+
+# every sequence of distinct screen test codes, the empty one included
+SCREEN_SEQUENCES = [seq for k in range(len(_purecore.SCREEN_TESTS) + 1)
+                    for seq in itertools.permutations(range(len(_purecore.SCREEN_TESTS)), k)]
+
+
+@needs_fast
+@seeded
+@given(packed_batches(), st.lists(st.integers(0, len(_purecore.SCREEN_TESTS) - 1),
+                                  max_size=8))
+def test_screen(batch, tests):
+    n, packed = batch
+    got = both("screen", n, packed, tests)
+    assert type(got) is bytes and len(got) == len(packed)
+
+
+@needs_fast
+def test_screen_every_test_sequence():
+    rng = random.Random(11)
+    for n in range(9):
+        packed = [pack(n, rand_graph(rng, n, p).adj) for p in (0.2, 0.4, 0.6, 0.8)]
+        for tests in SCREEN_SEQUENCES:
+            both("screen", n, packed, tests)
+            both("screen", n, tuple(packed), list(tests))
+
+
+@needs_fast
+@settings(seeded, max_examples=100)
+@given(packed_batches(min_n=12, max_n=14, max_size=2), st.sampled_from(SCREEN_SEQUENCES))
+def test_screen_past_64_bits(batch, tests):
+    both("screen", *batch, tests)
 
 
 @needs_fast
 def test_constants():
-    for name in ("MODE_ALL", "MODE_TRIANGLE_FREE"):
+    for name in ("MODE_ALL", "MODE_TRIANGLE_FREE", "SCREEN_TESTS"):
         assert getattr(_fastcore, name) == getattr(_purecore, name)
     assert (_purecore.BACKEND_NAME, _fastcore.BACKEND_NAME) == ("pure", "fast")
 
@@ -203,10 +298,10 @@ def raised(kernel, fn, *args):
 @needs_fast
 @pytest.mark.parametrize("n", (22, 23, 30, 64))
 def test_augment_refuses_large_parents(n):
-    adj = list(empty_graph(n).adj)
+    parents = [pack(n, empty_graph(n).adj)]
     for mode in MODES:
-        assert raised(_fastcore, "augment", n, adj, mode) == raised(
-            _purecore, "augment", n, adj, mode)
+        assert raised(_fastcore, "augment", n, parents, mode) == raised(
+            _purecore, "augment", n, parents, mode)
 
 
 @needs_fast
@@ -226,23 +321,35 @@ def test_dominating_sets_cap(graph, extra):
 
 # In a child process: a kernel that reads past its fixed 64-slot arrays
 # may crash, and a crash must fail the test, not end pytest.  Each entry
-# point gets its arguments after (n, adj); every bad (n, adj) must be
-# refused with ValueError before any row is used.
+# point gets its arguments after (n, adj), or after (n, packed graphs);
+# every bad order, graph or packed graph must be refused with ValueError
+# before any row is used.
 RANGE_SCRIPT = """
 import json
 from etdom._kernel import _fastcore, _purecore
 ENTRY_ARGS = {
     "canon": (), "max_clique": (), "maximal_cliques": (), "clique_cover": (),
     "max_matching": (), "domination_number": (), "dominating_sets": (1, 8),
-    "eternal_fixpoint": (1, [1]), "augment": (_purecore.MODE_ALL,),
+    "eternal_fixpoint": (1, [1]),
 }
+PACKED_ENTRY_ARGS = {"augment": (_purecore.MODE_ALL,), "screen": ([0, 1],)}
 BAD_GRAPHS = {"n=-1": (-1, []), "n=65": (65, [0] * 65), "n=2**70": (2 ** 70, []),
               "short adj": (3, [0, 0]), "long adj": (2, [0, 0, 0]),
               "mask past n": (2, [0b100, 0]), "negative mask": (2, [0, -1]),
               "mask past 2**64": (64, [2 ** 64] + [0] * 63)}
+BAD_PACKED = {"n=-1": (-1, [0]), "n=65": (65, [0]), "n=2**70": (2 ** 70, [0]),
+              "negative": (3, [0, -1]), "negative past 64 bits": (12, [-(2 ** 65)]),
+              "past n(n-1)/2 bits": (3, [0, 0b1000]), "past 66 bits": (12, [2 ** 66]),
+              "past 2016 bits": (21, [2 ** 2016 + 1]), "past 2**64 at n=3": (3, [2 ** 64])}
 calls = [(f"{fn} {case}", fn, graph + rest)
          for fn, rest in ENTRY_ARGS.items() for case, graph in BAD_GRAPHS.items()]
+calls += [(f"{fn} {case}", fn, (n, packed) + rest)
+          for fn, rest in PACKED_ENTRY_ARGS.items() for case, (n, packed) in BAD_PACKED.items()]
 calls.append(("dominating_sets k=-1", "dominating_sets", (3, [0, 0, 0], -1, 8)))
+calls.append(("screen test code 5", "screen", (3, [0], [0, 5])))
+calls.append(("screen test code -1", "screen", (3, [0], [-1])))
+calls.append(("screen test code 2**70", "screen", (3, [0], [2 ** 70])))
+calls.append(("screen 256 tests", "screen", (3, [0], [0] * 256)))
 out = {}
 for label, fn, args in calls:
     for name, kernel in (("pure", _purecore), ("fast", _fastcore)):
@@ -264,7 +371,7 @@ def test_out_of_range_input_raises_value_error():
     )
     assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr[-2000:]}"
     results = json.loads(proc.stdout)
-    assert len(results) == 9 * 8 + 1
+    assert len(results) == 8 * 8 + 2 * 9 + 5
     for label, got in results.items():
         assert got["pure"][0] == "ValueError", (label, got)
         assert got["fast"] == got["pure"], (label, got)

@@ -1,8 +1,11 @@
 import pytest
 
 from etdom import decode, generate_connected
+from etdom._kernel import _purecore
 from etdom.canon import canonical_form
-from etdom.graphs import empty_graph
+from etdom.generate import graph_layers
+from etdom.graph6 import pack, unpack
+from etdom.graphs import Graph, empty_graph
 from etdom.pipeline import (
     FILTERS,
     Analysis,
@@ -44,6 +47,34 @@ def test_half_alpha_filter_matches_old_definition():
             a = Analysis(g)
             old = n % 2 == 1 and a.alpha == (n - 1) // 2 and a.theta == (n + 1) // 2
             assert half_alpha(a) == old
+
+
+def _screen_cases():
+    """(n, graphs) for every connected graph of order <= 7 and every
+    triangle-free graph of order <= 9, connected or not."""
+    for n in range(1, 8):
+        yield n, list(generate_connected(n))
+    for layer in graph_layers(9, "triangle_free"):
+        yield layer.n, [Graph(layer.n, unpack(layer.n, p)) for p in layer]
+
+
+try:
+    from etdom._kernel import _fastcore
+except ImportError:
+    _fastcore = None
+
+
+@pytest.mark.parametrize("kernel", [k for k in (_purecore, _fastcore) if k is not None],
+                         ids=lambda k: k.BACKEND_NAME)
+def test_screen_agrees_with_filters(kernel):
+    # the kernel's screen decides the invariant-only filters on packed
+    # graphs; each of its tests must be the filter of the same name
+    assert set(kernel.SCREEN_TESTS) < set(FILTERS)
+    for n, graphs in _screen_cases():
+        packed = [pack(n, g.adj) for g in graphs]
+        for code, name in enumerate(kernel.SCREEN_TESTS):
+            want = bytes(FILTERS[name][1](Analysis(g)) for g in graphs)
+            assert kernel.screen(n, packed, [code]) == want, (n, name)
 
 
 def test_run_filter_counts_n5():
@@ -131,8 +162,9 @@ def test_reproduce_t7_small():
 
 def test_table_identical_across_worker_counts():
     # order 8 has 11,117 graphs, enough to send the chunks to a pool
-    tsv = [reproduce_table("T7", max_n=8, workers=w).to_tsv() for w in (1, 2)]
-    assert tsv[0] == tsv[1]
+    for table, max_n in (("T7", 8), ("T1", 8), ("T2", 9)):
+        tsv = [reproduce_table(table, max_n=max_n, workers=w).to_tsv() for w in (1, 2)]
+        assert tsv[0] == tsv[1], table
 
 
 def test_table_rows_beyond_cap_marked_skipped():
