@@ -1327,6 +1327,8 @@ key_cmp(const u64 *adj, const int *degs, int v, int w)
 static int
 is_connected_masks(int n, const u64 *adj)
 {
+    if (n == 0)
+        return 0;
     u64 seen = 1, frontier = adj[0];
     while (frontier & ~seen) {
         u64 nxt = 0;
@@ -1336,6 +1338,16 @@ is_connected_masks(int n, const u64 *adj)
         frontier = nxt & ~seen;
     }
     return (seen | frontier) == full_mask(n);
+}
+
+static int
+is_triangle_free_masks(int n, const u64 *adj)
+{
+    for (int u = 0; u < n; u++)
+        for (u64 m = adj[u] & ~full_mask(u + 1); m; m &= m - 1)
+            if (adj[u] & adj[ctz64(m)])
+                return 0;
+    return 1;
 }
 
 /* Triangle-free with every non-adjacent pair sharing a neighbour. */
@@ -1527,43 +1539,126 @@ py_augment(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 
 
 /* ------------------------------------------------------------------------
- * The invariant screen: alpha, theta and gamma tests on packed graphs.
+ * The screen: invariant, criticality and structural tests on packed graphs.
  * --------------------------------------------------------------------- */
 
 /* Test codes, in the order of SCREEN_TESTS. */
-enum { ALPHA_LT_THETA, ALPHA_HALF, THETA_HALF, GAMMA_EQ_ALPHA, GAMMA_EQ_THETA, NSCREEN };
+enum {
+    ALPHA_LT_THETA, ALPHA_HALF, THETA_HALF, GAMMA_EQ_ALPHA, GAMMA_EQ_THETA,
+    VERTEX_CRITICAL, EDGE_CRITICAL, CRITICAL, CONNECTED, TRIANGLE_FREE,
+    MAXIMAL_TRIANGLE_FREE, NSCREEN
+};
 static const char *const SCREEN_NAMES[NSCREEN] = {
     "alpha_lt_theta", "alpha_half", "theta_half", "gamma_eq_alpha", "gamma_eq_theta",
+    "vertex_critical", "edge_critical", "critical", "connected", "triangle_free",
+    "maximal_triangle_free",
 };
 
+/* What each test reads; theta is computed with lb = alpha, so it needs alpha. */
+enum { NEED_ALPHA = 1, NEED_THETA = 2, NEED_GAMMA = 4, NEED_VCRIT = 8, NEED_ECRIT = 16 };
+static const unsigned char SCREEN_NEEDS[NSCREEN] = {
+    [ALPHA_LT_THETA] = NEED_ALPHA | NEED_THETA,
+    [ALPHA_HALF] = NEED_ALPHA,
+    [THETA_HALF] = NEED_ALPHA | NEED_THETA,
+    [GAMMA_EQ_ALPHA] = NEED_ALPHA | NEED_GAMMA,
+    [GAMMA_EQ_THETA] = NEED_ALPHA | NEED_THETA | NEED_GAMMA,
+    [VERTEX_CRITICAL] = NEED_ALPHA | NEED_THETA | NEED_VCRIT,
+    [EDGE_CRITICAL] = NEED_ALPHA | NEED_THETA | NEED_ECRIT,
+    [CRITICAL] = NEED_ALPHA | NEED_THETA | NEED_VCRIT | NEED_ECRIT,
+};
+
+/* Every vertex deletion lowers theta by one: 1 or 0, or -1 with
+   MemoryError set.  theta(G - v) >= theta - 1, so with that lower bound
+   each cover search stops at its first cover of size theta - 1. */
+static int
+vertex_critical_c(int n, const u64 *adj, int theta)
+{
+    u64 sub[MAXN];
+    if (n == 0)
+        return 0;
+    for (int v = 0; v < n; v++) {
+        /* G - v, the vertices above v moved down by one */
+        u64 low = BIT(v) - 1;
+        int m = 0, cover;
+        for (int w = 0; w < n; w++)
+            if (w != v)
+                sub[m++] = (adj[w] & low) | ((adj[w] >> 1) & ~low);
+        if ((cover = m ? clique_cover_c(m, sub, theta - 1) : 0) < 0)
+            return -1;
+        if (cover != theta - 1)
+            return 0;
+    }
+    return 1;
+}
+
+/* Every missing-edge insertion lowers theta by one (complete graphs pass
+   vacuously): 1 or 0, or -1 with MemoryError set.  theta(G + uv) >=
+   theta - 1, so each cover search stops as in vertex_critical_c. */
+static int
+edge_critical_c(int n, const u64 *adj, int theta)
+{
+    u64 plus[MAXN];
+    if (n == 0)
+        return 0;
+    memcpy(plus, adj, n * sizeof *adj);
+    for (int u = 0; u < n; u++) {
+        for (u64 m = full_mask(n) & ~adj[u] & ~full_mask(u + 1); m; m &= m - 1) {
+            int v = ctz64(m), cover;
+            plus[u] |= BIT(v);
+            plus[v] |= BIT(u);
+            cover = clique_cover_c(n, plus, theta - 1);
+            plus[u] = adj[u];
+            plus[v] = adj[v];
+            if (cover < 0)
+                return -1;
+            if (cover != theta - 1)
+                return 0;
+        }
+    }
+    return 1;
+}
+
 /* How many leading tests a graph passes, or -1 with an exception set.
-   alpha is computed first, theta (with lb = alpha) and gamma only when a
-   test reaches them. */
+   Each value is computed on first use: alpha, then theta with lb = alpha,
+   gamma, and each criticality with the theta already found. */
 static int
 screen_one(int n, const u64 *adj, const int *tests, int ntests)
 {
-    CliqueCtx co;
-    int alpha, theta = -1, gamma = -1;
-    if (ntests == 0)
-        return 0;
-    for (int v = 0; v < n; v++)
-        co.adj[v] = full_mask(n) & ~adj[v] & ~BIT(v);
-    co.best = 0;
-    mc_expand(&co, 0, full_mask(n));
-    alpha = co.best;
+    int alpha = -1, theta = -1, gamma = -1, vcrit = -1, ecrit = -1;
     for (int t = 0; t < ntests; t++) {
-        int code = tests[t], pass = 0;
-        if (theta < 0 && (code == ALPHA_LT_THETA || code == THETA_HALF || code == GAMMA_EQ_THETA)
+        int code = tests[t], needs = SCREEN_NEEDS[code], pass = 0;
+        if (alpha < 0 && (needs & NEED_ALPHA)) {
+            CliqueCtx co;
+            for (int v = 0; v < n; v++)
+                co.adj[v] = full_mask(n) & ~adj[v] & ~BIT(v);
+            co.best = 0;
+            mc_expand(&co, 0, full_mask(n));
+            alpha = co.best;
+        }
+        if (theta < 0 && (needs & NEED_THETA)
             && (theta = n ? clique_cover_c(n, adj, alpha) : 0) < 0)
             return -1;
-        if (gamma < 0 && (code == GAMMA_EQ_ALPHA || code == GAMMA_EQ_THETA))
+        if (gamma < 0 && (needs & NEED_GAMMA))
             gamma = n ? domination_number_c(n, adj) : 0;
+        if (vcrit < 0 && (needs & NEED_VCRIT)
+            && (vcrit = vertex_critical_c(n, adj, theta)) < 0)
+            return -1;
+        /* critical is vertex- and then edge-critical, as in etdom.pipeline */
+        if (ecrit < 0 && (needs & NEED_ECRIT) && (code != CRITICAL || vcrit)
+            && (ecrit = edge_critical_c(n, adj, theta)) < 0)
+            return -1;
         switch (code) {
         case ALPHA_LT_THETA: pass = alpha < theta; break;
         case ALPHA_HALF: pass = alpha == n / 2; break;
         case THETA_HALF: pass = theta == (n + 1) / 2; break;
         case GAMMA_EQ_ALPHA: pass = gamma == alpha; break;
         case GAMMA_EQ_THETA: pass = gamma == theta; break;
+        case VERTEX_CRITICAL: pass = vcrit; break;
+        case EDGE_CRITICAL: pass = ecrit; break;
+        case CRITICAL: pass = vcrit && ecrit; break;
+        case CONNECTED: pass = is_connected_masks(n, adj); break;
+        case TRIANGLE_FREE: pass = is_triangle_free_masks(n, adj); break;
+        case MAXIMAL_TRIANGLE_FREE: pass = is_mtf_masks(n, adj); break;
         }
         if (!pass)
             return t;

@@ -14,6 +14,7 @@ only; tests/test_kernel_parity.py cross-checks the two.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import isqrt
 
 BACKEND_NAME = "pure"
@@ -746,36 +747,83 @@ def _augment_one(n, adj, mode, emit_connected, emit_mtf, out):
 
 
 # ---------------------------------------------------------------------------
-# The invariant screen: alpha, theta and gamma tests on packed graphs.
+# The screen: invariant, criticality and structural tests on packed graphs.
 # ---------------------------------------------------------------------------
 
 # screen test codes are indices into this tuple; each name is also the
 # name of the filter it computes in etdom.pipeline.FILTERS
 SCREEN_TESTS = ("alpha_lt_theta", "alpha_half", "theta_half", "gamma_eq_alpha",
-                "gamma_eq_theta")
+                "gamma_eq_theta", "vertex_critical", "edge_critical", "critical",
+                "connected", "triangle_free", "maximal_triangle_free")
+
+
+def _is_triangle_free_masks(n, adj):
+    for u in range(n):
+        for v in _bits(adj[u] >> (u + 1) << (u + 1)):
+            if adj[u] & adj[v]:
+                return False
+    return True
 
 
 class _Invariants:
-    """alpha, theta (with lb = alpha) and gamma of one graph, on first use."""
+    """alpha, theta (with lb = alpha), gamma and cover-criticality of one
+    graph, each on first use."""
 
     def __init__(self, n, adj):
         self.n = n
         self.adj = adj
-        self._theta = self._gamma = None
-        full = (1 << n) - 1
-        self.alpha = max_clique(n, [full & ~row & ~(1 << v) for v, row in enumerate(adj)])
 
-    @property
+    @cached_property
+    def alpha(self):
+        full = (1 << self.n) - 1
+        return max_clique(self.n, [full & ~row & ~(1 << v) for v, row in enumerate(self.adj)])
+
+    @cached_property
     def theta(self):
-        if self._theta is None:
-            self._theta = clique_cover(self.n, self.adj, self.alpha)
-        return self._theta
+        return clique_cover(self.n, self.adj, self.alpha)
 
-    @property
+    @cached_property
     def gamma(self):
-        if self._gamma is None:
-            self._gamma = domination_number(self.n, self.adj)
-        return self._gamma
+        return domination_number(self.n, self.adj)
+
+    # theta(G - v) and theta(G + uv) are both at least theta - 1, so with
+    # that lower bound each cover search stops at its first cover of size
+    # theta - 1
+
+    @cached_property
+    def vertex_critical(self):
+        """Every vertex deletion lowers theta by one."""
+        n, adj = self.n, self.adj
+        if n == 0:
+            return False
+        lb = self.theta - 1
+        for v in range(n):
+            # G - v, the vertices above v moved down by one
+            low = (1 << v) - 1
+            sub = [row & low | row >> 1 & ~low for w, row in enumerate(adj) if w != v]
+            if clique_cover(n - 1, sub, lb) != lb:
+                return False
+        return True
+
+    @cached_property
+    def edge_critical(self):
+        """Every missing-edge insertion lowers theta by one; complete
+        graphs pass vacuously."""
+        n, adj = self.n, self.adj
+        if n == 0:
+            return False
+        lb = self.theta - 1
+        full = (1 << n) - 1
+        plus = list(adj)
+        for u in range(n):
+            for v in _bits(full & ~adj[u] >> (u + 1) << (u + 1)):
+                plus[u] = adj[u] | 1 << v
+                plus[v] = adj[v] | 1 << u
+                cover = clique_cover(n, plus, lb)
+                plus[u], plus[v] = adj[u], adj[v]
+                if cover != lb:
+                    return False
+        return True
 
 
 _SCREEN = (
@@ -784,14 +832,20 @@ _SCREEN = (
     lambda iv: iv.theta == (iv.n + 1) // 2,
     lambda iv: iv.gamma == iv.alpha,
     lambda iv: iv.gamma == iv.theta,
+    lambda iv: iv.vertex_critical,
+    lambda iv: iv.edge_critical,
+    lambda iv: iv.vertex_critical and iv.edge_critical,
+    lambda iv: _is_connected_masks(iv.n, iv.adj),
+    lambda iv: _is_triangle_free_masks(iv.n, iv.adj),
+    lambda iv: _is_mtf_masks(iv.n, iv.adj),
 )
 
 
 def screen(n, packed, tests):
     """How many leading tests each packed order-n graph passes, as bytes.
 
-    tests holds codes, indices into SCREEN_TESTS.  alpha is computed
-    first, theta and gamma only when a test reaches them.
+    tests holds codes, indices into SCREEN_TESTS.  Each invariant is
+    computed only when a test reaches it, and at most once per graph.
     """
     _check_order(n)
     tests = list(tests)
@@ -805,9 +859,8 @@ def screen(n, packed, tests):
     for p in packed:
         adj = _unpack(n, p)
         reached = 0
-        if tests:
-            iv = _Invariants(n, adj)
-            while reached < len(tests) and _SCREEN[tests[reached]](iv):
-                reached += 1
+        iv = _Invariants(n, adj)
+        while reached < len(tests) and _SCREEN[tests[reached]](iv):
+            reached += 1
         out.append(reached)
     return bytes(out)

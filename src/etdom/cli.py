@@ -20,8 +20,8 @@ from .eternal import (
     eternal_domination_number,
     prune_to_eternal,
 )
-from .generate import GenerationBudgetError, generate_connected
-from .graph6 import Graph6Error, decode, encode, read_file, read_stream
+from .generate import GenerationBudgetError, generate_connected, generate_packed
+from .graph6 import Graph6Error, decode, encode, encode_packed, read_file, read_stream
 from .graphs import GraphError, bits, from_edges, is_connected
 from .invariants import independence_number, clique_cover_number
 
@@ -51,10 +51,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_gen(args) -> int:
     count = 0
-    for g in generate_connected(
+    for p in generate_packed(
         args.n, args.constraint, allow_large=args.large, workers=args.workers
     ):
-        print(encode(g))
+        print(encode_packed(args.n, p))
         count += 1
     print(f"# {count} graphs", file=sys.stderr)
     return EXIT_OK

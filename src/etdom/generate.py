@@ -9,8 +9,9 @@ the canonical vertex of a connected graph may disconnect it.  Layers
 hold each graph as one packed int (graph6.pack), in RAM, in spill files
 and through the worker pool; the kernel takes a batch of packed parents
 and returns their packed children, validating each parent as it unpacks
-it.  final_layer hands the last layer on unsorted, for counting; only
-generate_connected sorts it and builds Graph values.
+it.  final_layer hands the last layer on unsorted, for counting;
+generate_packed sorts it, and generate_connected builds Graph values
+from that.
 
 Cubic graphs use a different ladder: subdivide two distinct edges of a
 (possibly disconnected) cubic graph two orders down and join the new
@@ -218,23 +219,34 @@ def final_layer(
     return final
 
 
-def generate_connected(
+def generate_packed(
     n: int, constraint: str = "all", *, allow_large: bool = False, workers: int = 1
-) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs of
-    order n meeting the constraint, in sorted canonical graph6 order.
+) -> Iterator[int]:
+    """The packed ints (graph6.pack) of generate_connected, in its order.
 
-    Packed int order is graph6 line order, so final_layer is sorted as
-    ints and each graph is validated once, as it is yielded.
+    Packed int order is graph6 line order, so the final layer is sorted
+    as ints.  Cubic graphs keep the ladder's canonical-key order and are
+    packed in the labelling it builds them with.
     """
     _check_budget(n, constraint, allow_large)
     if constraint == "cubic":
-        yield from _generate_cubic_connected(n)
+        for g in _generate_cubic_connected(n):
+            yield pack(n, g.adj)
         return
     final = final_layer(n, constraint, allow_large=allow_large, workers=workers)
     packed = sorted(final)
     final.discard()
-    for p in packed:
+    yield from packed
+
+
+def generate_connected(
+    n: int, constraint: str = "all", *, allow_large: bool = False, workers: int = 1
+) -> Iterator[Graph]:
+    """One representative per isomorphism class of connected graphs of
+    order n meeting the constraint, in sorted canonical graph6 order
+    (cubic graphs: in canonical-key order); each graph is validated once,
+    as it is yielded."""
+    for p in generate_packed(n, constraint, allow_large=allow_large, workers=workers):
         yield Graph(n, unpack(n, p))
 
 

@@ -7,12 +7,14 @@ padding bits are all rejected so corrupted catalogue lines surface
 immediately instead of round-tripping into wrong graphs.
 
 pack() and unpack() hold the one bit layout: the payload bits of a graph
-as one int.  encode() and decode() wrap them with the size prefix and the
-6-bit text chunks, and generation carries its layers in the int form.
+as one int.  encode_packed() and decode() wrap them with the size prefix
+and the 6-bit text chunks, encode() packs a Graph for encode_packed(), and
+generation carries its layers in the int form.
 """
 
 from __future__ import annotations
 
+import binascii
 import logging
 from typing import Iterable, Iterator
 
@@ -30,6 +32,11 @@ class Graph6Error(ValueError):
 def _payload_len(n: int) -> int:
     return (n * (n - 1) // 2 + 5) // 6
 
+
+_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 # every byte value with its eight bits in reverse order
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -125,18 +132,26 @@ def decode(line: str) -> Graph:
     return Graph(n, unpack(n, p >> pad))
 
 
-def encode(g: Graph, *, _allow_long: bool = False) -> str:
-    """Encode a Graph as one canonical-length graph6 line (n <= 62)."""
-    n = g.n
+def encode_packed(n: int, p: int, *, _allow_long: bool = False) -> str:
+    """The graph6 line (n <= 62) of the order-n graph that pack() gave p."""
     if n > 62 and not _allow_long:
         raise Graph6Error(f"short-form graph6 supports n <= 62, got {n}")
     if n <= 62:
         head = chr(n + 63)
     else:
         head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
+    # base64 cuts bytes into the same big-endian 6-bit chunks; its
+    # alphabet maps chunk value c to another character than chr(c + 63)
     want = _payload_len(n)
-    p = pack(n, g.adj) << (6 * want - n * (n - 1) // 2)
-    return head + "".join([chr((p >> 6 * k & 63) + 63) for k in range(want - 1, -1, -1)])
+    size = (want + 3) // 4 * 3
+    chunks = binascii.b2a_base64((p << 8 * size - n * (n - 1) // 2).to_bytes(size, "big"),
+                                 newline=False)
+    return head + chunks[:want].translate(_FROM_BASE64).decode("ascii")
+
+
+def encode(g: Graph, *, _allow_long: bool = False) -> str:
+    """Encode a Graph as one canonical-length graph6 line (n <= 62)."""
+    return encode_packed(g.n, pack(g.n, g.adj), _allow_long=_allow_long)
 
 
 def read_stream(

@@ -7,14 +7,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernel
-from .graphs import (
-    Graph,
-    GraphError,
-    add_edge,
-    bits,
-    delete_vertex,
-    is_triangle_free,
-)
+from .graph6 import pack
+from .graphs import Graph, GraphError, bits, is_triangle_free
 
 CHROMATIC_BUDGET = 20
 
@@ -136,16 +130,15 @@ def chromatic_number(g: Graph) -> int:
     return k
 
 
+def _screen(g: Graph, test: str) -> bool:
+    """The kernel screen's test of that name on g."""
+    code = _kernel.SCREEN_TESTS.index(test)
+    return _kernel.screen(g.n, [pack(g.n, g.adj)], [code]) == b"\x01"
+
+
 def is_vertex_critical(g: Graph) -> bool:
     """Every vertex deletion drops the clique cover number by one."""
-    if g.n == 0:
-        return False
-    theta = clique_cover_number(g)
-    for v in range(g.n):
-        h = delete_vertex(g, v)
-        if _kernel.clique_cover(h.n, h.adj, 0) != theta - 1:
-            return False
-    return True
+    return _screen(g, "vertex_critical")
 
 
 def is_edge_critical(g: Graph) -> bool:
@@ -153,17 +146,8 @@ def is_edge_critical(g: Graph) -> bool:
 
     Complete graphs have no missing edge, so they pass vacuously.
     """
-    if g.n == 0:
-        return False
-    theta = clique_cover_number(g)
-    for u in range(g.n):
-        others = g.vertex_mask & ~g.adj[u] & ~(1 << u)
-        for v in bits(others >> (u + 1) << (u + 1)):
-            h = add_edge(g, u, v)
-            if _kernel.clique_cover(h.n, h.adj, 0) != theta - 1:
-                return False
-    return True
+    return _screen(g, "edge_critical")
 
 
 def is_critical(g: Graph) -> bool:
-    return is_vertex_critical(g) and is_edge_critical(g)
+    return _screen(g, "critical")

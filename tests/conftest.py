@@ -62,3 +62,31 @@ def subsets_of_size(n, k):
         for v in combo:
             mask |= 1 << v
         yield mask
+
+
+# Cover-criticality by definition: rebuild each vertex-deleted and each
+# edge-added graph and compute its cover number from scratch.  The package
+# decides both inside the kernel's screen; these loops are the independent
+# oracle that the screen is checked against.
+
+def oracle_vertex_critical(g: Graph) -> bool:
+    from etdom.graphs import delete_vertex
+    from etdom.invariants import clique_cover_number
+
+    if g.n == 0:
+        return False
+    theta = clique_cover_number(g)
+    return all(clique_cover_number(delete_vertex(g, v)) == theta - 1 for v in range(g.n))
+
+
+def oracle_edge_critical(g: Graph) -> bool:
+    from etdom.graphs import add_edge
+    from etdom.invariants import clique_cover_number
+
+    if g.n == 0:
+        return False
+    theta = clique_cover_number(g)
+    return all(
+        clique_cover_number(add_edge(g, u, v)) == theta - 1
+        for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+    )

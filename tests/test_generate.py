@@ -8,8 +8,14 @@ import pytest
 from etdom import GraphError, enumerate_circulants, generate, generate_connected
 from etdom._kernel import BACKEND
 from etdom.canon import canonical_form, canonical_graph
-from etdom.generate import GenerationBudgetError, Layer, _LayerWriter, graph_layers
-from etdom.graph6 import encode, unpack
+from etdom.generate import (
+    GenerationBudgetError,
+    Layer,
+    _LayerWriter,
+    generate_packed,
+    graph_layers,
+)
+from etdom.graph6 import encode, encode_packed, unpack
 from etdom.graphs import (
     Graph,
     is_connected,
@@ -107,6 +113,15 @@ def test_generation_order_is_sorted_canonical_graph6():
                 assert encode(canonical_graph(g)) == line
                 lines.append(line)
             assert all(a < b for a, b in zip(lines, lines[1:])), (constraint, n)
+
+
+def test_gen_lines_come_from_packed_ints():
+    # etdom gen writes graph6 straight from generate_packed; the lines
+    # must be those of generate_connected, in the same order
+    for n, constraint in ((7, "all"), (8, "triangle_free"), (9, "maximal_triangle_free"),
+                          (10, "cubic")):
+        assert [encode_packed(n, p) for p in generate_packed(n, constraint)] == [
+            encode(g) for g in generate_connected(n, constraint)], constraint
 
 
 @pytest.mark.parametrize("workers", [1, 2])

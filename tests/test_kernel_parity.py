@@ -250,9 +250,13 @@ def test_augment_order_21():
     assert children and all(p >> 64 for p in children)
 
 
-# every sequence of distinct screen test codes, the empty one included
-SCREEN_SEQUENCES = [seq for k in range(len(_purecore.SCREEN_TESTS) + 1)
-                    for seq in itertools.permutations(range(len(_purecore.SCREEN_TESTS)), k)]
+# every sequence of distinct codes among the five invariant tests the
+# screen started with, the empty one included (with all eleven codes
+# there would be about 1.1e8 sequences)
+SCREEN_SEQUENCES = [seq for k in range(6) for seq in itertools.permutations(range(5), k)]
+# every ordered pair and triple of distinct codes among all the tests
+SCREEN_PAIRS_TRIPLES = [seq for k in (2, 3)
+                        for seq in itertools.permutations(range(len(_purecore.SCREEN_TESTS)), k)]
 
 
 @needs_fast
@@ -279,6 +283,22 @@ def test_screen_every_test_sequence():
 @settings(seeded, max_examples=100)
 @given(packed_batches(min_n=12, max_n=14, max_size=2), st.sampled_from(SCREEN_SEQUENCES))
 def test_screen_past_64_bits(batch, tests):
+    both("screen", *batch, tests)
+
+
+@needs_fast
+def test_screen_every_pair_and_triple():
+    rng = random.Random(13)
+    for n in range(9):
+        packed = [pack(n, rand_graph(rng, n, p).adj) for p in (0.2, 0.4, 0.6, 0.8)]
+        for tests in SCREEN_PAIRS_TRIPLES:
+            both("screen", n, packed, tests)
+
+
+@needs_fast
+@settings(seeded, max_examples=100)
+@given(packed_batches(min_n=12, max_n=14, max_size=2), st.sampled_from(SCREEN_PAIRS_TRIPLES))
+def test_screen_pairs_and_triples_past_64_bits(batch, tests):
     both("screen", *batch, tests)
 
 
@@ -346,7 +366,8 @@ calls = [(f"{fn} {case}", fn, graph + rest)
 calls += [(f"{fn} {case}", fn, (n, packed) + rest)
           for fn, rest in PACKED_ENTRY_ARGS.items() for case, (n, packed) in BAD_PACKED.items()]
 calls.append(("dominating_sets k=-1", "dominating_sets", (3, [0, 0, 0], -1, 8)))
-calls.append(("screen test code 5", "screen", (3, [0], [0, 5])))
+unknown = len(_purecore.SCREEN_TESTS)
+calls.append((f"screen test code {unknown}", "screen", (3, [0], [0, unknown])))
 calls.append(("screen test code -1", "screen", (3, [0], [-1])))
 calls.append(("screen test code 2**70", "screen", (3, [0], [2 ** 70])))
 calls.append(("screen 256 tests", "screen", (3, [0], [0] * 256)))

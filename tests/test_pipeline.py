@@ -5,11 +5,13 @@ from etdom._kernel import _purecore
 from etdom.canon import canonical_form
 from etdom.generate import graph_layers
 from etdom.graph6 import pack, unpack
-from etdom.graphs import Graph, empty_graph
+from etdom.graphs import Graph, complete_graph, empty_graph
 from etdom.pipeline import (
     FILTERS,
     Analysis,
     CATALOGUES,
+    TABLES,
+    _screened,
     analyze_stream,
     catalogue_lines,
     check_catalogue,
@@ -17,6 +19,8 @@ from etdom.pipeline import (
     reproduce_table,
     run_filter,
 )
+
+from conftest import oracle_edge_critical, oracle_vertex_critical
 
 
 def test_order_filters_cheapest_first():
@@ -64,17 +68,78 @@ except ImportError:
     _fastcore = None
 
 
-@pytest.mark.parametrize("kernel", [k for k in (_purecore, _fastcore) if k is not None],
-                         ids=lambda k: k.BACKEND_NAME)
+KERNELS = pytest.mark.parametrize(
+    "kernel", [k for k in (_purecore, _fastcore) if k is not None],
+    ids=lambda k: k.BACKEND_NAME)
+
+# the screen's criticality tests against the definition; FILTERS itself
+# asks the screen for these, so it cannot be the reference
+ORACLES = {
+    "vertex_critical": oracle_vertex_critical,
+    "edge_critical": oracle_edge_critical,
+    "critical": lambda g: oracle_vertex_critical(g) and oracle_edge_critical(g),
+}
+
+
+def _expected(name: str, g: Graph) -> bool:
+    if name in ORACLES:
+        return ORACLES[name](g)
+    return FILTERS[name][1](Analysis(g))
+
+
+@KERNELS
 def test_screen_agrees_with_filters(kernel):
-    # the kernel's screen decides the invariant-only filters on packed
-    # graphs; each of its tests must be the filter of the same name
+    # the kernel's screen decides the filters that play no guard game on
+    # packed graphs; each of its tests must be the filter of the same name
     assert set(kernel.SCREEN_TESTS) < set(FILTERS)
     for n, graphs in _screen_cases():
         packed = [pack(n, g.adj) for g in graphs]
         for code, name in enumerate(kernel.SCREEN_TESTS):
-            want = bytes(FILTERS[name][1](Analysis(g)) for g in graphs)
+            want = bytes(_expected(name, g) for g in graphs)
             assert kernel.screen(n, packed, [code]) == want, (n, name)
+
+
+# the screen's criticality and structural tests
+NEW_TESTS = ("vertex_critical", "edge_critical", "critical", "connected",
+             "triangle_free", "maximal_triangle_free")
+
+# (graph, the new tests it passes)
+EDGE_CASES = [
+    # the empty graph is disconnected and not critical, but vacuously
+    # (maximal) triangle-free, as FILTERS says
+    (empty_graph(0), {"triangle_free", "maximal_triangle_free"}),
+    # K1: theta drops from 1 to 0 when its vertex goes; it has no missing edge
+    (complete_graph(1), set(NEW_TESTS)),
+    # K64 has no missing edge, so it is vacuously edge-critical
+    (complete_graph(64), {"edge_critical", "connected"}),
+    # 64 isolated vertices: each deletion and each insertion lowers theta
+    (empty_graph(64), {"vertex_critical", "edge_critical", "critical", "triangle_free"}),
+]
+
+
+@KERNELS
+@pytest.mark.parametrize("g, passes", EDGE_CASES, ids=["K0", "K1", "K64", "E64"])
+def test_screen_edge_orders(kernel, g, passes):
+    assert set(NEW_TESTS) <= set(kernel.SCREEN_TESTS)
+    packed = [pack(g.n, g.adj)]
+    for code, name in enumerate(kernel.SCREEN_TESTS):
+        got = kernel.screen(g.n, packed, [code])
+        assert got == bytes([_expected(name, g)]), name
+        if name in NEW_TESTS:
+            assert got == bytes([name in passes]), name
+
+
+# the filters that play the guard game, which the screen leaves to Python
+GUARD_GAME = {"gamma_eq_gamma_inf", "gamma_inf_lt_theta", "gamma_inf_eq_alpha"}
+
+
+def test_chains_are_screened_up_to_the_guard_game():
+    # every table and catalogue builds a Graph only for the guard game
+    assert not GUARD_GAME & set(_purecore.SCREEN_TESTS)
+    for name, spec in [*TABLES.items(), *CATALOGUES.items()]:
+        chain = spec.chain
+        game = next((i for i, f in enumerate(chain) if f in GUARD_GAME), len(chain))
+        assert _screened(chain) == game, name
 
 
 def test_run_filter_counts_n5():
