@@ -31,7 +31,6 @@ clique_cover = _impl.clique_cover
 dominating_sets = _impl.dominating_sets
 domination_number = _impl.domination_number
 eternal_fixpoint = _impl.eternal_fixpoint
-max_matching = _impl.max_matching
 augment = _impl.augment
 screen = _impl.screen
 SCREEN_TESTS = _impl.SCREEN_TESTS

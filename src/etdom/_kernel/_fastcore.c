@@ -679,6 +679,19 @@ mc_expand(CliqueCtx *cc, int size, u64 pool)
     }
 }
 
+/* The independence number of a graph, or lb when no independent set beats
+   it: a maximum clique of the complement. */
+static int
+alpha_c(int n, const u64 *adj, int lb)
+{
+    CliqueCtx co;
+    for (int v = 0; v < n; v++)
+        co.adj[v] = full_mask(n) & ~adj[v] & ~BIT(v);
+    co.best = lb;
+    mc_expand(&co, 0, full_mask(n));
+    return co.best;
+}
+
 PyDoc_STRVAR(max_clique_doc,
 "max_clique(n, adj, lb=0) -> clique number, or lb when no clique beats it.");
 
@@ -884,6 +897,11 @@ clique_cover_c(int n, const u64 *adj, int lb)
     int gi_lb = greedy_indep(adj, ct.full);
     if (gi_lb > ct.lb)
         ct.lb = gi_lb;
+    /* Where the greedy bounds leave a gap, the exact alpha may close it:
+       on K(a, a+1) the greedy independent set is one short, and the
+       search below would try every ordering of the edges. */
+    if (ct.best > ct.lb)
+        ct.lb = alpha_c(n, adj, ct.lb);
     if (ct.best > ct.lb)
         cover_search(&ct, 0, 0);
     free(member);
@@ -1170,119 +1188,6 @@ done:
     free(dead);
     Py_DECREF(seq);
     return result;
-}
-
-
-/* ------------------------------------------------------------------------
- * Maximum matching (blossom algorithm, unweighted).
- * --------------------------------------------------------------------- */
-
-PyDoc_STRVAR(max_matching_doc,
-"max_matching(n, adj) -> size of a maximum matching; exact on any graph.");
-
-static PyObject *
-py_max_matching(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    int n, size = 0;
-    u64 adj[MAXN];
-    int match[MAXN], parent[MAXN], base[MAXN], queue[MAXN];
-    char used[MAXN], flag[MAXN], seen[MAXN];
-    if (check_nargs("max_matching", nargs, 2, 2) < 0 || arg_graph(args, &n, adj) < 0)
-        return NULL;
-    for (int i = 0; i < n; i++)
-        match[i] = -1;
-    for (int v = 0; v < n; v++) {
-        if (match[v] != -1)
-            continue;
-        for (u64 m = adj[v]; m; m &= m - 1) {
-            int u = ctz64(m);
-            if (match[u] == -1) {
-                match[v] = u;
-                match[u] = v;
-                break;
-            }
-        }
-    }
-    for (int v = 0; v < n; v++)
-        if (match[v] != -1)
-            size++;
-    size /= 2;
-    for (int root = 0; root < n; root++) {
-        if (match[root] != -1)
-            continue;
-        for (int i = 0; i < n; i++) {
-            parent[i] = -1;
-            base[i] = i;
-            used[i] = 0;
-        }
-        used[root] = 1;
-        queue[0] = root;
-        int qh = 0, qt = 1, augmented = 0;
-        while (qh < qt && !augmented) {
-            int v = queue[qh++];
-            for (u64 m = adj[v]; m; m &= m - 1) {
-                int to = ctz64(m);
-                if (base[v] == base[to] || match[v] == to)
-                    continue;
-                if (to == root || (match[to] != -1 && parent[match[to]] != -1)) {
-                    /* odd cycle: contract the blossom */
-                    int a, b, anchor, child;
-                    memset(seen, 0, n);
-                    for (a = v;; a = parent[match[a]]) {
-                        a = base[a];
-                        seen[a] = 1;
-                        if (match[a] == -1)
-                            break;
-                    }
-                    for (b = to;; b = parent[match[b]]) {
-                        b = base[b];
-                        if (seen[b])
-                            break;
-                    }
-                    anchor = b;
-                    memset(flag, 0, n);
-                    for (a = v, child = to; base[a] != anchor; a = parent[match[a]]) {
-                        flag[base[a]] = 1;
-                        flag[base[match[a]]] = 1;
-                        parent[a] = child;
-                        child = match[a];
-                    }
-                    for (a = to, child = v; base[a] != anchor; a = parent[match[a]]) {
-                        flag[base[a]] = 1;
-                        flag[base[match[a]]] = 1;
-                        parent[a] = child;
-                        child = match[a];
-                    }
-                    for (int i = 0; i < n; i++) {
-                        if (flag[base[i]]) {
-                            base[i] = anchor;
-                            if (!used[i]) {
-                                used[i] = 1;
-                                queue[qt++] = i;
-                            }
-                        }
-                    }
-                } else if (parent[to] == -1) {
-                    parent[to] = v;
-                    if (match[to] == -1) {
-                        /* augment along the alternating path back to root */
-                        for (int u = to; u != -1;) {
-                            int pv = parent[u], ppv = match[pv];
-                            match[u] = pv;
-                            match[pv] = u;
-                            u = ppv;
-                        }
-                        size++;
-                        augmented = 1;
-                        break;
-                    }
-                    used[match[to]] = 1;
-                    queue[qt++] = match[to];
-                }
-            }
-        }
-    }
-    return PyLong_FromLong(size);
 }
 
 
@@ -1627,14 +1532,8 @@ screen_one(int n, const u64 *adj, const int *tests, int ntests)
     int alpha = -1, theta = -1, gamma = -1, vcrit = -1, ecrit = -1;
     for (int t = 0; t < ntests; t++) {
         int code = tests[t], needs = SCREEN_NEEDS[code], pass = 0;
-        if (alpha < 0 && (needs & NEED_ALPHA)) {
-            CliqueCtx co;
-            for (int v = 0; v < n; v++)
-                co.adj[v] = full_mask(n) & ~adj[v] & ~BIT(v);
-            co.best = 0;
-            mc_expand(&co, 0, full_mask(n));
-            alpha = co.best;
-        }
+        if (alpha < 0 && (needs & NEED_ALPHA))
+            alpha = alpha_c(n, adj, 0);
         if (theta < 0 && (needs & NEED_THETA)
             && (theta = n ? clique_cover_c(n, adj, alpha) : 0) < 0)
             return -1;
@@ -1731,7 +1630,6 @@ static PyMethodDef fastcore_methods[] = {
     ENTRY(max_clique),
     ENTRY(maximal_cliques),
     ENTRY(clique_cover),
-    ENTRY(max_matching),
     ENTRY(domination_number),
     ENTRY(dominating_sets),
     ENTRY(eternal_fixpoint),

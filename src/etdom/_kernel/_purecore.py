@@ -323,6 +323,13 @@ def maximal_cliques(n, adj):
     return out
 
 
+def _alpha(n, adj, lb=0):
+    """Independence number, or lb when no independent set beats it: a
+    maximum clique of the complement."""
+    full = (1 << n) - 1
+    return max_clique(n, [full & ~row & ~(1 << v) for v, row in enumerate(adj)], lb)
+
+
 def _greedy_independent(n, adj, mask):
     cnt = 0
     while mask:
@@ -357,6 +364,11 @@ def clique_cover(n, adj, lb=0):
         ub += 1
     best = ub
     lb = max(lb, _greedy_independent(n, adj, full))
+    # Where the greedy bounds leave a gap, the exact alpha may close it: on
+    # K(a, a+1) the greedy independent set is one short, and the search
+    # below would try every ordering of the edges.
+    if best > lb:
+        lb = _alpha(n, adj, lb)
     if best <= lb:
         return best
 
@@ -509,98 +521,6 @@ def eternal_fixpoint(n, adj, k, configs):
                         alive[xi] = False
                         dead.append(xi)
     return [m for i, m in enumerate(configs) if alive[i]]
-
-
-# ---------------------------------------------------------------------------
-# Maximum matching (blossom algorithm, unweighted).
-# ---------------------------------------------------------------------------
-
-def max_matching(n, adj):
-    """Size of a maximum matching; exact on non-bipartite graphs."""
-    _check_graph(n, adj)
-    if n == 0:
-        return 0
-    nbr = [list(_bits(adj[v])) for v in range(n)]
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for u in nbr[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
-    parent = [-1] * n
-    base = list(range(n))
-
-    def lca(a, b):
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = parent[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = parent[match[b]]
-
-    def mark_path(v, anchor, child, flag):
-        while base[v] != anchor:
-            flag[base[v]] = True
-            flag[base[match[v]]] = True
-            parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
-
-    def find_path(root):
-        for v in range(n):
-            parent[v] = -1
-            base[v] = v
-        used = [False] * n
-        used[root] = True
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for to in nbr[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    # odd cycle: contract the blossom
-                    anchor = lca(v, to)
-                    flag = [False] * n
-                    mark_path(v, anchor, to, flag)
-                    mark_path(to, anchor, v, flag)
-                    for u in range(n):
-                        if flag[base[u]]:
-                            base[u] = anchor
-                            if not used[u]:
-                                used[u] = True
-                                queue.append(u)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if match[to] == -1:
-                        # augment along the alternating path back to root
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
-    size = sum(1 for v in range(n) if match[v] != -1) // 2
-    for v in range(n):
-        if match[v] == -1 and find_path(v):
-            size += 1
-    return size
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +695,7 @@ class _Invariants:
 
     @cached_property
     def alpha(self):
-        full = (1 << self.n) - 1
-        return max_clique(self.n, [full & ~row & ~(1 << v) for v, row in enumerate(self.adj)])
+        return _alpha(self.n, self.adj)
 
     @cached_property
     def theta(self):

@@ -20,7 +20,7 @@ from .eternal import (
     eternal_domination_number,
     prune_to_eternal,
 )
-from .generate import GenerationBudgetError, generate_connected, generate_packed
+from .generate import GenerationBudgetError, generate_packed
 from .graph6 import Graph6Error, decode, encode, encode_packed, read_file, read_stream
 from .graphs import GraphError, bits, from_edges, is_connected
 from .invariants import independence_number, clique_cover_number
@@ -63,14 +63,15 @@ def cmd_gen(args) -> int:
 def cmd_filter(args) -> int:
     names = [nm.strip() for nm in args.filters.split(",") if nm.strip()]
     if args.gen is not None:
-        source = generate_connected(
-            args.gen, args.constraint, allow_large=args.large, workers=args.workers
-        )
         n = args.gen
+        packed = generate_packed(
+            n, args.constraint, allow_large=args.large, workers=args.workers
+        )
+        chunks = ((n, batch) for batch in pipeline._batches(packed, 1024))
     else:
-        source = (g for _, g in _graph_source(args))
         n = None
-    row = pipeline.run_filter(source, names, n=n, workers=args.workers)
+        chunks = pipeline._packed(g for _, g in _graph_source(args))
+    row = pipeline.run_filter(chunks, names, n=n, workers=args.workers)
     print(f"total\t{row.total}")
     for name, count in row.stages:
         print(f"{name}\t{count}")

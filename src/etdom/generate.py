@@ -15,9 +15,12 @@ from that.
 
 Cubic graphs use a different ladder: subdivide two distinct edges of a
 (possibly disconnected) cubic graph two orders down and join the new
-vertices, plus disjoint unions for the disconnected part, deduplicated
-by canonical form.  The known connected counts (1, 2, 5, 19, 85, 509,
-4060 for n = 4..16) pin the method's completeness in the test suite.
+vertices, insert diamonds, and add disjoint unions for the disconnected
+part.  The ladder works on tuples of adjacency rows and deduplicates
+them by packed canonical certificate (graph6.pack of the kernel's canon
+rows), so it builds no Graph and no graph6 text per child.  The known
+connected counts (1, 2, 5, 19, 85, 509, 4060 for n = 4..16) pin the
+method's completeness in the test suite.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from multiprocessing import Pool
 from typing import Iterator
 
 from . import _kernel
-from .canon import canonical_form
 from .constructions import CirculantSpec, circulant
 from .graph6 import pack, unpack
-from .graphs import Graph, GraphError, is_connected, is_cubic
+from .graphs import Graph, GraphError, bits, is_connected
 
 CONSTRAINTS = ("all", "triangle_free", "maximal_triangle_free", "cubic")
 
@@ -204,7 +206,7 @@ def final_layer(
     """
     _check_budget(n, constraint, allow_large)
     if constraint == "cubic":
-        return Layer(n, packed=[pack(n, g.adj) for g in _generate_cubic_connected(n)])
+        return Layer(n, packed=_cubic_packed(n))
     if n < 2:
         return Layer(n, packed=[pack(1, (0,))] if n == 1 else [])
     mode_name = constraint if constraint != "maximal_triangle_free" else "triangle_free"
@@ -225,13 +227,12 @@ def generate_packed(
     """The packed ints (graph6.pack) of generate_connected, in its order.
 
     Packed int order is graph6 line order, so the final layer is sorted
-    as ints.  Cubic graphs keep the ladder's canonical-key order and are
-    packed in the labelling it builds them with.
+    as ints.  Cubic graphs come in the order of their packed canonical
+    certificates, each packed in the labelling the ladder builds it with.
     """
     _check_budget(n, constraint, allow_large)
     if constraint == "cubic":
-        for g in _generate_cubic_connected(n):
-            yield pack(n, g.adj)
+        yield from _cubic_packed(n)
         return
     final = final_layer(n, constraint, allow_large=allow_large, workers=workers)
     packed = sorted(final)
@@ -244,7 +245,7 @@ def generate_connected(
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs of
     order n meeting the constraint, in sorted canonical graph6 order
-    (cubic graphs: in canonical-key order); each graph is validated once,
+    (cubic graphs: in canonical-form order); each graph is validated once,
     as it is yielded."""
     for p in generate_packed(n, constraint, allow_large=allow_large, workers=workers):
         yield Graph(n, unpack(n, p))
@@ -253,110 +254,82 @@ def generate_connected(
 # -- cubic ladder -----------------------------------------------------------
 
 
-def _insert_on_edges(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
-    a, b = e1
-    c, d = e2
-    n = g.n
-    u, v = n, n + 1
-    adj = [row for row in g.adj]
-    adj.append(0)
-    adj.append(0)
-
-    def _del(x, y):
-        adj[x] &= ~(1 << y)
-        adj[y] &= ~(1 << x)
-
-    def _add(x, y):
-        adj[x] |= 1 << y
-        adj[y] |= 1 << x
-
-    _del(a, b)
-    _del(c, d)
-    _add(a, u)
-    _add(u, b)
-    _add(c, v)
-    _add(v, d)
-    _add(u, v)
-    return Graph(n + 2, tuple(adj))
+def _edges(adj: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Each edge (u, v), u < v, in row order."""
+    return [(u, v) for u, row in enumerate(adj)
+            for v in bits(row >> (u + 1) << (u + 1))]
 
 
-def _insert_diamond(g: Graph, e: tuple[int, int]) -> Graph:
-    """Replace edge pq by p-u ... w-q with a K4-minus-an-edge between
-    u and w (reaches the diamond necklaces the two-edge insertion cannot)."""
-    p, q = e
-    n = g.n
-    u, w, x, y = n, n + 1, n + 2, n + 3
-    adj = list(g.adj) + [0, 0, 0, 0]
-    adj[p] &= ~(1 << q)
-    adj[q] &= ~(1 << p)
-    for a, b in ((p, u), (w, q), (u, x), (u, y), (w, x), (w, y), (x, y)):
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return Graph(n + 4, tuple(adj))
+def _grown(adj: tuple[int, ...], k: int, pairs) -> tuple[int, ...]:
+    """adj with k isolated vertices appended and each pair's edge toggled."""
+    rows = list(adj) + [0] * k
+    for a, b in pairs:
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+    return tuple(rows)
 
 
-def _cubic_all(n: int, cache: dict) -> dict[bytes, Graph]:
-    """All cubic graphs of order n, connected or not, keyed by canonical form.
+def _connected_rows(n: int, found: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The rows of found's connected graphs, in found's order (the keys
+    are packed certificates, so the kernel screen reads them as they are)."""
+    if not found:
+        return []
+    flags = _kernel.screen(n, list(found), [_kernel.SCREEN_TESTS.index("connected")])
+    return [rows for rows, ok in zip(found.values(), flags) if ok]
 
-    Children come from two local expansions (two-edge subdivision+join
-    from order n-2, diamond insertion from order n-4) plus disjoint
-    unions.  Outputs are individually validated and count-checked
-    against the known connected-cubic sequence, which makes the ladder's
-    completeness a tested fact rather than an assumption.
+
+def _cubic_all(n: int, cache: dict) -> dict[int, tuple[int, ...]]:
+    """All cubic graphs of order n, connected or not: the packed canonical
+    certificate of each class maps to the adjacency rows it was first
+    built with.
+
+    Children come from two local expansions of each graph two orders
+    down (subdivide two distinct edges and join the new vertices) and
+    four orders down (replace an edge by a diamond, which reaches the
+    diamond necklaces the first cannot), plus disjoint unions.  Every
+    child is one tuple edit and one canon call; the known connected
+    counts pin the ladder's completeness in the test suite.
     """
     if n in cache:
         return cache[n]
-    if n < 4 or n % 2:
-        cache[n] = {}
-        return cache[n]
+    found: dict[int, tuple[int, ...]] = {}
+
+    def keep(adj: tuple[int, ...]) -> None:
+        key = pack(n, _kernel.canon(n, adj)[0])
+        if key not in found:
+            found[key] = adj
+
     if n == 4:
-        from .graphs import complete_graph
-
-        k4 = complete_graph(4)
-        cache[4] = {canonical_form(k4): k4}
-        return cache[4]
-    found: dict[bytes, Graph] = {}
-    for parent in _cubic_all(n - 2, cache).values():
-        edges = list(parent.edges())
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                child = _insert_on_edges(parent, edges[i], edges[j])
-                key = canonical_form(child)
-                if key not in found:
-                    found[key] = child
-    for parent in _cubic_all(n - 4, cache).values():
-        for e in parent.edges():
-            child = _insert_diamond(parent, e)
-            key = canonical_form(child)
-            if key not in found:
-                found[key] = child
-    # disconnected cubic graphs: a connected component plus any smaller rest
-    from .graphs import disjoint_union
-
-    for k in range(4, n - 3, 2):
-        rest = _cubic_all(n - k, cache)
-        for comp in _cubic_all(k, cache).values():
-            if not is_connected(comp):
-                continue
-            for other in rest.values():
-                child = disjoint_union(comp, other)
-                key = canonical_form(child)
-                if key not in found:
-                    found[key] = child
+        keep(tuple(0b1111 & ~(1 << v) for v in range(4)))
+    elif n > 4 and n % 2 == 0:
+        u, v = n - 2, n - 1
+        for parent in _cubic_all(n - 2, cache).values():
+            edges = _edges(parent)
+            for i, (a, b) in enumerate(edges):
+                for c, d in edges[i + 1:]:
+                    keep(_grown(parent, 2, ((a, b), (c, d), (a, u), (u, b),
+                                            (c, v), (v, d), (u, v))))
+        u, w, x, y = n - 4, n - 3, n - 2, n - 1
+        for parent in _cubic_all(n - 4, cache).values():
+            for p, q in _edges(parent):
+                keep(_grown(parent, 4, ((p, q), (p, u), (w, q), (u, x), (u, y),
+                                        (w, x), (w, y), (x, y))))
+        # disconnected cubic graphs: a connected component plus any smaller rest
+        for k in range(4, n - 3, 2):
+            rest = _cubic_all(n - k, cache).values()
+            for comp in _connected_rows(k, _cubic_all(k, cache)):
+                for other in rest:
+                    keep(comp + tuple(row << k for row in other))
     cache[n] = found
     return found
 
 
-def _generate_cubic_connected(n: int) -> Iterator[Graph]:
-    if n < 4 or n % 2:
-        return
-    cache: dict = {}
-    found = _cubic_all(n, cache)
-    for key in sorted(found):
-        g = found[key]
-        if is_connected(g):
-            assert is_cubic(g)
-            yield g
+def _cubic_packed(n: int) -> list[int]:
+    """The connected cubic graphs of order n in packed-certificate order
+    (graph6 order of their canonical forms), each packed in the labelling
+    the ladder built it with."""
+    found = _cubic_all(n, {})
+    return [pack(n, rows) for rows in _connected_rows(n, dict(sorted(found.items())))]
 
 
 # -- circulants -------------------------------------------------------------
@@ -366,14 +339,14 @@ def enumerate_circulants(n: int) -> list[CirculantSpec]:
     """Connected circulants of order n, one spec per isomorphism class.
 
     Key sets are scanned in lexicographic order and deduplicated by
-    canonical form, so the representative kept for each class is the
-    lexicographically least key set describing it.
+    packed canonical certificate, so the representative kept for each
+    class is the lexicographically least key set describing it.
     """
     if n < 3:
         raise GraphError("circulant order must be at least 3")
     half = n // 2
     specs = []
-    seen: set[bytes] = set()
+    seen: set[int] = set()
     all_keys = sorted(
         itertools.chain.from_iterable(
             itertools.combinations(range(1, half + 1), r) for r in range(1, half + 1)
@@ -384,7 +357,7 @@ def enumerate_circulants(n: int) -> list[CirculantSpec]:
         g = circulant(spec)
         if not is_connected(g):
             continue
-        key = canonical_form(g)
+        key = pack(n, _kernel.canon(n, g.adj)[0])
         if key not in seen:
             seen.add(key)
             specs.append(spec)

@@ -1,5 +1,6 @@
-"""Exact graph invariants: independence, cliques, cover, matching,
-domination, chromatic oracle and cover-criticality."""
+"""Exact graph invariants: independence, cliques, cover, domination and
+cover-criticality through the kernel, plus two pure-Python oracles that
+no table needs: maximum matching and the chromatic number."""
 
 from __future__ import annotations
 
@@ -51,14 +52,101 @@ def clique_cover_number(g: Graph, *, lower_bound: int = 0) -> int:
 
 
 def maximum_matching(g: Graph) -> int:
-    return _kernel.max_matching(g.n, g.adj)
+    """Size of a maximum matching (Edmonds' blossom algorithm).
+
+    Pure Python on purpose: no table needs it, and it keeps the
+    triangle-free cover oracle below independent of the kernel's
+    clique_cover.
+    """
+    n = g.n
+    nbr = [list(bits(row)) for row in g.adj]
+    match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for u in nbr[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+    parent = [-1] * n
+    base = list(range(n))
+
+    def lca(a, b):
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v, anchor, child, flag):
+        while base[v] != anchor:
+            flag[base[v]] = True
+            flag[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def find_path(root):
+        for v in range(n):
+            parent[v] = -1
+            base[v] = v
+        used = [False] * n
+        used[root] = True
+        queue = [root]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for to in nbr[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    # odd cycle: contract the blossom
+                    anchor = lca(v, to)
+                    flag = [False] * n
+                    mark_path(v, anchor, to, flag)
+                    mark_path(to, anchor, v, flag)
+                    for u in range(n):
+                        if flag[base[u]]:
+                            base[u] = anchor
+                            if not used[u]:
+                                used[u] = True
+                                queue.append(u)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        # augment along the alternating path back to root
+                        u = to
+                        while u != -1:
+                            pv = parent[u]
+                            ppv = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = ppv
+                        return True
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return False
+
+    size = sum(1 for v in range(n) if match[v] != -1) // 2
+    for v in range(n):
+        if match[v] == -1 and find_path(v):
+            size += 1
+    return size
 
 
 def clique_cover_triangle_free(g: Graph) -> int:
     """Cover number of a triangle-free graph: order minus matching size."""
     if not is_triangle_free(g):
         raise GraphError("graph has a triangle; use clique_cover_number")
-    return g.n - _kernel.max_matching(g.n, g.adj)
+    return g.n - maximum_matching(g)
 
 
 def domination_number(g: Graph) -> int:

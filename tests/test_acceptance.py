@@ -145,12 +145,11 @@ def test_criterion_3_critical_table_and_sets():
     assert crit_cells == [1, 0, 3, 4]
     assert [row[5] for row in report_t1.rows] == [0, 0, 0, 0]
 
-    from etdom.pipeline import run_filter
+    from etdom.pipeline import _packed, run_filter
 
     for n, n_figs in ((5, None), (7, FIG6), (8, FIG7)):
-        row = run_filter(
-            generate_connected(n), ["connected", "alpha_lt_theta", "critical"], n=n
-        )
+        row = run_filter(_packed(generate_connected(n)),
+                         ["connected", "alpha_lt_theta", "critical"], n=n)
         got = {canonical_form(decode(line)) for line in row.matches}
         want = {canonical_form(decode(s)) for s in catalogue_lines("T8", order=n)}
         assert got == want, n

@@ -60,13 +60,24 @@ def test_gen_budget_exit_code(capsys):
     assert "budget" in err
 
 
-def test_filter_generated(capsys):
-    rc, out, _ = run_cli(
-        ["filter", "connected,alpha_lt_theta,critical", "--gen", "7"], capsys=capsys
-    )
+def test_filter_generated(tmp_path, capsys):
+    chain = "connected,alpha_lt_theta,critical"
+    rc, out, _ = run_cli(["filter", chain, "--gen", "7"], capsys=capsys)
     assert rc == 0
     assert "total\t853" in out
     assert "critical\t3" in out
+    # generated packed ints and the same graphs read as graph6 lines give
+    # the same report
+    _, lines, _ = run_cli(["gen", "7"], capsys=capsys)
+    path = tmp_path / "gen7.g6"
+    path.write_text(lines)
+    rc, from_file, _ = run_cli(["filter", chain, "--input", str(path)], capsys=capsys)
+    assert rc == 0
+
+    def report(text):
+        return [line for line in text.splitlines() if not line.startswith("elapsed")]
+
+    assert report(from_file) == report(out)
 
 
 def test_table_t4(capsys):

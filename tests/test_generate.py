@@ -1,5 +1,6 @@
 """Generation: known counts pin isomorph-freeness and completeness."""
 
+import hashlib
 import os
 import tempfile
 
@@ -81,6 +82,31 @@ def test_cubic_counts():
 def test_cubic_odd_or_tiny_is_empty():
     assert list(generate_connected(5, "cubic")) == []
     assert list(generate_connected(2, "cubic")) == []
+
+
+# SHA-256 of the "\n"-joined graph6 lines of generate_connected(n, "cubic"):
+# `etdom gen n cubic` must keep both its order and the labelling the ladder
+# builds each graph with, byte for byte
+CUBIC_SHA256 = {
+    4: "d65ffb1d8d01ba8a6be14162941989d6f211d5c778d7f4fe75935f77dd1cadbe",
+    6: "165f84f8b58394c7d35f2eedc53c68b4e5fe29dc120852dee06ccbee4486e937",
+    8: "c1ca7e2260ea11c3ff3d30613248eda6e6ead2c3841c28a288040329b4d6e527",
+    10: "4df73885a3223d7535cf81f94f8ed2bfce31cafb8881179145f3511510000591",
+    12: "001c0de3a2d66101aa26c9b6634ac7d662cd6877746ea6a6f94cb5a2f343f651",
+    14: "79e0ad288fcd86e722519c54db512e81741730f911c2f5180933d3850a7f5659",
+}
+
+
+def test_cubic_order_and_labelling_are_pinned():
+    top = 14 if BACKEND == "fast" else 12
+    for n, want in CUBIC_SHA256.items():
+        if n > top:
+            continue
+        graphs = list(generate_connected(n, "cubic"))
+        forms = [canonical_form(g) for g in graphs]
+        assert all(a < b for a, b in zip(forms, forms[1:])), n
+        lines = "\n".join(encode(g) for g in graphs)
+        assert hashlib.sha256(lines.encode("ascii")).hexdigest() == want, n
 
 
 def test_no_duplicates_and_constraints():

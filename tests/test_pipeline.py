@@ -11,6 +11,7 @@ from etdom.pipeline import (
     Analysis,
     CATALOGUES,
     TABLES,
+    _packed,
     _screened,
     analyze_stream,
     catalogue_lines,
@@ -143,14 +144,14 @@ def test_chains_are_screened_up_to_the_guard_game():
 
 
 def test_run_filter_counts_n5():
-    row = run_filter(generate_connected(5), ["connected"], n=5)
+    row = run_filter(_packed(generate_connected(5)), ["connected"], n=5)
     assert row.total == 21
     assert row.stages == [("connected", 21)]
 
 
 def test_run_filter_critical_n7():
     row = run_filter(
-        generate_connected(7),
+        _packed(generate_connected(7)),
         ["connected", "alpha_lt_theta", "critical"],
         n=7,
     )
@@ -165,7 +166,7 @@ def test_run_filter_critical_n7():
 
 def test_run_filter_matches_reanalyze_single_threaded():
     row = run_filter(
-        generate_connected(7),
+        _packed(generate_connected(7)),
         ["connected", "alpha_lt_theta", "critical"],
         n=7,
         workers=1,
@@ -178,7 +179,7 @@ def test_run_filter_matches_reanalyze_single_threaded():
 def test_run_filter_parallel_deterministic():
     args = (["connected", "alpha_lt_theta"],)
     rows = [
-        run_filter(generate_connected(7), *args, n=7, workers=w, chunk=64)
+        run_filter(_packed(generate_connected(7), 64), *args, n=7, workers=w)
         for w in (1, 3)
     ]
     assert rows[0].stages == rows[1].stages
@@ -188,12 +189,12 @@ def test_run_filter_parallel_deterministic():
 def test_staged_prefilter_is_sound():
     # adding or removing the alpha < theta stage cannot change the final set
     with_stage = run_filter(
-        generate_connected(8),
+        _packed(generate_connected(8)),
         ["connected", "alpha_lt_theta", "gamma_inf_lt_theta"],
         n=8,
     )
     without_stage = run_filter(
-        generate_connected(8), ["connected", "gamma_inf_lt_theta"], n=8
+        _packed(generate_connected(8)), ["connected", "gamma_inf_lt_theta"], n=8
     )
     assert with_stage.matches == without_stage.matches == []
 
@@ -296,7 +297,7 @@ def test_catalogue_completeness_respects_large_gate():
 
 def test_run_filter_budget_marks_non_authoritative():
     row = run_filter(
-        generate_connected(6),
+        _packed(generate_connected(6)),
         ["connected", "gamma_inf_lt_theta"],
         n=6,
         cap=2,
