@@ -45,10 +45,10 @@ from .eternal import (
     ConfigSpace,
     can_defend,
     defense_move,
-    dominating_sets_of_size,
+    eternal_decision,
     eternal_domination_number,
+    guard_space,
     is_eternal_dominating_set,
-    prune_to_eternal,
 )
 from .constructions import CirculantSpec, bowtie, circulant, mycielski_family, mycielskian
 from .generate import enumerate_circulants, generate_connected

@@ -30,7 +30,7 @@ maximal_cliques = _impl.maximal_cliques
 clique_cover = _impl.clique_cover
 dominating_sets = _impl.dominating_sets
 domination_number = _impl.domination_number
-eternal_fixpoint = _impl.eternal_fixpoint
+guard_game = _impl.guard_game
 augment = _impl.augment
 screen = _impl.screen
 SCREEN_TESTS = _impl.SCREEN_TESTS

@@ -930,12 +930,13 @@ py_clique_cover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
 
 
 /* ------------------------------------------------------------------------
- * Dominating sets and the eternal-domination fixpoint.
+ * Dominating sets and the guard game.
  * --------------------------------------------------------------------- */
 
 typedef struct {
     u64 closed[MAXN];
-    u64 suffix[MAXN + 1];
+    u64 suffix[MAXN + 1];  /* suffix[i]: the closed neighbourhoods of i..n-1 */
+    int reach[MAXN + 1];   /* reach[i]: the largest of them */
     u64 full;
     int n;
 } DomCtx;
@@ -948,78 +949,157 @@ dom_init(DomCtx *dc, int n, const u64 *adj)
     for (int i = 0; i < n; i++)
         dc->closed[i] = adj[i] | BIT(i);
     dc->suffix[n] = 0;
-    for (int i = n - 1; i >= 0; i--)
+    dc->reach[n] = 0;
+    for (int i = n - 1; i >= 0; i--) {
         dc->suffix[i] = dc->suffix[i + 1] | dc->closed[i];
+        dc->reach[i] = popcnt64(dc->closed[i]);
+        if (dc->reach[i + 1] > dc->reach[i])
+            dc->reach[i] = dc->reach[i + 1];
+    }
 }
 
-/* Counts every dominating set with `left` more vertices taken from i..n-1
-   and appends the first `cap` of them to out; -1 with an exception set. */
+/* Dominating sets as masks: all of them counted, the first cap stored. */
+typedef struct {
+    u64 *a;
+    long long len, size, count, cap;
+} ConfBuf;
+
+/* Visits every dominating set with `left` more vertices taken from i..n-1,
+   giving up on a branch whose `left` vertices cannot cover what is left
+   uncovered even at reach[i] vertices each; -1 when the buffer cannot grow. */
 static int
-dom_enum(const DomCtx *dc, int i, int left, u64 cov, u64 cur, PyObject *out,
-         long long *count, long long cap)
+dom_collect(const DomCtx *dc, int i, int left, u64 cov, u64 cur, ConfBuf *out)
 {
     if ((cov | dc->suffix[i]) != dc->full)
         return 0;
     if (left == 0) {
-        if (cov == dc->full && ++*count <= cap) {
-            PyObject *v = PyLong_FromUnsignedLongLong(cur);
-            if (v == NULL)
+        if (cov != dc->full || ++out->count > out->cap)
+            return 0;
+        if (out->len == out->size) {
+            long long size = out->size ? 2 * out->size : 1024;
+            u64 *a = realloc(out->a, (size_t)size * sizeof(u64));
+            if (a == NULL)
                 return -1;
-            int rc = PyList_Append(out, v);
-            Py_DECREF(v);
-            return rc;
+            out->a = a;
+            out->size = size;
         }
+        out->a[out->len++] = cur;
         return 0;
     }
-    if (dc->n - i < left)
+    if (dc->n - i < left || popcnt64(dc->full & ~cov) > left * dc->reach[i])
         return 0;
-    if (dom_enum(dc, i + 1, left - 1, cov | dc->closed[i], cur | BIT(i), out, count, cap) < 0)
+    if (dom_collect(dc, i + 1, left - 1, cov | dc->closed[i], cur | BIT(i), out) < 0)
         return -1;
-    return dom_enum(dc, i + 1, left, cov, cur, out, count, cap);
+    return dom_collect(dc, i + 1, left, cov, cur, out);
+}
+
+/* Sorts the masks a[0..len), each below 2^nbits, a byte at a time from
+   the lowest (a radix sort); -1 when its scratch buffer cannot be had. */
+static int
+sort_masks(u64 *a, long long len, int nbits)
+{
+    u64 *tmp = malloc((size_t)len * sizeof(u64) + 1), *src = a, *dst = tmp;
+    if (tmp == NULL)
+        return -1;
+    for (int shift = 0; shift < nbits; shift += 8) {
+        long long start[256] = {0};
+        for (long long i = 0; i < len; i++)
+            start[src[i] >> shift & 255]++;
+        for (long long d = 0, sum = 0; d < 256; d++) {
+            long long c = start[d];
+            start[d] = sum;
+            sum += c;
+        }
+        for (long long i = 0; i < len; i++)
+            dst[start[src[i] >> shift & 255]++] = src[i];
+        u64 *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != a)
+        memcpy(a, src, (size_t)len * sizeof(u64));
+    free(tmp);
+    return 0;
+}
+
+/* Fills out with the dominating k-sets of a graph with n >= 1, unsorted;
+   -1 with BudgetExceeded set when there are more than out->cap. */
+static int
+dominating_configs(int n, const u64 *adj, int k, ConfBuf *out)
+{
+    DomCtx dc;
+    dom_init(&dc, n, adj);
+    if (dom_collect(&dc, 0, k, 0, 0, out) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (out->count > out->cap) {
+        budget_exceeded(
+            PyUnicode_FromFormat("%lld dominating %d-sets exceed the configured cap %lld",
+                                 out->count, k, out->cap),
+            PyLong_FromLongLong(out->count));
+        return -1;
+    }
+    return 0;
+}
+
+/* (n, adj, k, cap) of dominating_sets and guard_game; -1 with an exception set. */
+static int
+dom_args(const char *name, PyObject *const *args, Py_ssize_t nargs, int *n, u64 *adj,
+         int *k, long long *cap)
+{
+    if (check_nargs(name, nargs, 4, 4) < 0 || arg_graph(args, n, adj) < 0
+        || arg_int(args[2], k) < 0)
+        return -1;
+    *cap = PyLong_AsLongLong(args[3]);
+    if (*cap == -1 && PyErr_Occurred())
+        return -1;
+    if (*k < 0) {
+        PyErr_Format(PyExc_ValueError, "k must be >= 0, got %d", *k);
+        return -1;
+    }
+    return 0;
 }
 
 PyDoc_STRVAR(dominating_sets_doc,
 "dominating_sets(n, adj, k, cap) -> every dominating k-set as a mask, sorted.\n\n"
 "Raises BudgetExceeded, carrying the full count, when there are more than cap.");
 
+/* The masks a[0..len) of order-n vertex sets as a sorted list; a is
+   sorted in place. */
+static PyObject *
+sorted_list(u64 *a, long long len, int n)
+{
+    if (sort_masks(a, len, n) < 0)
+        return PyErr_NoMemory();
+    PyObject *out = PyList_New(len);
+    if (out == NULL)
+        return NULL;
+    for (long long i = 0; i < len; i++) {
+        PyObject *v = PyLong_FromUnsignedLongLong(a[i]);
+        if (v == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, v);
+    }
+    return out;
+}
+
 static PyObject *
 py_dominating_sets(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     int n, k;
-    long long cap, count = 0;
     u64 adj[MAXN];
-    DomCtx dc;
-    if (check_nargs("dominating_sets", nargs, 4, 4) < 0 || arg_graph(args, &n, adj) < 0
-        || arg_int(args[2], &k) < 0)
+    ConfBuf buf = {0};
+    if (dom_args("dominating_sets", args, nargs, &n, adj, &k, &buf.cap) < 0)
         return NULL;
-    cap = PyLong_AsLongLong(args[3]);
-    if (cap == -1 && PyErr_Occurred())
-        return NULL;
-    if (k < 0) {
-        PyErr_Format(PyExc_ValueError, "k must be >= 0, got %d", k);
-        return NULL;
-    }
     if (n == 0)
         return PyList_New(0);
-    dom_init(&dc, n, adj);
-    PyObject *out = PyList_New(0);
-    if (out == NULL)
-        return NULL;
-    if (dom_enum(&dc, 0, k, 0, 0, out, &count, cap) < 0) {
-        Py_DECREF(out);
-        return NULL;
-    }
-    if (count > cap) {
-        Py_DECREF(out);
-        return budget_exceeded(
-            PyUnicode_FromFormat("%lld dominating %d-sets exceed the configured cap %lld",
-                                 count, k, cap),
-            PyLong_FromLongLong(count));
-    }
-    if (PyList_Sort(out) < 0) {
-        Py_DECREF(out);
-        return NULL;
-    }
+    PyObject *out = NULL;
+    if (dominating_configs(n, adj, k, &buf) == 0)
+        out = sorted_list(buf.a, buf.len, n);
+    free(buf.a);
     return out;
 }
 
@@ -1063,130 +1143,162 @@ py_domination_number(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_
     return PyLong_FromLong(n == 0 ? 0 : domination_number_c(n, adj));
 }
 
+/* The configuration table: linear probing over indices into the
+   configurations, at most a quarter full, since most lookups are for
+   sets that are not configurations and run to an empty slot.  The slot
+   mixes the high half of the product into the low one, so that it
+   depends on every vertex of the key, not only on the low ones.  A
+   configuration leaves the table when its key is cleared to 0, which is
+   no k-set for k >= 1; its slot stays, so the probe sequences through it
+   are unchanged. */
 #define HASH_MUL 0x9E3779B97F4A7C15ULL
+#define NO_CONFIG UINT32_MAX
 
-static inline long long
-ht_lookup(const u64 *keys, const long long *table, long long tmask, u64 x)
+typedef struct {
+    u64 *keys;
+    uint32_t *slots;
+    u64 mask;
+} ConfTable;
+
+static inline u64
+ht_slot(const ConfTable *t, u64 x)
 {
-    long long slot = (long long)((x * HASH_MUL) & (u64)tmask);
-    for (;;) {
-        long long idx = table[slot];
-        if (idx == -1 || keys[idx] == x)
+    u64 h = x * HASH_MUL;
+    return (h ^ h >> 32) & t->mask;
+}
+
+static inline uint32_t
+ht_lookup(const ConfTable *t, u64 x)
+{
+    for (u64 slot = ht_slot(t, x);; slot = (slot + 1) & t->mask) {
+        uint32_t idx = t->slots[slot];
+        if (idx == NO_CONFIG || t->keys[idx] == x)
             return idx;
-        slot = (slot + 1) & tmask;
     }
 }
 
-/* Worklist deletion over the configuration digraph: keys[0..m) are the
-   configurations, alive[] is set to the greatest surviving subset. */
+/* The lowest guard w in cand whose move onto v takes configuration x to a
+   configuration still in the table, or -1. */
+static inline int
+live_response(const ConfTable *t, u64 x, int v, u64 cand)
+{
+    for (; cand; cand &= cand - 1) {
+        int w = ctz64(cand);
+        if (ht_lookup(t, (x ^ BIT(w)) | BIT(v)) != NO_CONFIG)
+            return w;
+    }
+    return -1;
+}
+
+/* The greatest fixpoint of the guard game over the m configurations of t,
+   which leaves in t exactly those from which every attack sequence can be
+   answered.  A live configuration X watches one response per unguarded
+   vertex v, the guard watch[X*n+v] whose move onto v leads to a
+   configuration still in t.  When a configuration Y dies, each live
+   predecessor X = Y - v + w watching w for v moves its watch forward to
+   its next such response, or dies too.  A watch never moves back: a dead
+   configuration never revives.  dead holds the masks awaiting that step. */
 static void
-fixpoint(int n, const u64 *adj, const u64 *keys, long long m, const long long *table,
-         long long tmask, short *counts, char *alive, long long *dead)
+watched_fixpoint(int n, const u64 *adj, ConfTable *t, uint32_t m,
+                 unsigned char *watch, u64 *dead)
 {
     u64 full = full_mask(n);
-    long long ndead = 0;
-    for (long long ci = 0; ci < m; ci++) {
-        u64 xmask = keys[ci];
-        int ok = 1;
-        alive[ci] = 1;
-        for (u64 am = full & ~xmask; am; am &= am - 1) {
-            int x = ctz64(am), c = 0;
-            for (u64 wm = adj[x] & xmask; wm; wm &= wm - 1)
-                if (ht_lookup(keys, table, tmask, (xmask ^ BIT(ctz64(wm))) | BIT(x)) >= 0)
-                    c++;
-            counts[ci * n + x] = (short)c;
-            if (c == 0)
-                ok = 0;
-        }
-        if (!ok) {
-            alive[ci] = 0;
-            dead[ndead++] = ci;
+    uint32_t ndead = 0;
+    for (uint32_t xi = 0; xi < m; xi++) {
+        u64 x = t->keys[xi];
+        for (u64 am = full & ~x; am; am &= am - 1) {
+            int v = ctz64(am);
+            int w = live_response(t, x, v, adj[v] & x);
+            if (w < 0) {
+                t->keys[xi] = 0;
+                dead[ndead++] = x;
+                break;
+            }
+            watch[(size_t)xi * n + v] = (unsigned char)w;
         }
     }
     while (ndead > 0) {
-        u64 ymask = keys[dead[--ndead]];
-        for (u64 am = ymask; am; am &= am - 1) {
-            int v = ctz64(am);
-            u64 rest = ymask ^ BIT(v);
-            for (u64 wm = adj[v] & ~ymask; wm; wm &= wm - 1) {
-                long long xi = ht_lookup(keys, table, tmask, rest | BIT(ctz64(wm)));
-                if (xi >= 0 && alive[xi] && --counts[xi * n + v] == 0) {
-                    alive[xi] = 0;
-                    dead[ndead++] = xi;
+        u64 y = dead[--ndead];
+        for (u64 vm = y; vm; vm &= vm - 1) {
+            int v = ctz64(vm);
+            for (u64 wm = adj[v] & ~y; wm; wm &= wm - 1) {
+                int w = ctz64(wm);
+                u64 x = (y ^ BIT(v)) | BIT(w);
+                uint32_t xi = ht_lookup(t, x);
+                if (xi == NO_CONFIG || watch[(size_t)xi * n + v] != w)
+                    continue;
+                int next = live_response(t, x, v, adj[v] & x & ~((BIT(w) << 1) - 1));
+                if (next < 0) {
+                    t->keys[xi] = 0;
+                    dead[ndead++] = x;
+                } else {
+                    watch[(size_t)xi * n + v] = (unsigned char)next;
                 }
             }
         }
     }
 }
 
-PyDoc_STRVAR(eternal_fixpoint_doc,
-"eternal_fixpoint(n, adj, k, configs) -> the surviving configurations.\n\n"
-"configs holds the sorted dominating k-set masks; the result keeps the\n"
-"greatest subset closed under defending every attack, in input order.");
+/* Plays the guard game on the m configurations keys[0..m), clearing the
+   key of each one that dies to 0; -1 when out of memory. */
+static int
+guard_game_c(int n, const u64 *adj, u64 *keys, uint32_t m)
+{
+    u64 tsize = 1;
+    while (tsize < 4 * (u64)m)
+        tsize <<= 1;
+    ConfTable t = {keys, malloc(tsize * sizeof(uint32_t)), tsize - 1};
+    unsigned char *watch = malloc((size_t)m * n + 1);
+    u64 *dead = malloc(((size_t)m + 1) * sizeof(u64));
+    int rc = -1;
+    if (t.slots != NULL && watch != NULL && dead != NULL) {
+        memset(t.slots, 0xff, tsize * sizeof(uint32_t));
+        for (uint32_t i = 0; i < m; i++) {
+            u64 slot = ht_slot(&t, keys[i]);
+            while (t.slots[slot] != NO_CONFIG)
+                slot = (slot + 1) & t.mask;
+            t.slots[slot] = i;
+        }
+        watched_fixpoint(n, adj, &t, m, watch, dead);
+        rc = 0;
+    }
+    free(t.slots);
+    free(watch);
+    free(dead);
+    return rc;
+}
+
+PyDoc_STRVAR(guard_game_doc,
+"guard_game(n, adj, k, cap) -> (count, survivors).\n\n"
+"count is the number of dominating k-sets; survivors, sorted, are those\n"
+"from which k guards can answer every attack forever.  Raises\n"
+"BudgetExceeded, carrying count, when count exceeds cap.");
 
 static PyObject *
-py_eternal_fixpoint(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+py_guard_game(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     int n, k;
     u64 adj[MAXN];
-    if (check_nargs("eternal_fixpoint", nargs, 4, 4) < 0 || arg_graph(args, &n, adj) < 0
-        || arg_int(args[2], &k) < 0)
+    ConfBuf buf = {0};
+    if (dom_args("guard_game", args, nargs, &n, adj, &k, &buf.cap) < 0)
         return NULL;
-    PyObject *seq = PySequence_Fast(args[3], "configs must be a sequence");
-    if (seq == NULL)
-        return NULL;
-    long long m = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    if (m == 0 || k >= n) {
-        PyObject *all = PyList_New(m);
-        if (all != NULL) {
-            for (long long ci = 0; ci < m; ci++) {
-                Py_INCREF(items[ci]);
-                PyList_SET_ITEM(all, ci, items[ci]);
-            }
-        }
-        Py_DECREF(seq);
-        return all;
-    }
-    long long tsize = 1;
-    while (tsize < 2 * m)
-        tsize <<= 1;
-    u64 *keys = malloc(m * sizeof(u64));
-    long long *table = malloc(tsize * sizeof(long long));
-    short *counts = malloc((size_t)m * n * sizeof(short));
-    char *alive = malloc(m);
-    long long *dead = malloc(m * sizeof(long long));
+    if (n == 0)
+        return Py_BuildValue("(iN)", 0, PyList_New(0));
     PyObject *result = NULL;
-    if (keys == NULL || table == NULL || counts == NULL || alive == NULL || dead == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (long long ci = 0; ci < m; ci++)
-        if (arg_u64(items[ci], &keys[ci]) < 0)
-            goto done;
-    memset(table, 0xff, tsize * sizeof(long long));
-    for (long long ci = 0; ci < m; ci++) {
-        long long slot = (long long)((keys[ci] * HASH_MUL) & (u64)(tsize - 1));
-        while (table[slot] != -1)
-            slot = (slot + 1) & (tsize - 1);
-        table[slot] = ci;
-    }
-    fixpoint(n, adj, keys, m, table, tsize - 1, counts, alive, dead);
-    if ((result = PyList_New(0)) == NULL)
-        goto done;
-    for (long long ci = 0; ci < m; ci++) {
-        if (alive[ci] && PyList_Append(result, items[ci]) < 0) {
-            Py_CLEAR(result);
-            break;
+    if (dominating_configs(n, adj, k, &buf) == 0) {
+        if (buf.len >= NO_CONFIG || guard_game_c(n, adj, buf.a, (uint32_t)buf.len) < 0) {
+            PyErr_NoMemory();
+        } else {
+            long long alive = 0;
+            for (long long i = 0; i < buf.len; i++)
+                if (buf.a[i] != 0)
+                    buf.a[alive++] = buf.a[i];
+            PyObject *survivors = sorted_list(buf.a, alive, n);
+            if (survivors != NULL)
+                result = Py_BuildValue("(LN)", buf.count, survivors);
         }
     }
-done:
-    free(keys);
-    free(table);
-    free(counts);
-    free(alive);
-    free(dead);
-    Py_DECREF(seq);
+    free(buf.a);
     return result;
 }
 
@@ -1632,7 +1744,7 @@ static PyMethodDef fastcore_methods[] = {
     ENTRY(clique_cover),
     ENTRY(domination_number),
     ENTRY(dominating_sets),
-    ENTRY(eternal_fixpoint),
+    ENTRY(guard_game),
     ENTRY(augment),
     ENTRY(screen),
     {NULL, NULL, 0, NULL},

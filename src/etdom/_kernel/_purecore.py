@@ -400,7 +400,7 @@ def clique_cover(n, adj, lb=0):
 
 
 # ---------------------------------------------------------------------------
-# Dominating sets and the eternal-domination fixpoint.
+# Dominating sets and the guard game.
 # ---------------------------------------------------------------------------
 
 def dominating_sets(n, adj, k, cap):
@@ -413,8 +413,10 @@ def dominating_sets(n, adj, k, cap):
         return []
     closed = [adj[i] | (1 << i) for i in range(n)]
     suffix = [0] * (n + 1)
+    reach = [0] * (n + 1)  # the largest closed neighbourhood among i..n-1
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | closed[i]
+        reach[i] = max(reach[i + 1], closed[i].bit_count())
     out = []
     count = 0
 
@@ -428,7 +430,7 @@ def dominating_sets(n, adj, k, cap):
                 if count <= cap:
                     out.append(cur)
             return
-        if n - i < left:
+        if n - i < left or (full & ~cov).bit_count() > left * reach[i]:
             return
         rec(i + 1, left - 1, cov | closed[i], cur | (1 << i))
         rec(i + 1, left, cov, cur)
@@ -472,20 +474,18 @@ def domination_number(n, adj):
     return k
 
 
-def eternal_fixpoint(n, adj, k, configs):
-    """Surviving subset of the k-guard configuration digraph.
+def guard_game(n, adj, k, cap):
+    """(count, survivors) of the k-guard game.
 
-    configs must be the sorted dominating k-set masks.  A configuration
-    X survives when, for every unguarded vertex x, some guard w on a
-    neighbour of x can move to x with the successor configuration also
-    surviving.  Deletions propagate through a worklist over reverse
-    dependencies.
+    count is the number of dominating k-sets; BudgetExceeded is raised
+    past cap, as in dominating_sets.  survivors are the sorted masks of
+    the greatest subset in which, for every unguarded vertex x, some
+    guard w on a neighbour of x can move to x with the successor
+    configuration also surviving.  Deletions propagate through a
+    worklist over reverse dependencies, counting the live responses to
+    each attack (the compiled kernel watches one instead).
     """
-    _check_graph(n, adj)
-    if not configs:
-        return []
-    if k >= n:
-        return list(configs)
+    configs = dominating_sets(n, adj, k, cap)
     full = (1 << n) - 1
     index = {m: i for i, m in enumerate(configs)}
     counts = []
@@ -520,7 +520,7 @@ def eternal_fixpoint(n, adj, k, configs):
                     if row[v] == 0:
                         alive[xi] = False
                         dead.append(xi)
-    return [m for i, m in enumerate(configs) if alive[i]]
+    return len(configs), [m for i, m in enumerate(configs) if alive[i]]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,7 @@ import sys
 from . import _kernel, pipeline
 from ._kernel import BudgetExceeded
 from .constructions import CirculantSpec, bowtie, circulant, mycielski_family
-from .eternal import (
-    DEFAULT_CONFIG_CAP,
-    dominating_sets_of_size,
-    defense_move,
-    eternal_domination_number,
-    prune_to_eternal,
-)
+from .eternal import DEFAULT_CONFIG_CAP, defense_move, eternal_decision, guard_space
 from .generate import GenerationBudgetError, generate_packed
 from .graph6 import Graph6Error, decode, encode, encode_packed, read_file, read_stream
 from .graphs import GraphError, bits, from_edges, is_connected
@@ -133,6 +127,37 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _trace(g, space, current: int, steps: int, rng: random.Random) -> list[str]:
+    """The lines of a seeded random attack sequence answered from current.
+
+    Each configuration's open vertices and guard text are built once,
+    however often the trace returns to it."""
+    names = [str(v) for v in range(g.n)]
+    seen = {}
+
+    def state(mask):
+        if mask not in seen:
+            open_vertices, guards = [], []
+            for v in range(g.n):
+                if mask >> v & 1:
+                    guards.append(names[v])
+                else:
+                    open_vertices.append(v)
+            seen[mask] = open_vertices, ",".join(guards)
+        return seen[mask]
+
+    open_vertices, guards = state(current)
+    lines = [f"trace start guards {guards}"]
+    for _ in range(steps):
+        if not open_vertices:
+            break
+        attack = rng.choice(open_vertices)
+        current = defense_move(g, space, current, attack)
+        open_vertices, guards = state(current)
+        lines.append(f"attack {attack} -> guards {guards}")
+    return lines
+
+
 def cmd_eternal(args) -> int:
     if args.graph6:
         g = decode(args.graph6)
@@ -144,30 +169,24 @@ def cmd_eternal(args) -> int:
         g = entries[0][1]
     alpha = independence_number(g)
     theta = clique_cover_number(g, lower_bound=alpha)
-    gi = eternal_domination_number(g, alpha=alpha, theta=theta, cap=args.cap)
+    gi, space = eternal_decision(g, alpha=alpha, theta=theta, cap=args.cap)
     print(f"n={g.n} alpha={alpha} theta={theta} gamma_inf={gi}")
     if args.survivors or args.trace:
         if not is_connected(g):
             print("survivor listing needs a connected graph", file=sys.stderr)
             return EXIT_INPUT
-        space = prune_to_eternal(g, dominating_sets_of_size(g, gi, cap=args.cap))
+        if space is None:
+            space = guard_space(g, gi, cap=args.cap)
         survivors = sorted(space.surviving)
-        print(f"configs={len(space.configs)} surviving={len(survivors)}")
+        print(f"configs={space.configs} surviving={len(survivors)}")
+        lines = []
         if args.survivors:
-            for mask in survivors:
-                print("guards " + ",".join(str(v) for v in bits(mask)))
+            lines = ["guards " + ",".join(map(str, bits(mask))) for mask in survivors]
         if args.trace:
             rng = random.Random(args.seed)
-            current = survivors[0]
-            print("trace start guards " + ",".join(str(v) for v in bits(current)))
-            for step in range(args.trace):
-                open_vertices = [v for v in range(g.n) if not current >> v & 1]
-                if not open_vertices:
-                    break
-                attack = rng.choice(open_vertices)
-                current = defense_move(g, space, current, attack)
-                guards = ",".join(str(v) for v in bits(current))
-                print(f"attack {attack} -> guards {guards}")
+            lines.extend(_trace(g, space, survivors[0], args.trace, rng))
+        if lines:
+            print("\n".join(lines))
     return EXIT_OK
 
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import etdom
 from etdom.cli import main
 
@@ -155,6 +157,36 @@ def test_eternal_subcommand(capsys):
     assert "gamma_inf=3" in out
     assert out.count("guards") >= 10
     assert "attack" in out
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# pinned stdout of `etdom eternal`: the survivor count and listing and the
+# seeded trace (which attacks come, which guard answers) are output, and
+# must not change when the game is decided differently
+ETERNAL_PINS = {
+    "eternal_DUW_survivors_trace40_seed3.txt":
+        ["DUW", "--survivors", "--trace", "40", "--seed", "3"],
+    "eternal_C13_1_3_4_trace200_seed7.txt":  # the circulant C13[1,3,4]
+        ["LlthgsL`mEkLkL", "--trace", "200", "--seed", "7"],
+    "eternal_cube_trace5.txt":  # alpha = theta = 4, so no game decides gamma_inf
+        ["Gr`HOk", "--trace", "5"],
+}
+
+
+@pytest.mark.parametrize("name", ETERNAL_PINS)
+def test_eternal_stdout_pinned(name, capsys):
+    rc, out, _ = run_cli(["eternal", *ETERNAL_PINS[name]], capsys=capsys)
+    assert rc == 0
+    assert out == (DATA / name).read_text()
+
+
+def test_eternal_trace_refuses_disconnected(capsys):
+    # C5 + K3: gamma_inf is still printed, then the listing is refused
+    rc, out, err = run_cli(["eternal", "Ghc?GK", "--trace", "5"], capsys=capsys)
+    assert rc == 2
+    assert out == "n=8 alpha=3 theta=4 gamma_inf=4\n"
+    assert err == "survivor listing needs a connected graph\n"
 
 
 def test_bad_input_exit_code(capsys):

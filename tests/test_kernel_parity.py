@@ -163,8 +163,8 @@ def test_order_64():
         for fn in ("max_clique", "maximal_cliques", "clique_cover"):
             both(fn, 64, adj)
         gamma = both("domination_number", 64, adj)
-        configs = both("dominating_sets", 64, adj, gamma, DEFAULT_CONFIG_CAP)
-        both("eternal_fixpoint", 64, adj, gamma, configs)
+        both("dominating_sets", 64, adj, gamma, DEFAULT_CONFIG_CAP)
+        both("guard_game", 64, adj, gamma, DEFAULT_CONFIG_CAP)
 
 
 @needs_fast
@@ -184,12 +184,11 @@ def test_cliques_and_matching(graph, lb):
 @given(graphs())
 def test_domination_and_fixpoint(graph):
     n, adj = graph
-    gamma = both("domination_number", n, adj)
+    both("domination_number", n, adj)
     for k in range(n + 2):
         configs = both("dominating_sets", n, adj, k, DEFAULT_CONFIG_CAP)
-        if k in (gamma, gamma + 1):
-            both("eternal_fixpoint", n, adj, k, configs)
-            both("eternal_fixpoint", n, adj, k, tuple(configs))
+        count, survivors = both("guard_game", n, adj, k, DEFAULT_CONFIG_CAP)
+        assert count == len(configs) and set(survivors) <= set(configs)
 
 
 @needs_fast
@@ -332,8 +331,10 @@ def test_dominating_sets_cap(graph, extra):
     count = len(_purecore.dominating_sets(n, adj, k, DEFAULT_CONFIG_CAP))
     if count:
         assert both("dominating_sets", n, adj, k, count) != []
-        assert raised(_fastcore, "dominating_sets", n, adj, k, count - 1) == raised(
-            _purecore, "dominating_sets", n, adj, k, count - 1)
+        assert both("guard_game", n, adj, k, count)[0] == count
+        for fn in ("dominating_sets", "guard_game"):
+            assert raised(_fastcore, fn, n, adj, k, count - 1) == raised(
+                _purecore, fn, n, adj, k, count - 1)
 
 
 # -- out-of-range input ---------------------------------------------------------
@@ -348,8 +349,7 @@ import json
 from etdom._kernel import _fastcore, _purecore
 ENTRY_ARGS = {
     "canon": (), "max_clique": (), "maximal_cliques": (), "clique_cover": (),
-    "domination_number": (), "dominating_sets": (1, 8),
-    "eternal_fixpoint": (1, [1]),
+    "domination_number": (), "dominating_sets": (1, 8), "guard_game": (1, 8),
 }
 PACKED_ENTRY_ARGS = {"augment": (_purecore.MODE_ALL,), "screen": ([0, 1],)}
 BAD_GRAPHS = {"n=-1": (-1, []), "n=65": (65, [0] * 65), "n=2**70": (2 ** 70, []),
@@ -365,6 +365,7 @@ calls = [(f"{fn} {case}", fn, graph + rest)
 calls += [(f"{fn} {case}", fn, (n, packed) + rest)
           for fn, rest in PACKED_ENTRY_ARGS.items() for case, (n, packed) in BAD_PACKED.items()]
 calls.append(("dominating_sets k=-1", "dominating_sets", (3, [0, 0, 0], -1, 8)))
+calls.append(("guard_game k=-1", "guard_game", (3, [0, 0, 0], -1, 8)))
 unknown = len(_purecore.SCREEN_TESTS)
 calls.append((f"screen test code {unknown}", "screen", (3, [0], [0, unknown])))
 calls.append(("screen test code -1", "screen", (3, [0], [-1])))
@@ -391,7 +392,7 @@ def test_out_of_range_input_raises_value_error():
     )
     assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr[-2000:]}"
     results = json.loads(proc.stdout)
-    assert len(results) == 7 * 8 + 2 * 9 + 5
+    assert len(results) == 7 * 8 + 2 * 9 + 6
     for label, got in results.items():
         assert got["pure"][0] == "ValueError", (label, got)
         assert got["fast"] == got["pure"], (label, got)
@@ -431,5 +432,56 @@ def test_cover_of_unbalanced_complete_bipartite_returns(kernel):
     proc = subprocess.run(
         [sys.executable, "-c", BIPARTITE_SCRIPT, kernel], capture_output=True,
         text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# -- configurations that agree on their low vertices -------------------------------
+
+# A path of hubs, each with two pendant leaves, and a long cycle hung off
+# the last hub: most dominating k-sets agree on the low (hub and leaf)
+# vertices and differ only on the cycle.  A table slot taken from the low
+# bits of the hash product depends only on the low vertices, so these
+# configurations all chain into a few slots and each lookup walks the
+# chain; at n = 45 that fixpoint took 14 s, at n = 60 more than 100 s.  In
+# a child process with a timeout, so that such a fixpoint fails the test.
+HASH_SCRIPT = """
+import importlib, sys
+kernel = importlib.import_module("etdom._kernel." + sys.argv[1])
+
+def caterpillar_with_cycle(hubs, cycle):
+    n = 3 * hubs + cycle
+    adj = [0] * n
+    def edge(u, v):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for h in range(hubs - 1):
+        edge(h, h + 1)
+    for h in range(hubs):
+        edge(h, hubs + 2 * h)
+        edge(h, hubs + 2 * h + 1)
+    for i in range(cycle):
+        edge(3 * hubs + i, 3 * hubs + (i + 1) % cycle)
+    edge(hubs - 1, 3 * hubs)
+    return n, adj
+
+# (hubs, cycle length, k, dominating k-sets); none of them survives
+cases = [(6, 27, 17, 35484)]
+if sys.argv[1] == "_fastcore":
+    cases.append((8, 36, 22, 138452))  # n = 60 takes 15 s in the pure kernel
+for hubs, cycle, k, configs in cases:
+    n, adj = caterpillar_with_cycle(hubs, cycle)
+    assert kernel.guard_game(n, adj, k, 1 << 26) == (configs, []), n
+"""
+
+
+@pytest.mark.parametrize("kernel, seconds", [
+    pytest.param("_purecore", 60, id="pure"),
+    pytest.param("_fastcore", 20, marks=needs_fast, id="fast")])
+def test_guard_game_hash_spreads_high_vertices(kernel, seconds):
+    src = str(Path(_purecore.__file__).resolve().parents[2])
+    proc = subprocess.run(
+        [sys.executable, "-c", HASH_SCRIPT, kernel], capture_output=True,
+        text=True, timeout=seconds, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
